@@ -7,8 +7,8 @@ from .linalg import BandedSymMatrix, CholeskyFactor, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d, \
     apply_operator_2d, assemble_load
-from .transfer import Prolongation, build_prolongation, prolong, restrict, \
-    prolong_2d, restrict_2d
+from .transfer import build_prolongation, prolong, restrict, prolong_2d, \
+    restrict_2d
 from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     build_smoother_2d, apply_Linv_1d, apply_Linv_2d, smooth_step_1d, \
     smooth_step_2d

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BandedSymMatrix
+from .linalg import BandedSymMatrix, kron_apply
 from .splines import SplineSpace, eval_basis_derivatives
 
 __all__ = [
@@ -36,13 +36,15 @@ class Discretization1D:
 
 @dataclass
 class Operator2D:
-    """Matrix-free v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors."""
+    """Matrix-free v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors,
+    applied as K(x)M + M(x)A with A = K + M."""
 
     disc: Discretization1D
     _factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._factors = (self.disc.K.tocsr(), self.disc.M.tocsr())
+        self._factors = (self.disc.K.tocsr(), self.disc.M.tocsr(),
+                         self.disc.A.tocsr())
 
     @property
     def order(self) -> int:
@@ -53,18 +55,13 @@ class Operator2D:
         return (self.order, self.order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        m = self.disc.space.dim
-        K, M = self._factors
-        V = np.asarray(v).reshape(m, m)
-        VM = (M @ V.T).T       # V M (M symmetric)
-        VK = (K @ V.T).T       # V K
-        out = K @ VM + M @ (VK + VM)
-        return out.reshape(m * m)
+        K, M, A = self._factors
+        return kron_apply(K, M, v) + kron_apply(M, A, v)
 
-    def __matmul__(self, v):
-        if np.asarray(v).ndim == 2:
-            return np.column_stack([self.apply(col) for col in np.asarray(v).T])
-        return self.apply(v)
+    def toarray(self) -> np.ndarray:
+        """Dense matrix (coarse solves and verification sizes only)."""
+        K, M = self.disc.K.toarray(), self.disc.M.toarray()
+        return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
 
 
 def _span_quadrature(space: SplineSpace, nodes_per_span: int):

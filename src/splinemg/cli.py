@@ -76,8 +76,8 @@ class ExperimentConfig:
 
     def cycle_config(self) -> CycleConfig:
         return CycleConfig(cycle=self.cycle, pre_smooth=self.pre_smooth,
-                           post_smooth=self.post_smooth, tau=self.tau,
-                           tol=self.tol, max_iter=self.max_iter)
+                           post_smooth=self.post_smooth, tol=self.tol,
+                           max_iter=self.max_iter)
 
 
 @dataclass

@@ -22,10 +22,6 @@ __all__ = [
     "operator_norm",
 ]
 
-#: order up to which generalized eigenproblems take the dense LAPACK path
-DENSE_EIG_LIMIT = 500
-
-
 class NotSPDError(ValueError):
     """Raised when a Cholesky factorization hits a non-positive pivot."""
 
@@ -58,14 +54,6 @@ class BandedSymMatrix:
         for k in range(bandwidth + 1):
             out.bands[k, :m - k] = np.diagonal(a, -k)
         return out
-
-    def entry(self, i: int, j: int) -> float:
-        if i < j:
-            i, j = j, i
-        k = i - j
-        if k > self.bandwidth:
-            return 0.0
-        return float(self.bands[k, j])
 
     def toarray(self) -> np.ndarray:
         a = np.zeros((self.order, self.order))
@@ -105,12 +93,14 @@ class BandedSymMatrix:
         return sub
 
     def rectangular_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense copy of an arbitrary (rows x cols) block."""
-        out = np.zeros((len(rows), len(cols)))
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                out[a, b] = self.entry(int(i), int(j))
-        return out
+        """Dense copy of an arbitrary (rows x cols) block, gathered from the
+        band storage: entry (i, j) is bands[|i - j|, min(i, j)]."""
+        i = np.asarray(rows)[:, None]
+        j = np.asarray(cols)[None, :]
+        k = np.abs(i - j)
+        inside = k <= self.bandwidth
+        return np.where(inside, self.bands[np.where(inside, k, 0),
+                                           np.minimum(i, j)], 0.0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -168,13 +158,6 @@ def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> Chol
     return CholeskyFactor("dense", a.shape[0], c)
 
 
-def _as_operator(op):
-    """Normalize to (shape, apply-to-matrix callable)."""
-    if callable(op) and not hasattr(op, "shape"):
-        raise ValueError("bare callables need a shape; pass a matrix-like object")
-    return op.shape, (lambda x: op @ x)
-
-
 def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
     """Apply (a_left (x) a_right) to v without materializing the product.
 
@@ -182,93 +165,28 @@ def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
     ``a_left`` across columns. Operators are matrix-likes with ``shape`` and
     ``@``; rectangular operators are allowed.
     """
-    (rl, cl), apply_l = _as_operator(a_left)
-    (rr, cr), apply_r = _as_operator(a_right)
+    rl, cl = a_left.shape
+    rr, cr = a_right.shape
     v = np.asarray(v)
     if v.shape != (cl * cr,):
         raise ValueError(
             f"vector length {v.shape} inconsistent with operator columns {cl}x{cr}")
     mat = v.reshape(cl, cr)
     # (A (x) B) vec_C(V) = vec_C(A V B^T)
-    step = apply_r(mat.T).T        # V B^T, shape (cl, rr)
-    out = apply_l(step)            # A V B^T, shape (rl, rr)
+    step = (a_right @ mat.T).T     # V B^T, shape (cl, rr)
+    out = a_left @ step            # A V B^T, shape (rl, rr)
     return np.ascontiguousarray(out).reshape(rl * rr)
 
 
-def generalized_eig_max(A, B, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest lambda with A x = lambda B x (A symmetric, B SPD).
-
-    Dense reduction for order <= DENSE_EIG_LIMIT, power iteration on
-    B^{-1} A beyond that.
-    """
-    if isinstance(A, BandedSymMatrix):
-        A = A.toarray() if A.order <= DENSE_EIG_LIMIT else A.tocsr()
-    if isinstance(B, BandedSymMatrix):
-        B = B.toarray() if B.order <= DENSE_EIG_LIMIT else B
-    n = A.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        A = np.asarray(A) if not scipy.sparse.issparse(A) else A.toarray()
-        Bd = np.asarray(B) if not isinstance(B, BandedSymMatrix) else B.toarray()
-        try:
-            vals = eigh(A, Bd, eigvals_only=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(0, "B") from exc
-        return float(vals[-1])
-
-    if isinstance(B, BandedSymMatrix):
-        bfac = cholesky(B, "B")
-    else:
-        bfac = cholesky(np.asarray(B), "B")
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = bfac.solve(A @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        y /= ny
-        lam_new = float((y @ (A @ y)) / (y @ (_apply_b(B, y))))
-        if abs(lam_new - lam) <= tol * (1.0 + abs(lam_new)):
-            return lam_new
-        lam, x = lam_new, y
-    return lam
+def generalized_eig_max(A: np.ndarray, B: np.ndarray) -> float:
+    """Largest lambda with A x = lambda B x (A symmetric, B SPD), dense."""
+    try:
+        vals = eigh(A, B, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError(0, "B") from exc
+    return float(vals[-1])
 
 
-def _apply_b(B, y):
-    if isinstance(B, BandedSymMatrix):
-        return B.apply(y)
-    return B @ y
-
-
-def operator_norm(op, order: int | None = None, op_t=None,
-                  tol: float = 1e-8, max_iter: int = 100_000) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    ``op`` is matrix-like (shape + ``@``); ``op_t`` overrides the transpose
-    apply (defaults to ``op.T`` for arrays, ``op`` itself if symmetric use
-    is intended pass it explicitly).
-    """
-    if op_t is None:
-        op_t = op.T if hasattr(op, "T") else op
-    rows, cols = op.shape
-    rng = np.random.default_rng(54321)
-    v = rng.standard_normal(cols)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = op @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        z = op_t @ w
-        nz = np.linalg.norm(z)
-        sigma_new = float(np.sqrt(nz))  # ||M^T M v|| -> sigma^2 when v normalized
-        if nz == 0.0:
-            return float(nw)
-        v = z / nz
-        if abs(sigma_new - sigma) <= tol * (1.0 + abs(sigma_new)):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+def operator_norm(op: np.ndarray) -> float:
+    """Largest singular value of a dense matrix."""
+    return float(np.linalg.norm(op, 2))

@@ -43,20 +43,17 @@ class _CorrectedMassSolver:
 
     E selects the boundary indices (left ascending, then right ascending).
     Woodbury around sigma*M: the capacitance is Q^-1 + sigma^-1 (M^-1)_GG.
-    ``correction=None`` drops the boundary term (pure scaled mass solve).
     """
 
     sigma: float
     chol_M: CholeskyFactor
     boundary: np.ndarray
     Minv_E: np.ndarray                       # M^-1 E, dense m x 2p
-    chol_cap: CholeskyFactor | None          # None when correction is absent
+    chol_cap: CholeskyFactor
 
     @classmethod
     def build(cls, sigma: float, chol_M: CholeskyFactor, boundary: np.ndarray,
-              Minv_E: np.ndarray, Q: np.ndarray | None) -> "_CorrectedMassSolver":
-        if Q is None:
-            return cls(sigma, chol_M, boundary, Minv_E, None)
+              Minv_E: np.ndarray, Q: np.ndarray) -> "_CorrectedMassSolver":
         Qinv = np.linalg.inv(Q)
         cap = Qinv + Minv_E[boundary, :] / sigma
         cap = 0.5 * (cap + cap.T)
@@ -66,8 +63,6 @@ class _CorrectedMassSolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs may be a vector or a matrix of column right-hand sides."""
         y = self.chol_M.solve(rhs) / self.sigma
-        if self.chol_cap is None:
-            return y
         t = y[self.boundary]
         s = self.chol_cap.solve(t)
         return y - (self.Minv_E @ s) / self.sigma
@@ -82,7 +77,6 @@ class Smoother1D:
     tau: float
     damping: str                       # "mass" | "plain"
     split: IndexSplit
-    chol_A_II: CholeskyFactor
     chol_M: CholeskyFactor
     Q: np.ndarray                      # 2p x 2p Schur complement of A_II in A
     L_solver: _CorrectedMassSolver     # undamped L = h^-2 M + C
@@ -118,15 +112,14 @@ def _boundary_blocks(mat: BandedSymMatrix, split: IndexSplit):
 
 
 def _schur_complement(mat: BandedSymMatrix, split: IndexSplit,
-                      what: str) -> tuple[np.ndarray, CholeskyFactor]:
-    """Schur complement of the interior block, plus its interior factor."""
+                      what: str) -> np.ndarray:
+    """Schur complement of the interior block."""
     gg, ig = _boundary_blocks(mat, split)
     start, stop = split.interior[0], split.interior[-1] + 1
     interior = mat.principal_submatrix(int(start), int(stop))
-    chol_ii = cholesky(interior, what)
-    X = chol_ii.solve(ig)
+    X = cholesky(interior, what).solve(ig)
     S = gg - ig.T @ X
-    return 0.5 * (S + S.T), chol_ii
+    return 0.5 * (S + S.T)
 
 
 def build_smoother_1d(disc: Discretization1D, tau: float,
@@ -145,7 +138,7 @@ def build_smoother_1d(disc: Discretization1D, tau: float,
     split = index_split(space)          # raises when the interior is empty
     h = space.mesh_size
 
-    Q, chol_A_II = _schur_complement(disc.A, split, "interior system block")
+    Q = _schur_complement(disc.A, split, "interior system block")
     chol_M = cholesky(disc.M, "mass matrix")
 
     E = np.zeros((space.dim, len(split.boundary)))
@@ -155,8 +148,7 @@ def build_smoother_1d(disc: Discretization1D, tau: float,
     sigma = h ** -2
     L_solver = _CorrectedMassSolver.build(sigma, chol_M, split.boundary, Minv_E, Q)
     sm = Smoother1D(space_dim=space.dim, mesh_size=h, tau=tau, damping=damping,
-                    split=split, chol_A_II=chol_A_II, chol_M=chol_M, Q=Q,
-                    L_solver=L_solver)
+                    split=split, chol_M=chol_M, Q=Q, L_solver=L_solver)
     if damping == "mass":
         sm.L_eff_solver = _CorrectedMassSolver.build(
             sigma / tau, chol_M, split.boundary, Minv_E, Q)
@@ -195,7 +187,7 @@ def build_smoother_2d(disc: Discretization1D, tau: float) -> Smoother2D:
     split = base.split
     h = disc.space.mesh_size
 
-    mass_schur, _ = _schur_complement(disc.M, split, "interior mass block")
+    mass_schur = _schur_complement(disc.M, split, "interior mass block")
     W = base.Q + mass_schur / h**2
     W = 0.5 * (W + W.T)
 

@@ -6,13 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import scipy.sparse
+
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d
-from .linalg import CholeskyFactor, cholesky
+from .linalg import BandedSymMatrix, CholeskyFactor, cholesky
 from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     build_smoother_2d, smooth_1d, smooth_2d
 from .splines import SplineSpace, build_space
-from .transfer import Prolongation, build_prolongation, prolong, prolong_2d, \
-    restrict, restrict_2d
+from .transfer import build_prolongation, prolong, prolong_2d, restrict, \
+    restrict_2d
 
 __all__ = [
     "Level",
@@ -50,13 +52,10 @@ class Level:
 
     space: SplineSpace
     disc: Discretization1D
-    op: Operator2D | None                  # set for d == 2
+    op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
     smoother: Smoother1D | Smoother2D | None   # None on the coarsest level
-    P: Prolongation | None                 # embedding from the next coarser level
+    P: scipy.sparse.csr_matrix | None      # embedding from the next coarser level
     direct: CholeskyFactor | None = field(default=None, repr=False)
-
-    def unknowns(self, dim: int) -> int:
-        return self.space.dim ** dim
 
 
 @dataclass
@@ -67,8 +66,6 @@ class MgHierarchy:
     degree: int
     coarse_level: int
     fine_level: int
-    tau: float
-    damping: str
     levels: list[Level]
 
     @property
@@ -78,16 +75,12 @@ class MgHierarchy:
 
 @dataclass
 class CycleConfig:
-    """Cycle shape and stopping parameters.
-
-    ``tau`` is informational; the operative damping parameter is baked into
-    the hierarchy's smoothers at construction time.
-    """
+    """Cycle shape and stopping parameters (the damping parameter is baked
+    into the hierarchy's smoothers)."""
 
     cycle: str = "v"              # "two-grid" | "v" | "w"
     pre_smooth: int = 1
     post_smooth: int = 1
-    tau: float | None = None
     tol: float = 1e-8
     max_iter: int = 500
 
@@ -122,19 +115,12 @@ def min_smoother_level(p: int, n0: int = 1) -> int:
     return level
 
 
-def _materialize_operator_2d(op: Operator2D) -> np.ndarray:
-    K = op.disc.K.toarray()
-    M = op.disc.M.toarray()
-    return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
-
-
-def _direct_factor(level: Level, dim: int) -> CholeskyFactor:
+def _direct_factor(level: Level) -> CholeskyFactor:
     if level.direct is None:
-        if dim == 1:
-            level.direct = cholesky(level.disc.A, "coarse system matrix")
-        else:
-            level.direct = cholesky(_materialize_operator_2d(level.op),
-                                    "coarse system matrix")
+        op = level.op
+        level.direct = cholesky(
+            op if isinstance(op, BandedSymMatrix) else op.toarray(),
+            "coarse system matrix")
     return level.direct
 
 
@@ -167,7 +153,7 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     for lv in range(coarse_level, fine_level + 1):
         space = build_space(p, lv, n0)
         disc = assemble_1d(space)
-        op = operator_2d(disc) if d == 2 else None
+        op = disc.A if d == 1 else operator_2d(disc)
         smoother = None
         if lv > coarse_level:
             if d == 1:
@@ -178,17 +164,9 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
         levels.append(Level(space=space, disc=disc, op=op, smoother=smoother, P=P))
 
     hier = MgHierarchy(dim=d, degree=p, coarse_level=coarse_level,
-                       fine_level=fine_level, tau=tau, damping=damping,
-                       levels=levels)
-    _direct_factor(levels[0], d)
+                       fine_level=fine_level, levels=levels)
+    _direct_factor(levels[0])
     return hier
-
-
-def _apply_A(h: MgHierarchy, idx: int, v: np.ndarray) -> np.ndarray:
-    lvl = h.levels[idx]
-    if h.dim == 1:
-        return lvl.disc.A.apply(v)
-    return lvl.op.apply(v)
 
 
 def _smooth(h: MgHierarchy, idx: int, u, r, steps):
@@ -214,14 +192,15 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
              f: np.ndarray) -> np.ndarray:
     """One multigrid cycle at level index ``idx`` (0 = coarsest) for A u = f."""
     if idx == 0:
-        return _direct_factor(h.levels[0], h.dim).solve(f)
+        return _direct_factor(h.levels[0]).solve(f)
 
-    r = f - _apply_A(h, idx, u)
+    A = h.levels[idx].op
+    r = f - A.apply(u)
     u, r = _smooth(h, idx, u, r, cfg.pre_smooth)
     rc = _restrict(h, idx, r)
 
     if cfg.cycle == "two-grid" or idx == 1:
-        ec = _direct_factor(h.levels[idx - 1], h.dim).solve(rc)
+        ec = _direct_factor(h.levels[idx - 1]).solve(rc)
     elif cfg.cycle == "v":
         ec = mg_cycle(h, cfg, idx - 1, np.zeros_like(rc), rc)
     else:  # W-cycle: two successive corrections on the coarse problem
@@ -231,7 +210,7 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
     d = _prolong(h, idx, ec)
     u = u + d
     if cfg.post_smooth:
-        r = r - _apply_A(h, idx, d)
+        r = r - A.apply(d)
         u, r = _smooth(h, idx, u, r, cfg.post_smooth)
     return u
 
@@ -241,8 +220,9 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     """Iterate cycles until ||f - A u|| <= tol * ||f - A u0|| or max_iter."""
     start = time.perf_counter()
     top = len(h.levels) - 1
+    A = h.finest.op
     u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
-    r0 = float(np.linalg.norm(f - _apply_A(h, top, u)))
+    r0 = float(np.linalg.norm(f - A.apply(u)))
     history = [r0]
     if r0 == 0.0:
         return u, SolveReport(0, history, True, time.perf_counter() - start)
@@ -251,7 +231,7 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     iterations = 0
     for k in range(1, cfg.max_iter + 1):
         u = mg_cycle(h, cfg, top, u, f)
-        res = float(np.linalg.norm(f - _apply_A(h, top, u)))
+        res = float(np.linalg.norm(f - A.apply(u)))
         history.append(res)
         iterations = k
         if res <= cfg.tol * r0:
@@ -275,12 +255,13 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
             f"(got {cfg.pre_smooth}, {cfg.post_smooth})")
     start = time.perf_counter()
     top = len(h.levels) - 1
+    A = h.finest.op
 
     def precond(res: np.ndarray) -> np.ndarray:
         return mg_cycle(h, cfg, top, np.zeros_like(res), res)
 
     u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
-    r = f - _apply_A(h, top, u)
+    r = f - A.apply(u)
     r0 = float(np.linalg.norm(r))
     history = [r0]
     if r0 == 0.0:
@@ -292,7 +273,7 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iter + 1):
-        q = _apply_A(h, top, p)
+        q = A.apply(p)
         alpha = rho / float(p @ q)
         u = u + alpha * p
         r = r - alpha * q

@@ -7,34 +7,19 @@ transpose; 2D transfers are Kronecker squares applied factor-wise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse
 
+from .linalg import kron_apply
 from .splines import SplineSpace
 
 __all__ = [
-    "Prolongation",
     "build_prolongation",
     "prolong",
     "restrict",
     "prolong_2d",
     "restrict_2d",
 ]
-
-
-@dataclass
-class Prolongation:
-    """Sparse embedding matrix from a coarse space into its dyadic refinement."""
-
-    coarse_dim: int
-    fine_dim: int
-    matrix: scipy.sparse.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.fine_dim, self.coarse_dim)
 
 
 def _insertion_row(t: np.ndarray, p: int, tau: np.ndarray, i: int,
@@ -56,8 +41,10 @@ def _insertion_row(t: np.ndarray, p: int, tau: np.ndarray, i: int,
     return row
 
 
-def build_prolongation(coarse: SplineSpace, fine: SplineSpace) -> Prolongation:
-    """Canonical embedding matrix for one dyadic refinement step."""
+def build_prolongation(coarse: SplineSpace,
+                       fine: SplineSpace) -> scipy.sparse.csr_matrix:
+    """Canonical embedding matrix (fine.dim x coarse.dim) for one dyadic
+    refinement step."""
     if coarse.degree != fine.degree:
         raise ValueError(
             f"degree mismatch: coarse {coarse.degree}, fine {fine.degree}")
@@ -79,35 +66,27 @@ def build_prolongation(coarse: SplineSpace, fine: SplineSpace) -> Prolongation:
                 rows.append(i)
                 cols.append(mu - p + s)
                 vals.append(v)
-    matrix = scipy.sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(fine.dim, coarse.dim))
-    return Prolongation(coarse_dim=coarse.dim, fine_dim=fine.dim, matrix=matrix)
 
 
-def prolong(P: Prolongation, coarse_vec: np.ndarray) -> np.ndarray:
-    if coarse_vec.shape[0] != P.coarse_dim:
+def prolong(P: scipy.sparse.csr_matrix, coarse_vec: np.ndarray) -> np.ndarray:
+    if coarse_vec.shape[0] != P.shape[1]:
         raise ValueError("coarse vector length mismatch")
-    return P.matrix @ coarse_vec
+    return P @ coarse_vec
 
 
-def restrict(P: Prolongation, fine_vec: np.ndarray) -> np.ndarray:
-    if fine_vec.shape[0] != P.fine_dim:
+def restrict(P: scipy.sparse.csr_matrix, fine_vec: np.ndarray) -> np.ndarray:
+    if fine_vec.shape[0] != P.shape[0]:
         raise ValueError("fine vector length mismatch")
-    return P.matrix.T @ fine_vec
+    return P.T @ fine_vec
 
 
-def prolong_2d(P: Prolongation, coarse_vec: np.ndarray) -> np.ndarray:
+def prolong_2d(P: scipy.sparse.csr_matrix, coarse_vec: np.ndarray) -> np.ndarray:
     """Apply P (x) P without materializing the Kronecker product."""
-    mc, mf = P.coarse_dim, P.fine_dim
-    V = np.asarray(coarse_vec).reshape(mc, mc)
-    out = P.matrix @ (P.matrix @ V.T).T
-    return np.ascontiguousarray(out).reshape(mf * mf)
+    return kron_apply(P, P, coarse_vec)
 
 
-def restrict_2d(P: Prolongation, fine_vec: np.ndarray) -> np.ndarray:
+def restrict_2d(P: scipy.sparse.csr_matrix, fine_vec: np.ndarray) -> np.ndarray:
     """Apply P^T (x) P^T without materializing the Kronecker product."""
-    mc, mf = P.coarse_dim, P.fine_dim
-    V = np.asarray(fine_vec).reshape(mf, mf)
-    RT = P.matrix.T.tocsr()
-    out = RT @ (RT @ V.T).T
-    return np.ascontiguousarray(out).reshape(mc * mc)
+    return kron_apply(P.T, P.T, fine_vec)

@@ -17,7 +17,7 @@ from .assembly import assemble_1d, operator_2d
 from .linalg import generalized_eig_max, operator_norm
 from .smoother import build_smoother_1d, build_smoother_2d, \
     smoother_matrix_1d, smoother_matrix_2d
-from .solver import TAU_DEFAULT, _materialize_operator_2d
+from .solver import TAU_DEFAULT
 from .splines import SplineSpace, build_space, eval_basis_derivatives, \
     index_split
 from .transfer import build_prolongation
@@ -147,7 +147,7 @@ def _composite_prolongation(p, coarse_level, fine_level, n0=1):
     cur = build_space(p, coarse_level, n0)
     for lev in range(coarse_level + 1, fine_level + 1):
         nxt = build_space(p, lev, n0)
-        step = build_prolongation(cur, nxt).matrix
+        step = build_prolongation(cur, nxt)
         mat = step if mat is None else step @ mat
         cur = nxt
     return mat
@@ -183,7 +183,12 @@ def verify_approximation_constant(p: int, level: int, proxy_levels: int = 4,
 
 def _dense_pair(p, level, d, tau, damping, n0=1):
     """Dense (system matrix, effective smoother matrix, coarse projector
-    ingredients) at one level for the given dimension."""
+    ingredients) at one level for the given dimension; ``tau`` and
+    ``damping`` default to the solver's choice for ``d``."""
+    if tau is None:
+        tau = TAU_DEFAULT[d]
+    if damping is None:
+        damping = "mass" if d == 1 else "plain"
     fine = build_space(p, level, n0)
     coarse = build_space(p, level - 1, n0)
     if d == 1:
@@ -191,14 +196,14 @@ def _dense_pair(p, level, d, tau, damping, n0=1):
     elif fine.dim > DENSE_VERIFY_LIMIT // 10:
         raise ValueError("2D size exceeds dense verification limit")
     df, dc = assemble_1d(fine), assemble_1d(coarse)
-    P1 = build_prolongation(coarse, fine).matrix.toarray()
+    P1 = build_prolongation(coarse, fine).toarray()
     if d == 1:
         A, Ac, P = df.A.toarray(), dc.A.toarray(), P1
         sm = build_smoother_1d(df, tau, damping)
         L_eff = smoother_matrix_1d(sm, df, damped=True)
     else:
-        A = _materialize_operator_2d(operator_2d(df))
-        Ac = _materialize_operator_2d(operator_2d(dc))
+        A = operator_2d(df).toarray()
+        Ac = operator_2d(dc).toarray()
         P = np.kron(P1, P1)
         s2 = build_smoother_2d(df, tau)
         L_eff = smoother_matrix_2d(s2, df) / tau
@@ -214,10 +219,6 @@ def measure_CA(p: int, level: int, d: int = 1, tau: float | None = None,
     matrix (the one the damped smoothing step actually inverts, so that this
     constant and the smoothing constant refer to the same norm).
     """
-    if tau is None:
-        tau = TAU_DEFAULT[d]
-    if damping is None:
-        damping = "mass" if d == 1 else "plain"
     A, Ac, P, L_eff = _dense_pair(p, level, d, tau, damping, n0)
     T = P @ np.linalg.solve(Ac, P.T @ A)
     Lhalf = _sym_sqrt(L_eff)
@@ -235,10 +236,6 @@ def measure_smoothing_constant(p: int, level: int, nu: int, d: int = 1,
     L is the effective smoother matrix, so S = I - L^(-1) A; the measured
     value is expected to stay below 1/tau.
     """
-    if tau is None:
-        tau = TAU_DEFAULT[d]
-    if damping is None:
-        damping = "mass" if d == 1 else "plain"
     A, _, _, L_eff = _dense_pair(p, level, d, tau, damping, n0)
     lam = scipy.linalg.eigh(A, L_eff, eigvals_only=True)
     return float(nu * np.abs(lam * (1.0 - lam)**nu).max())
@@ -248,10 +245,6 @@ def smoother_energy_norm(p: int, level: int, d: int = 1,
                          tau: float | None = None,
                          damping: str | None = None, n0: int = 1) -> float:
     """||S||_A of the damped smoothing step (at most 1 for admissible tau)."""
-    if tau is None:
-        tau = TAU_DEFAULT[d]
-    if damping is None:
-        damping = "mass" if d == 1 else "plain"
     A, _, _, L_eff = _dense_pair(p, level, d, tau, damping, n0)
     lam = scipy.linalg.eigh(A, L_eff, eigvals_only=True)
     return float(np.abs(1.0 - lam).max())

@@ -68,6 +68,7 @@ def test_operator_2d_matches_dense_kron():
     dense = np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
     v = rng.standard_normal(25)
     npt.assert_allclose(apply_operator_2d(op, v), dense @ v, atol=1e-12)
+    npt.assert_array_equal(op.toarray(), dense)
 
 
 def test_operator_2d_constant_vector():

@@ -22,8 +22,6 @@ def test_banded_storage_round_trip():
     npt.assert_allclose(dense, dense.T)
     again = BandedSymMatrix.from_dense(dense, 3)
     npt.assert_allclose(again.bands, a.bands)
-    assert a.entry(2, 5) == dense[2, 5]
-    assert a.entry(0, 8) == 0.0
 
 
 def test_banded_apply_matches_dense():
@@ -179,22 +177,6 @@ def test_generalized_eig_max_rejects_indefinite_B():
         generalized_eig_max(np.eye(2), np.diag([1.0, -1.0]))
 
 
-def test_generalized_eig_max_iterative_path_matches_dense():
-    rng = np.random.default_rng(12)
-    n = 40
-    A = rng.standard_normal((n, n)); A = A @ A.T
-    B = rng.standard_normal((n, n)); B = B @ B.T + n * np.eye(n)
-    dense = generalized_eig_max(A, B)
-    import splinemg.linalg as lk
-    old = lk.DENSE_EIG_LIMIT
-    try:
-        lk.DENSE_EIG_LIMIT = 10
-        iterative = generalized_eig_max(A, B)
-    finally:
-        lk.DENSE_EIG_LIMIT = old
-    assert abs(dense - iterative) <= 1e-7 * (1 + abs(dense))
-
-
 def test_operator_norm_identity_and_diag():
     assert abs(operator_norm(np.eye(5)) - 1.0) <= 1e-8
     assert abs(operator_norm(np.diag([3.0, -4.0])) - 4.0) <= 1e-8
@@ -205,3 +187,7 @@ def test_operator_norm_matches_svd():
     M = rng.standard_normal((6, 6))
     ref = np.linalg.svd(M, compute_uv=False)[0]
     assert abs(operator_norm(M) - ref) <= 1e-6 * ref
+    # clustered top of the spectrum: a power iteration stalls here
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    C = q @ np.diag(np.r_[1.0, 0.999, np.linspace(0.5, 0.01, 38)]) @ q.T
+    assert abs(operator_norm(C) - 1.0) <= 1e-12

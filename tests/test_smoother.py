@@ -6,7 +6,7 @@ import scipy.linalg
 from splinemg import build_space, assemble_1d, operator_2d, index_split, \
     build_smoother_1d, build_smoother_2d, apply_Linv_1d, apply_Linv_2d, \
     smooth_step_1d, smooth_step_2d
-from splinemg.smoother import _CorrectedMassSolver, smooth_1d, smooth_2d, \
+from splinemg.smoother import smooth_1d, smooth_2d, \
     smoother_matrix_1d, smoother_matrix_2d
 from splinemg.linalg import cholesky
 
@@ -89,21 +89,6 @@ def test_build_smoother_rejects_bad_input():
         build_smoother_1d(disc, -1.0)
     with pytest.raises(ValueError):
         build_smoother_1d(disc, 0.14, damping="bogus")
-
-
-def test_zero_correction_reduces_to_scaled_mass_solve():
-    disc = assemble_1d(build_space(2, 3))
-    sp = disc.space
-    s = index_split(sp)
-    chol_M = cholesky(disc.M)
-    E = np.zeros((sp.dim, len(s.boundary)))
-    E[s.boundary, np.arange(len(s.boundary))] = 1.0
-    solver = _CorrectedMassSolver.build(
-        sp.mesh_size**-2, chol_M, s.boundary, chol_M.solve(E), None)
-    rng = np.random.default_rng(2)
-    r = rng.standard_normal(sp.dim)
-    ref = sp.mesh_size**2 * chol_M.solve(r)
-    npt.assert_allclose(solver.solve(r), ref, atol=1e-13)
 
 
 @pytest.mark.parametrize("p,n", [(2, 8), (1, 4), (3, 16), (4, 32)])
@@ -277,8 +262,7 @@ def test_smooth_step_2d_exact_unchanged():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_error_propagation_contracts_2d(p):
     disc, s2 = _setup_2d(p, 8)
-    from splinemg.solver import _materialize_operator_2d
-    AA = _materialize_operator_2d(operator_2d(disc))
+    AA = operator_2d(disc).toarray()
     LL = smoother_matrix_2d(s2, disc)
     lam = scipy.linalg.eigh(AA, LL, eigvals_only=True)
     rho = np.abs(1.0 - 0.08 * lam).max()
@@ -312,13 +296,12 @@ def test_spectral_equivalence_bounded_in_p_1d():
 
 
 def test_spectral_equivalence_bounded_in_p_2d():
-    from splinemg.solver import _materialize_operator_2d
     values = []
     for p in range(1, 6):
         sp = build_space(p, 0, p + 2)
         disc = assemble_1d(sp)
         s2 = build_smoother_2d(disc, 0.08)
-        AA = _materialize_operator_2d(operator_2d(disc))
+        AA = operator_2d(disc).toarray()
         LL = smoother_matrix_2d(s2, disc)
         lam = scipy.linalg.eigh(AA, LL, eigvals_only=True)[-1]
         values.append(lam)

@@ -55,7 +55,7 @@ def test_hierarchy_rejects_bad_levels():
 def test_hierarchy_galerkin_consistency():
     h = build_hierarchy(1, 2, 2, 4)
     for lo, hi in zip(h.levels, h.levels[1:]):
-        P = hi.P.matrix
+        P = hi.P
         proj = (P.T @ hi.disc.A.tocsr() @ P).toarray()
         ref = lo.disc.A.toarray()
         assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -89,7 +89,7 @@ def test_two_grid_error_propagation_matches_dense_oracle():
     m = fine.space.dim
     Af = fine.disc.A.toarray()
     Ac = coarse.disc.A.toarray()
-    P = fine.P.matrix.toarray()
+    P = fine.P.toarray()
     Ltau = smoother_matrix_1d(fine.smoother, fine.disc, damped=True)
     S = np.eye(m) - np.linalg.solve(Ltau, Af)
     T = P @ np.linalg.solve(Ac, P.T @ Af)

@@ -13,7 +13,7 @@ def _pair(p, level):
 
 def test_p1_interior_stencil():
     co, fi = _pair(1, 2)
-    P = build_prolongation(co, fi).matrix.toarray()
+    P = build_prolongation(co, fi).toarray()
     j = co.dim // 2
     col = P[:, j]
     nz = col[col != 0]
@@ -24,7 +24,7 @@ def test_p1_interior_stencil():
 def test_interior_columns_match_subdivision_mask(p):
     # interior columns carry the two-scale mask 2^-p * binom(p+1, k)
     co, fi = _pair(p, 3)
-    P = build_prolongation(co, fi).matrix.toarray()
+    P = build_prolongation(co, fi).toarray()
     mask = np.array([binom(p + 1, k) for k in range(p + 2)]) / 2.0**p
     j = co.dim // 2
     col = P[:, j]
@@ -65,7 +65,7 @@ def test_restrict_is_adjoint():
 @pytest.mark.parametrize("p,level", [(1, 3), (2, 2), (3, 2), (5, 3)])
 def test_galerkin_identity_all_matrices(p, level):
     co, fi = _pair(p, level)
-    P = build_prolongation(co, fi).matrix
+    P = build_prolongation(co, fi)
     dc, df = assemble_1d(co), assemble_1d(fi)
     for name in ("M", "K", "A"):
         fine = getattr(df, name).tocsr()
@@ -89,7 +89,7 @@ def test_2d_transfer_matches_dense_kron():
     rng = np.random.default_rng(4)
     co, fi = _pair(2, 1)  # fine dim 6 <= 8
     P = build_prolongation(co, fi)
-    dense = np.kron(P.matrix.toarray(), P.matrix.toarray())
+    dense = np.kron(P.toarray(), P.toarray())
     c = rng.standard_normal(co.dim ** 2)
     npt.assert_allclose(prolong_2d(P, c), dense @ c, atol=1e-12)
     f = rng.standard_normal(fi.dim ** 2)
@@ -102,4 +102,4 @@ def test_2d_transfer_agrees_with_kron_apply():
     P = build_prolongation(co, fi)
     c = rng.standard_normal(co.dim ** 2)
     npt.assert_allclose(prolong_2d(P, c),
-                        kron_apply(P.matrix, P.matrix, c), atol=1e-13)
+                        kron_apply(P, P, c), atol=1e-13)
