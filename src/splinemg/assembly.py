@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import BandedSymMatrix, kron_apply
-from .splines import SplineSpace, eval_basis_derivatives
+from .splines import SplineSpace, eval_basis_array
 
 __all__ = [
     "Discretization1D",
@@ -74,22 +74,24 @@ def _span_quadrature(space: SplineSpace, nodes_per_span: int):
     return nodes, weights
 
 
-def _regular_span_range(space: SplineSpace) -> tuple[int, int]:
-    """Half-open range of spans whose active basis functions are all interior
-    translates of the cardinal B-spline (identical local values)."""
+def _span_classes(space: SplineSpace, nodes_per_span: int, max_order: int):
+    """Per-span Gauss rule, the class index of every span, and the local basis
+    values/derivatives on the first span of each class, shape
+    (classes, nodes_per_span, max_order + 1, p + 1).
+
+    The spans p <= s < n - p see only interior translates of the cardinal
+    B-spline, so they share one class; every other span is a class of its
+    own. Evaluating one span per class keeps the A2.3 triangle at O(p^4)
+    memory instead of O(n p^3).
+    """
     p, n = space.degree, space.intervals
-    lo, hi = p, n - p
-    return (lo, hi) if hi > lo else (0, 0)
-
-
-def _local_values(space: SplineSpace, span: int, nodes: np.ndarray,
-                  max_order: int) -> np.ndarray:
-    """Stack of local basis values/derivatives on one span at the given nodes,
-    shape (len(nodes), max_order + 1, p + 1)."""
-    out = np.empty((len(nodes), max_order + 1, space.degree + 1))
-    for k, x in enumerate(nodes):
-        _, out[k] = eval_basis_derivatives(space, float(x), max_order)
-    return out
+    nodes, weights = _span_quadrature(space, nodes_per_span)
+    spans = np.arange(n)
+    representative = np.where((spans < p) | (spans >= n - p), spans, p)
+    firsts, classes = np.unique(representative, return_inverse=True)
+    _, vals = eval_basis_array(space, nodes[firsts].ravel(), max_order)
+    return nodes, weights, classes, vals.reshape(
+        len(firsts), nodes_per_span, max_order + 1, p + 1)
 
 
 def assemble_1d(space: SplineSpace, quad_nodes: int | None = None) -> Discretization1D:
@@ -101,35 +103,20 @@ def assemble_1d(space: SplineSpace, quad_nodes: int | None = None) -> Discretiza
     """
     p, m = space.degree, space.dim
     q = quad_nodes if quad_nodes is not None else p + 1
-    nodes, weights = _span_quadrature(space, q)
+    _, weights, classes, vals = _span_classes(space, q, 1)
+    w = weights[0]                      # the same rule on every span
+    spans = np.arange(space.intervals)
 
-    def local_pair(span):
-        vals = _local_values(space, span, nodes[span], 1)
-        w = weights[span]
-        mloc = np.einsum("k,ka,kb->ab", w, vals[:, 0, :], vals[:, 0, :])
-        kloc = np.einsum("k,ka,kb->ab", w, vals[:, 1, :], vals[:, 1, :])
-        return mloc, kloc
-
-    M = BandedSymMatrix.zeros(m, p)
-    K = BandedSymMatrix.zeros(m, p)
-
-    def accumulate(mat: BandedSymMatrix, loc: np.ndarray, spans):
+    def assemble(order: int) -> BandedSymMatrix:
+        v = vals[:, :, order, :]
+        loc = np.einsum("k,cka,ckb->cab", w, v, v)
+        mat = BandedSymMatrix.zeros(m, p)
         for a in range(p + 1):
             for b in range(a + 1):
-                np.add.at(mat.bands[a - b], spans + b, loc[a, b])
+                np.add.at(mat.bands[a - b], spans + b, loc[classes, a, b])
+        return mat
 
-    lo, hi = _regular_span_range(space)
-    irregular = [s for s in range(space.intervals) if not lo <= s < hi]
-    for span in irregular:
-        mloc, kloc = local_pair(span)
-        accumulate(M, mloc, np.array([span]))
-        accumulate(K, kloc, np.array([span]))
-    if hi > lo:
-        mloc, kloc = local_pair(lo)
-        spans = np.arange(lo, hi)
-        accumulate(M, mloc, spans)
-        accumulate(K, kloc, spans)
-
+    M, K = assemble(0), assemble(1)
     A = BandedSymMatrix(m, p, M.bands + K.bands)
     return Discretization1D(space=space, M=M, K=K, A=A)
 
@@ -149,18 +136,11 @@ def apply_operator_2d(op: Operator2D, v: np.ndarray) -> np.ndarray:
 
 def _cosine_moments(space: SplineSpace) -> np.ndarray:
     """g_i = integral of cos(pi x) phi_i(x), Gauss rule with p+3 nodes."""
-    p, m = space.degree, space.dim
-    nodes, weights = _span_quadrature(space, p + 3)
+    p, m, q = space.degree, space.dim, space.degree + 3
+    nodes, weights, classes, vals = _span_classes(space, q, 0)
     wcos = weights * np.cos(np.pi * nodes)          # (spans, nodes)
-
-    lo, hi = _regular_span_range(space)
-    contrib = np.empty((space.intervals, p + 1))    # per-span local moments
-    for span in [s for s in range(space.intervals) if not lo <= s < hi]:
-        vals = _local_values(space, span, nodes[span], 0)[:, 0, :]
-        contrib[span] = wcos[span] @ vals
-    if hi > lo:
-        vals = _local_values(space, lo, nodes[lo], 0)[:, 0, :]
-        contrib[lo:hi] = wcos[lo:hi] @ vals
+    # summed node by node, so no (spans, nodes, p + 1) array is formed
+    contrib = sum(wcos[:, k, None] * vals[classes, k, 0] for k in range(q))
 
     g = np.zeros(m)
     for b in range(p + 1):

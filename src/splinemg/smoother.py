@@ -75,18 +75,15 @@ class Smoother1D:
     space_dim: int
     mesh_size: float
     tau: float
-    damping: str                       # "mass" | "plain"
     split: IndexSplit
     chol_M: CholeskyFactor
     Q: np.ndarray                      # 2p x 2p Schur complement of A_II in A
     L_solver: _CorrectedMassSolver     # undamped L = h^-2 M + C
-    L_eff_solver: "_CorrectedMassSolver | None" = field(repr=False, default=None)
+    L_eff_solver: _CorrectedMassSolver = field(repr=False)  # tau^-1 h^-2 M + C
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
         """Update direction for one smoothing step applied to ``residual``."""
-        if self.damping == "mass":
-            return self.L_eff_solver.solve(residual)
-        return self.tau * self.L_solver.solve(residual)
+        return self.L_eff_solver.solve(residual)
 
 
 @dataclass
@@ -122,18 +119,14 @@ def _schur_complement(mat: BandedSymMatrix, split: IndexSplit,
     return 0.5 * (S + S.T)
 
 
-def build_smoother_1d(disc: Discretization1D, tau: float,
-                      damping: str = "mass") -> Smoother1D:
+def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
     """Set up the 1D smoother for ``disc`` with damping parameter ``tau``.
 
-    ``damping="mass"`` scales only the mass part of the smoother matrix
-    (update u += (tau^-1 h^-2 M + C)^-1 r); ``damping="plain"`` uses
-    u += tau (h^-2 M + C)^-1 r.
+    The damping scales only the mass part of the smoother matrix: one step
+    is u += (tau^-1 h^-2 M + C)^-1 r.
     """
     if tau <= 0.0:
         raise ValueError(f"damping parameter must be positive, got {tau}")
-    if damping not in ("mass", "plain"):
-        raise ValueError(f"unknown damping mode {damping!r}")
     space = disc.space
     split = index_split(space)          # raises when the interior is empty
     h = space.mesh_size
@@ -147,12 +140,11 @@ def build_smoother_1d(disc: Discretization1D, tau: float,
 
     sigma = h ** -2
     L_solver = _CorrectedMassSolver.build(sigma, chol_M, split.boundary, Minv_E, Q)
-    sm = Smoother1D(space_dim=space.dim, mesh_size=h, tau=tau, damping=damping,
-                    split=split, chol_M=chol_M, Q=Q, L_solver=L_solver)
-    if damping == "mass":
-        sm.L_eff_solver = _CorrectedMassSolver.build(
-            sigma / tau, chol_M, split.boundary, Minv_E, Q)
-    return sm
+    L_eff_solver = _CorrectedMassSolver.build(
+        sigma / tau, chol_M, split.boundary, Minv_E, Q)
+    return Smoother1D(space_dim=space.dim, mesh_size=h, tau=tau, split=split,
+                      chol_M=chol_M, Q=Q, L_solver=L_solver,
+                      L_eff_solver=L_eff_solver)
 
 
 def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
@@ -183,7 +175,7 @@ def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
 
 def build_smoother_2d(disc: Discretization1D, tau: float) -> Smoother2D:
     """Set up the 2D smoother (plain damping u += tau * LL^-1 r)."""
-    base = build_smoother_1d(disc, tau, damping="plain")
+    base = build_smoother_1d(disc, tau)
     split = base.split
     h = disc.space.mesh_size
 
@@ -253,18 +245,15 @@ def smoother_matrix_1d(s: Smoother1D, disc: Discretization1D,
     """Dense smoother matrix (verification sizes only).
 
     ``damped=True`` returns the matrix whose inverse drives one smoothing
-    step: tau^-1 h^-2 M + C for mass damping, tau^-1 (h^-2 M + C) for plain.
+    step, tau^-1 h^-2 M + C.
     """
     h = s.mesh_size
     m = s.space_dim
     C = np.zeros((m, m))
     C[np.ix_(s.split.boundary, s.split.boundary)] = s.Q
     Md = disc.M.toarray()
-    if not damped:
-        return Md / h**2 + C
-    if s.damping == "mass":
-        return Md / (s.tau * h**2) + C
-    return (Md / h**2 + C) / s.tau
+    scale = s.tau * h**2 if damped else h**2
+    return Md / scale + C
 
 
 def smoother_matrix_2d(s: Smoother2D, disc: Discretization1D) -> np.ndarray:

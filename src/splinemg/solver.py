@@ -107,10 +107,10 @@ class SolveReport:
     wall_time: float
 
 
-def min_smoother_level(p: int, n0: int = 1) -> int:
+def min_smoother_level(p: int) -> int:
     """Smallest level whose space admits the smoother (n >= p + 1)."""
     level = 0
-    while n0 * 2**level < p + 1:
+    while 2**level < p + 1:
         level += 1
     return level
 
@@ -125,8 +125,7 @@ def _direct_factor(level: Level) -> CholeskyFactor:
 
 
 def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
-                    tau: float | None = None, damping: str | None = None,
-                    n0: int = 1) -> MgHierarchy:
+                    tau: float | None = None) -> MgHierarchy:
     """Build spaces, operators, smoothers and transfers for the given levels.
 
     Every level above the coarsest must have at least p+1 intervals so that
@@ -138,26 +137,24 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     if fine_level <= coarse_level:
         raise ValueError(
             f"fine level {fine_level} must exceed coarse level {coarse_level}")
-    min_admissible = min_smoother_level(p, n0) - 1
+    min_admissible = min_smoother_level(p) - 1
     if coarse_level < min_admissible:
         raise ValueError(
             f"coarse level {coarse_level} too coarse for degree {p}: "
-            f"level {coarse_level + 1} has {n0 * 2**(coarse_level + 1)} < {p + 1} "
+            f"level {coarse_level + 1} has {2**(coarse_level + 1)} < {p + 1} "
             f"intervals; minimal admissible coarse level is {min_admissible}")
     if tau is None:
         tau = TAU_DEFAULT[d]
-    if damping is None:
-        damping = "mass" if d == 1 else "plain"
 
     levels: list[Level] = []
     for lv in range(coarse_level, fine_level + 1):
-        space = build_space(p, lv, n0)
+        space = build_space(p, lv)
         disc = assemble_1d(space)
         op = disc.A if d == 1 else operator_2d(disc)
         smoother = None
         if lv > coarse_level:
             if d == 1:
-                smoother = build_smoother_1d(disc, tau, damping)
+                smoother = build_smoother_1d(disc, tau)
             else:
                 smoother = build_smoother_2d(disc, tau)
         P = build_prolongation(levels[-1].space, space) if levels else None
@@ -186,6 +183,17 @@ def _restrict(h: MgHierarchy, idx: int, r: np.ndarray) -> np.ndarray:
 def _prolong(h: MgHierarchy, idx: int, c: np.ndarray) -> np.ndarray:
     P = h.levels[idx].P
     return prolong(P, c) if h.dim == 1 else prolong_2d(P, c)
+
+
+def _checked_vector(name: str, v, n: int) -> np.ndarray:
+    """Copy of ``v`` as a float vector; ValueError naming ``name`` unless it
+    has length ``n`` and finite entries."""
+    v = np.array(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return v
 
 
 def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
@@ -217,11 +225,16 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
 
 def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
              u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Iterate cycles until ||f - A u|| <= tol * ||f - A u0|| or max_iter."""
+    """Iterate cycles until ||f - A u|| <= tol * ||f - A u0|| or max_iter.
+
+    Raises ValueError naming ``f`` or ``u0`` when it has the wrong length or
+    a non-finite entry.
+    """
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
-    u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
+    f = _checked_vector("f", f, A.shape[0])
+    u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
     r0 = float(np.linalg.norm(f - A.apply(u)))
     history = [r0]
     if r0 == 0.0:
@@ -246,8 +259,8 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     """Conjugate gradients preconditioned by one multigrid cycle.
 
     Requires a symmetric cycle (equal pre- and post-smoothing counts) so the
-    preconditioner is an SPD operator. The stopping rule matches
-    :func:`solve_mg` (reduction of the unpreconditioned residual).
+    preconditioner is an SPD operator. The stopping rule (reduction of the
+    unpreconditioned residual) and the input checks match :func:`solve_mg`.
     """
     if cfg.pre_smooth != cfg.post_smooth:
         raise ValueError(
@@ -260,7 +273,8 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     def precond(res: np.ndarray) -> np.ndarray:
         return mg_cycle(h, cfg, top, np.zeros_like(res), res)
 
-    u = np.zeros_like(f) if u0 is None else np.array(u0, dtype=float)
+    f = _checked_vector("f", f, A.shape[0])
+    u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
     r = f - A.apply(u)
     r0 = float(np.linalg.norm(r))
     history = [r0]

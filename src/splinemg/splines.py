@@ -1,8 +1,8 @@
 """Uniform open-knot B-spline spaces on (0,1).
 
-Provides knot vector construction, local basis/derivative evaluation via the
-Cox-de Boor recurrence, and the boundary/interior index split used by the
-boundary-corrected smoother.
+Provides knot vector construction, basis/derivative evaluation at arrays of
+points via the Cox-de Boor recurrence, and the boundary/interior index split
+used by the boundary-corrected smoother.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ __all__ = [
     "IndexSplit",
     "build_space",
     "find_span",
+    "eval_basis_array",
     "eval_basis",
     "eval_basis_derivatives",
     "eval_spline",
@@ -74,72 +75,45 @@ def build_space(p: int, level: int, n0: int = 1) -> SplineSpace:
                        dim=n + p, knots=knots)
 
 
-def find_span(space: SplineSpace, x: float) -> int:
-    """Knot-span index mu with knots[mu] <= x < knots[mu+1].
+def find_span(space: SplineSpace, x: float | np.ndarray) -> int | np.ndarray:
+    """Knot-span index mu with knots[mu] <= x < knots[mu+1], for a point or
+    an array of points.
 
     Interior knots resolve to the right-hand span; x == 1 uses the last
     nonempty span.
     """
     p, n = space.degree, space.intervals
     # uniform interior knots: span offset is floor(x/h), clamped to n-1
-    i = min(int(x * n), n - 1)
-    return p + i
+    return p + np.minimum((np.asarray(x) * n).astype(int), n - 1)
 
 
-def eval_basis(space: SplineSpace, x: float) -> tuple[int, np.ndarray]:
-    """Evaluate the p+1 (possibly) nonzero basis functions at x.
+def eval_basis_array(space: SplineSpace, x: np.ndarray,
+                     max_order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Basis functions and derivatives up to ``max_order`` at every point of
+    the 1D array ``x`` (Piegl-Tiller A2.3, run once over all points).
 
-    Returns ``(first, values)`` where ``values[j]`` is basis function
-    ``first + j`` evaluated at x. Raises ValueError if x is outside [0,1].
+    Returns ``(first, ders)`` with ``ders[i, k, j]`` the k-th derivative at
+    ``x[i]`` of basis function ``first[i] + j``. Raises ValueError for a point
+    outside [0,1] or unless 0 <= max_order <= p.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"evaluation point {x} outside [0, 1]")
-    p = space.degree
-    t = space.knots
-    mu = find_span(space, x)
-    values = np.zeros(p + 1)
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    values[0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = x - t[mu + 1 - j]
-        right[j] = t[mu + j] - x
-        saved = 0.0
-        for r in range(j):
-            tmp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        values[j] = saved
-    return mu - p, values
-
-
-def eval_basis_derivatives(space: SplineSpace, x: float,
-                           max_order: int) -> tuple[int, np.ndarray]:
-    """Evaluate basis functions and derivatives up to ``max_order`` at x.
-
-    Returns ``(first, ders)`` with ``ders[k, j]`` the k-th derivative of
-    basis function ``first + j``. Row 0 matches :func:`eval_basis`.
-    Raises ValueError unless 0 <= max_order <= p.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"evaluation point {x} outside [0, 1]")
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise ValueError(f"evaluation points {x[~inside]} outside [0, 1]")
     p = space.degree
     if not 0 <= max_order <= p:
         raise ValueError(f"max_order must be in [0, {p}], got {max_order}")
     t = space.knots
     mu = find_span(space, x)
+    offsets = np.arange(p + 1)[:, None]
+    left = x - t[mu + 1 - offsets]          # left[j] = x - t[mu+1-j]
+    right = t[mu + offsets] - x             # right[j] = t[mu+j] - x
 
-    # ndu holds the basis-value triangle (upper part) and knot differences
-    ndu = np.zeros((p + 1, p + 1))
-    a = np.zeros((2, p + 1))
-    ders = np.zeros((max_order + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-
+    # ndu holds the basis-value triangle (upper part) and knot differences;
+    # the trailing axis runs over the points
+    ndu = np.empty((p + 1, p + 1, x.size))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = x - t[mu + 1 - j]
-        right[j] = t[mu + j] - x
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -148,7 +122,9 @@ def eval_basis_derivatives(space: SplineSpace, x: float,
             saved = left[j - r] * tmp
         ndu[j, j] = saved
 
-    ders[0, :] = ndu[:, p]
+    ders = np.empty((max_order + 1, p + 1, x.size))
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1, x.size))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -172,9 +148,31 @@ def eval_basis_derivatives(space: SplineSpace, x: float,
 
     fac = float(p)
     for k in range(1, max_order + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
-    return mu - p, ders
+    return mu - p, ders.transpose(2, 0, 1)
+
+
+def eval_basis(space: SplineSpace, x: float) -> tuple[int, np.ndarray]:
+    """Evaluate the p+1 (possibly) nonzero basis functions at x.
+
+    Returns ``(first, values)`` where ``values[j]`` is basis function
+    ``first + j`` evaluated at x. Raises ValueError if x is outside [0,1].
+    """
+    first, ders = eval_basis_array(space, [x])
+    return int(first[0]), ders[0, 0]
+
+
+def eval_basis_derivatives(space: SplineSpace, x: float,
+                           max_order: int) -> tuple[int, np.ndarray]:
+    """Evaluate basis functions and derivatives up to ``max_order`` at x.
+
+    Returns ``(first, ders)`` with ``ders[k, j]`` the k-th derivative of
+    basis function ``first + j``. Row 0 matches :func:`eval_basis`.
+    Raises ValueError unless 0 <= max_order <= p.
+    """
+    first, ders = eval_basis_array(space, [x], max_order)
+    return int(first[0]), ders[0]
 
 
 def eval_spline(space: SplineSpace, coefficients: np.ndarray, x: float,
@@ -184,12 +182,8 @@ def eval_spline(space: SplineSpace, coefficients: np.ndarray, x: float,
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (space.dim,):
         raise ValueError("coefficient vector length must equal space dim")
-    if order == 0:
-        first, vals = eval_basis(space, x)
-    else:
-        first, ders = eval_basis_derivatives(space, x, order)
-        vals = ders[order]
-    return float(vals @ coefficients[first:first + space.degree + 1])
+    first, ders = eval_basis_derivatives(space, x, order)
+    return float(ders[order] @ coefficients[first:first + space.degree + 1])
 
 
 def index_split(space: SplineSpace) -> IndexSplit:

@@ -2,7 +2,7 @@
 
 The prolongation is the canonical embedding of the coarse space into the fine
 space: the matrix of knot insertion of all coarse-interval midpoints, built
-row-wise with the Oslo algorithm (discrete B-splines). Restriction is the
+with the Oslo algorithm (discrete B-splines) over all rows at once. Restriction is the
 transpose; 2D transfers are Kronecker squares applied factor-wise.
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import kron_apply
-from .splines import SplineSpace
+from .splines import SplineSpace, find_span
 
 __all__ = [
     "build_prolongation",
@@ -22,29 +22,15 @@ __all__ = [
 ]
 
 
-def _insertion_row(t: np.ndarray, p: int, tau: np.ndarray, i: int,
-                   mu: int) -> np.ndarray:
-    """Discrete B-spline values b_{mu-p..mu, p}(i): row i of the knot
-    insertion matrix from knots ``t`` to refined knots ``tau``."""
-    row = np.zeros(p + 1)
-    row[0] = 1.0
-    for r in range(1, p + 1):
-        x = tau[i + r]
-        saved = 0.0
-        for s in range(r):
-            tl = t[mu - r + 1 + s]
-            tr = t[mu + 1 + s]
-            tmp = row[s] / (tr - tl)
-            row[s] = saved + (tr - x) * tmp
-            saved = (x - tl) * tmp
-        row[r] = saved
-    return row
-
-
 def build_prolongation(coarse: SplineSpace,
                        fine: SplineSpace) -> scipy.sparse.csr_matrix:
     """Canonical embedding matrix (fine.dim x coarse.dim) for one dyadic
-    refinement step."""
+    refinement step.
+
+    Row i holds the discrete B-splines b_{mu-p..mu, p}(i) of the coarse knots
+    t on the fine knots tau, where mu is the coarse span of tau[i]; the Oslo
+    recurrence runs once over all rows.
+    """
     if coarse.degree != fine.degree:
         raise ValueError(
             f"degree mismatch: coarse {coarse.degree}, fine {fine.degree}")
@@ -54,20 +40,27 @@ def build_prolongation(coarse: SplineSpace,
             f"{fine.intervals} != 2 * {coarse.intervals}")
     p = coarse.degree
     t, tau = coarse.knots, fine.knots
-    nc = coarse.intervals
+    mu = find_span(coarse, tau[:fine.dim])
 
-    rows, cols, vals = [], [], []
-    for i in range(fine.dim):
-        # span of tau[i] in the coarse knots, clamped to the last span
-        mu = p + min(int(tau[i] * nc), nc - 1)
-        row = _insertion_row(t, p, tau, i, mu)
-        for s, v in enumerate(row):
-            if v != 0.0:
-                rows.append(i)
-                cols.append(mu - p + s)
-                vals.append(v)
+    vals = np.zeros((p + 1, fine.dim))
+    vals[0] = 1.0
+    for r in range(1, p + 1):
+        x = tau[r:r + fine.dim]
+        saved = 0.0
+        for s in range(r):
+            tl = t[mu - r + 1 + s]
+            tr = t[mu + 1 + s]
+            tmp = vals[s] / (tr - tl)
+            vals[s] = saved + (tr - x) * tmp
+            saved = (x - tl) * tmp
+        vals[r] = saved
+
+    vals = vals.T
+    nonzero = vals != 0.0
+    cols = (mu - p)[:, None] + np.arange(p + 1)
+    indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
     return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(fine.dim, coarse.dim))
+        (vals[nonzero], cols[nonzero], indptr), shape=(fine.dim, coarse.dim))
 
 
 def prolong(P: scipy.sparse.csr_matrix, coarse_vec: np.ndarray) -> np.ndarray:

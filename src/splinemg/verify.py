@@ -129,24 +129,24 @@ def verify_inverse_inequality(p: int, level: int,
                                    interior=float(interior))
 
 
-def verify_counterexample(p: int, level: int, n0: int = 1) -> float:
+def verify_counterexample(p: int, level: int) -> float:
     """Measure h * sqrt(lambda_max(K, M)) over the full space.
 
     This grows at least like p, which is why the uncorrected mass smoother
     needs a damping parameter shrinking like p^-2.
     """
-    space = build_space(p, level, n0)
+    space = build_space(p, level)
     _check_dense(space)
     disc = assemble_1d(space)
     lam = generalized_eig_max(disc.K.toarray(), disc.M.toarray())
     return float(space.mesh_size * np.sqrt(max(lam, 0.0)))
 
 
-def _composite_prolongation(p, coarse_level, fine_level, n0=1):
+def _composite_prolongation(p, coarse_level, fine_level):
     mat = None
-    cur = build_space(p, coarse_level, n0)
+    cur = build_space(p, coarse_level)
     for lev in range(coarse_level + 1, fine_level + 1):
-        nxt = build_space(p, lev, n0)
+        nxt = build_space(p, lev)
         step = build_prolongation(cur, nxt)
         mat = step if mat is None else step @ mat
         cur = nxt
@@ -159,21 +159,21 @@ def _sym_sqrt(mat: np.ndarray, power: float = 0.5) -> np.ndarray:
     return v @ np.diag(w**power) @ v.T
 
 
-def verify_approximation_constant(p: int, level: int, proxy_levels: int = 4,
-                                  n0: int = 1) -> float:
+def verify_approximation_constant(p: int, level: int,
+                                  proxy_levels: int = 4) -> float:
     """L2 approximation constant of the constrained space at one level.
 
     The supremum over H^1 is approximated from a ``proxy_levels``-times finer
     spline space, which can only underestimate it, so the measured value must
     stay below APPROX_BOUND.
     """
-    coarse = build_space(p, level, n0)
-    fine = build_space(p, level + proxy_levels, n0)
+    coarse = build_space(p, level)
+    fine = build_space(p, level + proxy_levels)
     _check_dense(fine)
     disc = assemble_1d(fine)
     Af, Mf = disc.A.toarray(), disc.M.toarray()
 
-    P = _composite_prolongation(p, level, level + proxy_levels, n0)
+    P = _composite_prolongation(p, level, level + proxy_levels)
     Z = P.toarray() @ build_constraint_basis(coarse).basis
     # A-orthogonal projector onto the embedded constrained space
     T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
@@ -181,16 +181,14 @@ def verify_approximation_constant(p: int, level: int, proxy_levels: int = 4,
     return float(operator_norm(X) / coarse.mesh_size)
 
 
-def _dense_pair(p, level, d, tau, damping, n0=1):
+def _dense_pair(p, level, d, tau):
     """Dense (system matrix, effective smoother matrix, coarse projector
-    ingredients) at one level for the given dimension; ``tau`` and
-    ``damping`` default to the solver's choice for ``d``."""
+    ingredients) at one level for the given dimension; ``tau`` defaults to
+    the solver's choice for ``d``."""
     if tau is None:
         tau = TAU_DEFAULT[d]
-    if damping is None:
-        damping = "mass" if d == 1 else "plain"
-    fine = build_space(p, level, n0)
-    coarse = build_space(p, level - 1, n0)
+    fine = build_space(p, level)
+    coarse = build_space(p, level - 1)
     if d == 1:
         _check_dense(fine)
     elif fine.dim > DENSE_VERIFY_LIMIT // 10:
@@ -199,7 +197,7 @@ def _dense_pair(p, level, d, tau, damping, n0=1):
     P1 = build_prolongation(coarse, fine).toarray()
     if d == 1:
         A, Ac, P = df.A.toarray(), dc.A.toarray(), P1
-        sm = build_smoother_1d(df, tau, damping)
+        sm = build_smoother_1d(df, tau)
         L_eff = smoother_matrix_1d(sm, df, damped=True)
     else:
         A = operator_2d(df).toarray()
@@ -210,8 +208,8 @@ def _dense_pair(p, level, d, tau, damping, n0=1):
     return A, Ac, P, L_eff
 
 
-def measure_CA(p: int, level: int, d: int = 1, tau: float | None = None,
-               damping: str | None = None, n0: int = 1) -> float:
+def measure_CA(p: int, level: int, d: int = 1,
+               tau: float | None = None) -> float:
     """Measured approximation-property constant between two adjacent levels.
 
     Computes the norm of L^(1/2) (I - T) A^(-1) L^(1/2) densely, where T is
@@ -219,7 +217,7 @@ def measure_CA(p: int, level: int, d: int = 1, tau: float | None = None,
     matrix (the one the damped smoothing step actually inverts, so that this
     constant and the smoothing constant refer to the same norm).
     """
-    A, Ac, P, L_eff = _dense_pair(p, level, d, tau, damping, n0)
+    A, Ac, P, L_eff = _dense_pair(p, level, d, tau)
     T = P @ np.linalg.solve(Ac, P.T @ A)
     Lhalf = _sym_sqrt(L_eff)
     X = Lhalf @ (np.eye(A.shape[0]) - T) @ np.linalg.solve(A, Lhalf)
@@ -228,23 +226,20 @@ def measure_CA(p: int, level: int, d: int = 1, tau: float | None = None,
 
 
 def measure_smoothing_constant(p: int, level: int, nu: int, d: int = 1,
-                               tau: float | None = None,
-                               damping: str | None = None,
-                               n0: int = 1) -> float:
+                               tau: float | None = None) -> float:
     """nu * || L^(-1/2) A S^nu L^(-1/2) || for the damped smoother S.
 
     L is the effective smoother matrix, so S = I - L^(-1) A; the measured
     value is expected to stay below 1/tau.
     """
-    A, _, _, L_eff = _dense_pair(p, level, d, tau, damping, n0)
+    A, _, _, L_eff = _dense_pair(p, level, d, tau)
     lam = scipy.linalg.eigh(A, L_eff, eigvals_only=True)
     return float(nu * np.abs(lam * (1.0 - lam)**nu).max())
 
 
 def smoother_energy_norm(p: int, level: int, d: int = 1,
-                         tau: float | None = None,
-                         damping: str | None = None, n0: int = 1) -> float:
+                         tau: float | None = None) -> float:
     """||S||_A of the damped smoothing step (at most 1 for admissible tau)."""
-    A, _, _, L_eff = _dense_pair(p, level, d, tau, damping, n0)
+    A, _, _, L_eff = _dense_pair(p, level, d, tau)
     lam = scipy.linalg.eigh(A, L_eff, eigvals_only=True)
     return float(np.abs(1.0 - lam).max())

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.interpolate import BSpline
 
 from splinemg import build_space, assemble_1d, operator_2d, \
     apply_operator_2d, assemble_load, eval_basis
@@ -129,6 +130,35 @@ def test_load_matches_high_order_quadrature_oracle():
             first, vals = eval_basis(sp, float(x))
             ref[first:first + 3] += w * np.pi**2 * np.cos(np.pi * x) * vals
     npt.assert_allclose(load, ref, atol=1e-10)
+
+
+def _bspline_oracle(space):
+    """M, K and load moments by dense Gauss quadrature on scipy B-splines,
+    with the knot vector rebuilt from the degree and interval count."""
+    p, n = space.degree, space.intervals
+    knots = np.concatenate([np.zeros(p), np.linspace(0.0, 1.0, n + 1),
+                            np.ones(p)])
+    basis = BSpline(knots, np.eye(n + p), p)
+    xg, wg = np.polynomial.legendre.leggauss(p + 8)
+    x = (np.arange(n)[:, None] + (xg + 1.0) / 2.0).ravel() / n
+    w = np.tile(wg / (2.0 * n), n)
+    vals, ders = basis(x), basis.derivative()(x)
+    return (vals.T @ (w[:, None] * vals), ders.T @ (w[:, None] * ders),
+            vals.T @ (w * np.pi**2 * np.cos(np.pi * x)))
+
+
+@pytest.mark.parametrize("p,level,n0", [
+    (3, 0, 6),       # n = 2p: every span is a boundary span
+    (3, 0, 7),       # n = 2p + 1: one interior span
+    (15, 6, 1),      # many interior spans
+])
+def test_assembly_and_load_match_scipy_bspline_oracle(p, level, n0):
+    space = build_space(p, level, n0)
+    disc = assemble_1d(space)
+    mass, stiff, load = _bspline_oracle(space)
+    for got, ref in ((disc.M.toarray(), mass), (disc.K.toarray(), stiff),
+                     (assemble_load(space, 1), load)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_load_2d_is_tensor_of_1d_moments():

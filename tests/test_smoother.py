@@ -11,12 +11,12 @@ from splinemg.smoother import smooth_1d, smooth_2d, \
 from splinemg.linalg import cholesky
 
 
-def _setup(p, n, tau=0.14, damping="mass"):
+def _setup(p, n, tau=0.14):
     level = int(np.log2(n))
     assert 2**level == n
     sp = build_space(p, level)
     disc = assemble_1d(sp)
-    return disc, build_smoother_1d(disc, tau, damping)
+    return disc, build_smoother_1d(disc, tau)
 
 
 def _dense_blocks(disc):
@@ -87,8 +87,6 @@ def test_build_smoother_rejects_bad_input():
     disc = assemble_1d(build_space(2, 3))
     with pytest.raises(ValueError):
         build_smoother_1d(disc, -1.0)
-    with pytest.raises(ValueError):
-        build_smoother_1d(disc, 0.14, damping="bogus")
 
 
 @pytest.mark.parametrize("p,n", [(2, 8), (1, 4), (3, 16), (4, 32)])

@@ -247,3 +247,19 @@ def test_hierarchy_h_robustness():
         u, rep = solve_mg(h, V11, f, experiment_initial_guess(f.shape[0]))
         counts.append(rep.iterations)
     assert max(counts) - min(counts) <= 2
+
+
+@pytest.mark.parametrize("solve", [solve_mg, solve_pcg])
+@pytest.mark.parametrize("d", [1, 2])
+def test_solver_rejects_bad_input_by_name(solve, d):
+    h = build_hierarchy(d, 2, 2, 3)
+    n = h.finest.space.dim ** d
+    ones = np.ones(n)
+    with_nan, with_inf = ones.copy(), ones.copy()
+    with_nan[n // 2] = np.nan
+    with_inf[0] = -np.inf
+    bad = [("f", dict(f=with_nan)), ("f", dict(f=np.ones(n + 1))),
+           ("u0", dict(f=ones, u0=with_inf)), ("u0", dict(f=ones, u0=ones[1:]))]
+    for name, kwargs in bad:
+        with pytest.raises(ValueError, match=f"^{name} has"):
+            solve(h, V11, **kwargs)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from splinemg import build_space, eval_basis, eval_basis_derivatives, \
     eval_spline, index_split
-from splinemg.splines import find_span
+from splinemg.splines import eval_basis_array, find_span
 
 
 def test_build_space_p1():
@@ -201,6 +201,19 @@ def test_derivatives_against_scipy():
         for x in [0.13, 0.5, 0.86]:
             mine = eval_spline(sp, c, x, order=k)
             assert abs(mine - float(dk(x))) <= 1e-8 * (1 + abs(float(dk(x))))
+
+
+def test_array_evaluation_equals_pointwise():
+    sp = build_space(5, 2)
+    x = np.concatenate([[0.0, 1.0], np.arange(1, 4) / 4,
+                        np.random.default_rng(6).uniform(0, 1, 30)])
+    first, ders = eval_basis_array(sp, x, 3)
+    for xi, f, d in zip(x, first, ders):
+        f_ref, d_ref = eval_basis_derivatives(sp, float(xi), 3)
+        assert f == f_ref
+        npt.assert_array_equal(d, d_ref)
+    with pytest.raises(ValueError, match="outside"):
+        eval_basis_array(sp, np.array([0.5, 1.5]))
 
 
 def test_eval_basis_derivatives_rejects_large_order():

@@ -75,6 +75,34 @@ def test_galerkin_identity_all_matrices(p, level):
         assert np.abs(proj - coarse).max() <= 1e-12 * scale, name
 
 
+def _oslo_row(t, p, tau, i, mu):
+    """Row i of the knot insertion matrix by the scalar Oslo recurrence."""
+    row = np.zeros(p + 1)
+    row[0] = 1.0
+    for r in range(1, p + 1):
+        x = tau[i + r]
+        saved = 0.0
+        for s in range(r):
+            tl, tr = t[mu - r + 1 + s], t[mu + 1 + s]
+            tmp = row[s] / (tr - tl)
+            row[s] = saved + (tr - x) * tmp
+            saved = (x - tl) * tmp
+        row[r] = saved
+    return row
+
+
+@pytest.mark.parametrize("p,level", [(1, 3), (2, 1), (4, 4), (9, 5), (15, 4)])
+def test_prolongation_equals_row_by_row_oslo(p, level):
+    co, fi = _pair(p, level)
+    P = build_prolongation(co, fi)
+    ref = np.zeros((fi.dim, co.dim))
+    for i in range(fi.dim):
+        mu = p + min(int(fi.knots[i] * co.intervals), co.intervals - 1)
+        ref[i, mu - p:mu + 1] = _oslo_row(co.knots, p, fi.knots, i, mu)
+    npt.assert_array_equal(P.toarray(), ref)     # same arithmetic, bitwise
+    assert P.nnz == np.count_nonzero(ref)        # no stored zeros
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError, match="degree"):
         build_prolongation(build_space(2, 1), build_space(3, 2))
