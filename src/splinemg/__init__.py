@@ -4,7 +4,7 @@ discretizations of -div(grad u) + u = f with Neumann conditions on (0,1)^d."""
 from .splines import SplineSpace, IndexSplit, build_space, eval_basis, \
     eval_basis_derivatives, eval_spline, index_split
 from .linalg import BandedSymMatrix, CholeskyFactor, NotSPDError, cholesky, \
-    kron_apply, generalized_eig_max, operator_norm
+    kron_apply, KronSumSolver, generalized_eig_max, operator_norm
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d, \
     apply_operator_2d, assemble_load
 from .transfer import build_prolongation, prolong, restrict, prolong_2d, \

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BandedSymMatrix, kron_apply
+from .linalg import BandedSymMatrix, KronSumSolver, kron_apply
 from .splines import SplineSpace, eval_basis_array
 
 __all__ = [
@@ -58,8 +58,14 @@ class Operator2D:
         K, M, A = self._factors
         return kron_apply(K, M, v) + kron_apply(M, A, v)
 
+    def direct_solver(self) -> KronSumSolver:
+        """Fast-diagonalization inverse of M (x) B + B (x) M, B = K + M/2."""
+        M = self.disc.M.toarray()
+        return KronSumSolver.build(M, self.disc.K.toarray() + M / 2.0,
+                                   "2D system matrix")
+
     def toarray(self) -> np.ndarray:
-        """Dense matrix (coarse solves and verification sizes only)."""
+        """Dense matrix (verification sizes only)."""
         K, M = self.disc.K.toarray(), self.disc.M.toarray()
         return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .assembly import assemble_load
 from .solver import CycleConfig, TAU_DEFAULT, build_hierarchy, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
-from .verify import APPROX_BOUND, DENSE_VERIFY_LIMIT, INVERSE_BOUND, \
+from .verify import APPROX_BOUND, INVERSE_BOUND, dense_limit, \
     measure_CA, measure_smoothing_constant, smoother_energy_norm, \
     verify_approximation_constant, verify_counterexample, \
     verify_inverse_inequality
@@ -219,9 +219,7 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
         ca_values: dict[int, float] = {}
         for p in sorted(set(degrees)):
             m = n + p
-            dense_ok = (m <= DENSE_VERIFY_LIMIT if d == 1
-                        else m <= DENSE_VERIFY_LIMIT // 10)
-            if not dense_ok:
+            if m > dense_limit(d):
                 results.append(_skip("verification-suite", p, level,
                                      "size beyond dense limit"))
                 continue
@@ -241,7 +239,7 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                                       verify_counterexample(p, level),
                                       float(p), "lower"))
                 proxy_dim = n * 2**4 + p
-                if proxy_dim <= DENSE_VERIFY_LIMIT:
+                if proxy_dim <= dense_limit():
                     results.append(_check(
                         "approximation-constant", p, level,
                         verify_approximation_constant(p, level),

@@ -8,8 +8,11 @@ instead L^-1 is applied through a Sherman-Morrison-Woodbury identity around
 the banded Cholesky factor of M, which keeps every application at O(m p).
 
 The 2D smoother matrix is the rank-corrected tensor square
-LL = h^2 (L (x) L - C (x) C); its inverse is again a Woodbury identity with a
-dense capacitance matrix R = Q^-1 (x) Q^-1 - W^-1 (x) W^-1 of order 4 p^2.
+LL = h^2 (L (x) L - C (x) C). Expanded, it is the Kronecker sum
+M (x) B + B (x) M with B = h^-2 M / 2 + C, so one dense generalized
+eigenproblem B V = M V diag(lam) per level inverts it exactly (fast
+diagonalization): a sweep is four dense m x m products, O(m^3) per m^2
+unknowns, with no capacitance matrix to lose definiteness by cancellation.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import Discretization1D, Operator2D
-from .linalg import BandedSymMatrix, CholeskyFactor, cholesky
+from .linalg import CholeskyFactor, KronSumSolver, cholesky
 from .splines import IndexSplit, index_split
 
 __all__ = [
@@ -69,15 +72,27 @@ class _CorrectedMassSolver:
 
 
 @dataclass
-class Smoother1D:
-    """Precomputed factorizations for the 1D boundary-corrected smoother."""
+class _Boundary:
+    """What both smoothers share: the index split, h, tau and the 2p x 2p
+    Schur complement Q of A_II in A, which C = E Q E^T places."""
 
     space_dim: int
     mesh_size: float
     tau: float
     split: IndexSplit
-    chol_M: CholeskyFactor
-    Q: np.ndarray                      # 2p x 2p Schur complement of A_II in A
+    Q: np.ndarray
+
+    def correction(self) -> np.ndarray:
+        """Dense C (verification sizes and the 2D setup)."""
+        C = np.zeros((self.space_dim, self.space_dim))
+        C[np.ix_(self.split.boundary, self.split.boundary)] = self.Q
+        return C
+
+
+@dataclass
+class Smoother1D(_Boundary):
+    """Precomputed factorizations for the 1D boundary-corrected smoother."""
+
     L_solver: _CorrectedMassSolver     # undamped L = h^-2 M + C
     L_eff_solver: _CorrectedMassSolver = field(repr=False)  # tau^-1 h^-2 M + C
 
@@ -87,36 +102,25 @@ class Smoother1D:
 
 
 @dataclass
-class Smoother2D:
-    """Precomputed factorizations for the 2D tensor-corrected smoother."""
+class Smoother2D(_Boundary):
+    """Fast-diagonalization inverse of the 2D tensor-corrected smoother."""
 
-    base: Smoother1D
-    tau: float
-    W: np.ndarray                      # 2p x 2p, Q + h^-2 mass Schur complement
-    chol_R: CholeskyFactor             # capacitance of order 4 p^2
-    Linv_E: np.ndarray                 # L^-1 E, dense m x 2p
-
-    @property
-    def space_dim(self) -> int:
-        return self.base.space_dim
+    solver: KronSumSolver              # LL = M (x) B + B (x) M
 
 
-def _boundary_blocks(mat: BandedSymMatrix, split: IndexSplit):
-    """(GG block, IG block) of a banded matrix under the index split."""
-    gg = mat.rectangular_block(split.boundary, split.boundary)
-    ig = mat.rectangular_block(split.interior, split.boundary)
-    return gg, ig
-
-
-def _schur_complement(mat: BandedSymMatrix, split: IndexSplit,
-                      what: str) -> np.ndarray:
-    """Schur complement of the interior block."""
-    gg, ig = _boundary_blocks(mat, split)
+def _boundary(disc: Discretization1D, tau: float) -> _Boundary:
+    """Data both smoothers share; Q is the Schur complement of A_II in A."""
+    if tau <= 0.0:
+        raise ValueError(f"damping parameter must be positive, got {tau}")
+    space = disc.space
+    split = index_split(space)          # raises when the interior is empty
+    gg = disc.A.rectangular_block(split.boundary, split.boundary)
+    ig = disc.A.rectangular_block(split.interior, split.boundary)
     start, stop = split.interior[0], split.interior[-1] + 1
-    interior = mat.principal_submatrix(int(start), int(stop))
-    X = cholesky(interior, what).solve(ig)
-    S = gg - ig.T @ X
-    return 0.5 * (S + S.T)
+    interior = disc.A.principal_submatrix(int(start), int(stop))
+    X = cholesky(interior, "interior system block").solve(ig)
+    Q = gg - ig.T @ X
+    return _Boundary(space.dim, space.mesh_size, tau, split, 0.5 * (Q + Q.T))
 
 
 def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
@@ -125,26 +129,18 @@ def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
     The damping scales only the mass part of the smoother matrix: one step
     is u += (tau^-1 h^-2 M + C)^-1 r.
     """
-    if tau <= 0.0:
-        raise ValueError(f"damping parameter must be positive, got {tau}")
-    space = disc.space
-    split = index_split(space)          # raises when the interior is empty
-    h = space.mesh_size
-
-    Q = _schur_complement(disc.A, split, "interior system block")
+    b = _boundary(disc, tau)
+    bnd = b.split.boundary
     chol_M = cholesky(disc.M, "mass matrix")
 
-    E = np.zeros((space.dim, len(split.boundary)))
-    E[split.boundary, np.arange(len(split.boundary))] = 1.0
+    E = np.zeros((b.space_dim, len(bnd)))
+    E[bnd, np.arange(len(bnd))] = 1.0
     Minv_E = chol_M.solve(E)
 
-    sigma = h ** -2
-    L_solver = _CorrectedMassSolver.build(sigma, chol_M, split.boundary, Minv_E, Q)
-    L_eff_solver = _CorrectedMassSolver.build(
-        sigma / tau, chol_M, split.boundary, Minv_E, Q)
-    return Smoother1D(space_dim=space.dim, mesh_size=h, tau=tau, split=split,
-                      chol_M=chol_M, Q=Q, L_solver=L_solver,
-                      L_eff_solver=L_eff_solver)
+    sigma = b.mesh_size ** -2
+    L_solver = _CorrectedMassSolver.build(sigma, chol_M, bnd, Minv_E, b.Q)
+    L_eff_solver = _CorrectedMassSolver.build(sigma / tau, chol_M, bnd, Minv_E, b.Q)
+    return Smoother1D(**vars(b), L_solver=L_solver, L_eff_solver=L_eff_solver)
 
 
 def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
@@ -174,49 +170,21 @@ def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
 
 
 def build_smoother_2d(disc: Discretization1D, tau: float) -> Smoother2D:
-    """Set up the 2D smoother (plain damping u += tau * LL^-1 r)."""
-    base = build_smoother_1d(disc, tau)
-    split = base.split
-    h = disc.space.mesh_size
+    """Set up the 2D smoother (plain damping u += tau * LL^-1 r).
 
-    mass_schur = _schur_complement(disc.M, split, "interior mass block")
-    W = base.Q + mass_schur / h**2
-    W = 0.5 * (W + W.T)
-
-    Qinv = np.linalg.inv(base.Q)
-    Winv = np.linalg.inv(W)
-    R = np.kron(Qinv, Qinv) - np.kron(Winv, Winv)
-    R = 0.5 * (R + R.T)
-    chol_R = cholesky(R, "tensor capacitance")
-
-    E = np.zeros((disc.space.dim, len(split.boundary)))
-    E[split.boundary, np.arange(len(split.boundary))] = 1.0
-    Linv_E = base.L_solver.solve(E)
-    return Smoother2D(base=base, tau=tau, W=W, chol_R=chol_R, Linv_E=Linv_E)
-
-
-def _linv_kron(s: Smoother2D, mat: np.ndarray) -> np.ndarray:
-    """(L^-1 (x) L^-1) applied to a reshaped m x m right-hand side."""
-    step = s.base.L_solver.solve(mat.T).T
-    return s.base.L_solver.solve(step)
+    LL = h^2 (L (x) L - C (x) C) is the Kronecker sum M (x) B + B (x) M with
+    B = h^-2 M / 2 + C, inverted exactly by fast diagonalization.
+    """
+    b = _boundary(disc, tau)
+    M = disc.M.toarray()
+    B = M / (2.0 * b.mesh_size**2) + b.correction()
+    return Smoother2D(**vars(b), solver=KronSumSolver.build(
+        M, B, "2D smoother matrix"))
 
 
 def apply_Linv_2d(s: Smoother2D, r: np.ndarray) -> np.ndarray:
-    """Apply LL^-1 = h^-2 (I + (L^-1 E (x) L^-1 E) R^-1 (E^T (x) E^T))
-    (L^-1 (x) L^-1) to a vector of length m**2."""
-    m = s.space_dim
-    r = np.asarray(r, dtype=float)
-    if r.shape != (m * m,):
-        raise ValueError(f"vector length {r.shape} does not match {m * m}")
-    h = s.base.mesh_size
-    bnd = s.base.split.boundary
-
-    Q0 = _linv_kron(s, r.reshape(m, m)) / h**2
-    q1 = Q0[np.ix_(bnd, bnd)].reshape(-1)
-    q2 = s.chol_R.solve(q1)
-    nb = len(bnd)
-    correction = s.Linv_E @ q2.reshape(nb, nb) @ s.Linv_E.T
-    return (Q0 + correction).reshape(m * m)
+    """Apply LL^-1 to a vector of length m**2."""
+    return s.solver.solve(r)
 
 
 def smooth_2d(s: Smoother2D, op: Operator2D, u: np.ndarray, r: np.ndarray,
@@ -248,19 +216,13 @@ def smoother_matrix_1d(s: Smoother1D, disc: Discretization1D,
     step, tau^-1 h^-2 M + C.
     """
     h = s.mesh_size
-    m = s.space_dim
-    C = np.zeros((m, m))
-    C[np.ix_(s.split.boundary, s.split.boundary)] = s.Q
-    Md = disc.M.toarray()
     scale = s.tau * h**2 if damped else h**2
-    return Md / scale + C
+    return disc.M.toarray() / scale + s.correction()
 
 
 def smoother_matrix_2d(s: Smoother2D, disc: Discretization1D) -> np.ndarray:
     """Dense 2D smoother matrix h^2 (L (x) L - C (x) C) (verification only)."""
-    h = s.base.mesh_size
-    m = s.space_dim
-    C = np.zeros((m, m))
-    C[np.ix_(s.base.split.boundary, s.base.split.boundary)] = s.base.Q
+    h = s.mesh_size
+    C = s.correction()
     L = disc.M.toarray() / h**2 + C
     return h**2 * (np.kron(L, L) - np.kron(C, C))

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d
-from .linalg import BandedSymMatrix, CholeskyFactor, cholesky
+from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, cholesky
 from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     build_smoother_2d, smooth_1d, smooth_2d
 from .splines import SplineSpace, build_space
@@ -55,7 +55,7 @@ class Level:
     op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
     smoother: Smoother1D | Smoother2D | None   # None on the coarsest level
     P: scipy.sparse.csr_matrix | None      # embedding from the next coarser level
-    direct: CholeskyFactor | None = field(default=None, repr=False)
+    direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -115,12 +115,12 @@ def min_smoother_level(p: int) -> int:
     return level
 
 
-def _direct_factor(level: Level) -> CholeskyFactor:
+def _direct_factor(level: Level) -> CholeskyFactor | KronSumSolver:
     if level.direct is None:
         op = level.op
-        level.direct = cholesky(
-            op if isinstance(op, BandedSymMatrix) else op.toarray(),
-            "coarse system matrix")
+        level.direct = (cholesky(op, "coarse system matrix")
+                        if isinstance(op, BandedSymMatrix)
+                        else op.direct_solver())
     return level.direct
 
 

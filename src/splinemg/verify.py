@@ -28,6 +28,7 @@ __all__ = [
     "INVERSE_BOUND",
     "APPROX_BOUND",
     "DENSE_VERIFY_LIMIT",
+    "dense_limit",
     "build_constraint_basis",
     "verify_inverse_inequality",
     "verify_counterexample",
@@ -98,11 +99,16 @@ class InverseInequalityResult:
         return INVERSE_BOUND
 
 
-def _check_dense(space: SplineSpace):
-    if space.dim > DENSE_VERIFY_LIMIT:
+def dense_limit(d: int = 1) -> int:
+    """Largest 1D dimension the dense paths accept for a ``d``-dim problem."""
+    return DENSE_VERIFY_LIMIT if d == 1 else DENSE_VERIFY_LIMIT // 10
+
+
+def _check_dense(space: SplineSpace, d: int = 1):
+    if space.dim > dense_limit(d):
         raise ValueError(
             f"dimension {space.dim} exceeds dense verification limit "
-            f"{DENSE_VERIFY_LIMIT}")
+            f"{dense_limit(d)}")
 
 
 def verify_inverse_inequality(p: int, level: int,
@@ -189,10 +195,7 @@ def _dense_pair(p, level, d, tau):
         tau = TAU_DEFAULT[d]
     fine = build_space(p, level)
     coarse = build_space(p, level - 1)
-    if d == 1:
-        _check_dense(fine)
-    elif fine.dim > DENSE_VERIFY_LIMIT // 10:
-        raise ValueError("2D size exceeds dense verification limit")
+    _check_dense(fine, d)
     df, dc = assemble_1d(fine), assemble_1d(coarse)
     P1 = build_prolongation(coarse, fine).toarray()
     if d == 1:

@@ -4,6 +4,7 @@ import pytest
 
 from splinemg.cli import ExperimentConfig, run_table, run_verify, \
     write_table, read_table_csv, format_verify_report, main, _parse_range
+from splinemg.verify import dense_limit, measure_CA
 
 
 def _small_config(**kw):
@@ -110,6 +111,12 @@ def test_run_verify_corrupted_tau_fails():
 def test_run_verify_skips_oversize():
     results = run_verify([2], [9], d=1)
     assert any(r.status == "SKIP" for r in results)
+    # one past the limit, the CLI skips and the library's dense paths refuse
+    for d, level in [(1, 8), (2, 4)]:
+        p = dense_limit(d) - 2**level + 1          # m = n + p
+        assert run_verify([p], [level], d=d)[0].note == "size beyond dense limit"
+        with pytest.raises(ValueError, match="dense verification limit"):
+            measure_CA(p, level, d=d)
 
 
 def test_format_verify_report():

@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import BandedSymMatrix, NotSPDError, cholesky, kron_apply, \
-    generalized_eig_max, operator_norm, build_space, assemble_1d
+from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
+    kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d
 
 
 def _random_spd_banded(rng, m, b):
@@ -150,6 +150,27 @@ def test_kron_apply_mixed_product_order():
 def test_kron_apply_rejects_bad_length():
     with pytest.raises(ValueError):
         kron_apply(np.eye(3), np.eye(3), np.ones(8))
+
+
+def test_kron_sum_solver_matches_dense_inverse():
+    rng = np.random.default_rng(14)
+    X, Y = rng.standard_normal((2, 6, 6))
+    M = X @ X.T + 6 * np.eye(6)
+    B = Y @ Y.T + 0.1 * np.eye(6)
+    r = rng.standard_normal(36)
+    ref = np.linalg.solve(np.kron(M, B) + np.kron(B, M), r)
+    got = KronSumSolver.build(M, B, "pair").solve(r)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kron_sum_solver_rejects_non_spd_sums():
+    M = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(NotSPDError, match="^pair not SPD"):
+        KronSumSolver.build(M, -M, "pair")          # every lam_i + lam_j = -2
+    with pytest.raises(NotSPDError, match="^pair not SPD"):
+        KronSumSolver.build(M, np.diag([1.0, 1.0, -3.0]), "pair")
+    with pytest.raises(NotSPDError, match="^pair \\(mass factor\\) not SPD"):
+        KronSumSolver.build(np.diag([1.0, -1.0, 1.0]), M, "pair")
 
 
 def test_generalized_eig_max_trivial():

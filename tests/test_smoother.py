@@ -158,60 +158,14 @@ def test_incremental_residual_consistency_1d():
 
 
 def _setup_2d(p, n, tau=0.08):
-    level = int(np.log2(n))
-    sp = build_space(p, level)
+    sp = build_space(p, 0, n)          # n intervals, any n >= p + 2
     disc = assemble_1d(sp)
     return disc, build_smoother_2d(disc, tau)
 
 
-def test_W_matches_dense_schur_oracle():
-    disc, s2 = _setup_2d(3, 8)
-    Md = disc.M.toarray()
-    s = index_split(disc.space)
-    bnd, itr = s.boundary, s.interior
-    h = disc.space.mesh_size
-    mass_schur = Md[np.ix_(bnd, bnd)] - Md[np.ix_(bnd, itr)] @ np.linalg.solve(
-        Md[np.ix_(itr, itr)], Md[np.ix_(itr, bnd)])
-    ref = s2.base.Q + mass_schur / h**2
-    npt.assert_allclose(s2.W, ref, atol=1e-11 * np.abs(ref).max())
-
-
-def test_W_minus_Q_is_spd():
-    for p, n in [(1, 4), (2, 8), (3, 8)]:
-        _, s2 = _setup_2d(p, n)
-        assert np.linalg.eigvalsh(s2.W - s2.base.Q).min() > 0
-
-
-def test_capacitance_dimensions():
-    p = 3
-    _, s2 = _setup_2d(p, 8)
-    assert s2.base.Q.shape == (2 * p, 2 * p)
-    assert s2.W.shape == (2 * p, 2 * p)
-    assert s2.chol_R.order == 4 * p * p
-
-
-@pytest.mark.parametrize("p", range(1, 11))
-def test_capacitance_spd_for_tight_spaces(p):
-    # smallest admissible interior: n = p + 2
-    sp = build_space(p, 0, p + 2)
-    disc = assemble_1d(sp)
-    s2 = build_smoother_2d(disc, 0.08)
-    Qinv = np.linalg.inv(s2.base.Q)
-    Winv = np.linalg.inv(s2.W)
-    R = np.kron(Qinv, Qinv) - np.kron(Winv, Winv)
-    assert np.linalg.eigvalsh(R).min() > 0
-
-
-def test_Winv_equals_boundary_block_of_Linv():
-    # W is the Schur complement of L at the boundary block, so
-    # W^-1 = E^T L^-1 E
-    disc, s2 = _setup_2d(2, 8)
-    bnd = s2.base.split.boundary
-    got = s2.Linv_E[bnd, :]
-    npt.assert_allclose(got, np.linalg.inv(s2.W), atol=1e-9)
-
-
-@pytest.mark.parametrize("p,n", [(1, 4), (2, 8), (3, 8)])
+# n = p + 2 is the tightest admissible space: one interior coefficient
+@pytest.mark.parametrize("p,n", [(1, 4), (2, 8), (3, 8)] +
+                         [(p, p + 2) for p in range(1, 11)])
 def test_apply_Linv_2d_matches_dense_solve(p, n):
     disc, s2 = _setup_2d(p, n)
     LL = smoother_matrix_2d(s2, disc)

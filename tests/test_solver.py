@@ -73,11 +73,13 @@ def test_cycle_config_validation():
 
 
 def test_coarsest_level_cycle_is_direct_solve():
-    h = build_hierarchy(1, 2, 3, 4)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal(h.levels[0].space.dim)
-    u = mg_cycle(h, V11, 0, np.zeros_like(f), f)
-    npt.assert_allclose(h.levels[0].disc.A.apply(u), f, atol=1e-11)
+    # banded Cholesky in 1D, the Kronecker-sum solver in 2D
+    for d in (1, 2):
+        h = build_hierarchy(d, 2, 3, 4)
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal(h.levels[0].space.dim ** d)
+        u = mg_cycle(h, V11, 0, np.zeros_like(f), f)
+        npt.assert_allclose(h.levels[0].op.apply(u), f, atol=1e-11)
 
 
 def test_two_grid_error_propagation_matches_dense_oracle():
@@ -237,6 +239,21 @@ def test_pcg_preconditioner_symmetry():
         B[:, j] = mg_cycle(h, V11, len(h.levels) - 1, np.zeros(n), e)
     asym = np.abs(B - B.T).max() / np.abs(B).max()
     assert asym <= 1e-9
+
+
+@pytest.mark.parametrize("solve", [solve_mg, solve_pcg])
+@pytest.mark.parametrize("p", [25, 30])
+def test_2d_high_degree_converges(solve, p):
+    # the automatic coarse level; the smoother and the coarse solve are
+    # exact Kronecker-sum inverses, so no capacitance or dense coarse
+    # Cholesky loses definiteness at these degrees
+    h = build_hierarchy(2, p, min_smoother_level(p) - 1, 6)
+    f = assemble_load(h.finest.space, 2)
+    u0 = experiment_initial_guess(f.shape[0])
+    u, rep = solve(h, V11, f, u0)
+    assert rep.converged
+    r0 = np.linalg.norm(f - h.finest.op.apply(u0))
+    assert np.linalg.norm(f - h.finest.op.apply(u)) <= 1e-8 * r0
 
 
 def test_hierarchy_h_robustness():
