@@ -1,0 +1,7 @@
+"""``python -m splinemg``: the command-line driver of :mod:`splinemg.cli`."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

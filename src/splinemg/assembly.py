@@ -3,7 +3,7 @@
 Builds the 1D mass matrix M, stiffness matrix K and system matrix A = K + M
 with per-span Gauss-Legendre quadrature (exact for the polynomial integrands),
 plus load vectors for f(x) = d pi^2 prod_j sin(pi (x_j + 1/2)) and the
-matrix-free 2D operator K(x)M + M(x)K + M(x)M.
+2D operator K(x)M + M(x)K + M(x)M, applied factor-wise on dense 1D factors.
 """
 from __future__ import annotations
 
@@ -36,15 +36,18 @@ class Discretization1D:
 
 @dataclass
 class Operator2D:
-    """Matrix-free v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors,
-    applied as K(x)M + M(x)A with A = K + M."""
+    """v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors, applied as
+    K(x)M + M(x)A with A = K + M. The factors are held as dense m x m arrays,
+    so an apply is four BLAS matrix products; ``disc`` keeps the banded ones."""
 
     disc: Discretization1D
-    _factors: tuple = field(init=False, repr=False)
+    K: np.ndarray = field(init=False, repr=False)
+    M: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._factors = (self.disc.K.tocsr(), self.disc.M.tocsr(),
-                         self.disc.A.tocsr())
+        self.K, self.M = self.disc.K.toarray(), self.disc.M.toarray()
+        self.A = self.disc.A.toarray()
 
     @property
     def order(self) -> int:
@@ -55,18 +58,16 @@ class Operator2D:
         return (self.order, self.order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        K, M, A = self._factors
-        return kron_apply(K, M, v) + kron_apply(M, A, v)
+        return kron_apply(self.K, self.M, v) + kron_apply(self.M, self.A, v)
 
     def direct_solver(self) -> KronSumSolver:
         """Fast-diagonalization inverse of M (x) B + B (x) M, B = K + M/2."""
-        M = self.disc.M.toarray()
-        return KronSumSolver.build(M, self.disc.K.toarray() + M / 2.0,
+        return KronSumSolver.build(self.M, self.K + self.M / 2.0,
                                    "2D system matrix")
 
     def toarray(self) -> np.ndarray:
         """Dense matrix (verification sizes only)."""
-        K, M = self.disc.K.toarray(), self.disc.M.toarray()
+        K, M = self.K, self.M
         return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
 
 

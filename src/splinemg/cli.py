@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -63,8 +64,8 @@ class ExperimentConfig:
             raise ValueError("degree and level ranges must be non-empty")
         if self.tau is None:
             self.tau = TAU_DEFAULT[self.dim]
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         if self.solver not in ("mg", "cg-mg"):
@@ -211,8 +212,8 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
     if not degrees or not levels:
         raise ValueError("degree and level ranges must be non-empty")
     tau_eff = TAU_DEFAULT[d] if tau is None else tau
-    if tau_eff <= 0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau_eff < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau_eff}")
     results: list[CheckResult] = []
     for level in sorted(set(levels)):
         n = 2**level

@@ -110,8 +110,9 @@ class Smoother2D(_Boundary):
 
 def _boundary(disc: Discretization1D, tau: float) -> _Boundary:
     """Data both smoothers share; Q is the Schur complement of A_II in A."""
-    if tau <= 0.0:
-        raise ValueError(f"damping parameter must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(
+            f"damping parameter must be positive and finite, got {tau}")
     space = disc.space
     split = index_split(space)          # raises when the interior is empty
     gg = disc.A.rectangular_block(split.boundary, split.boundary)
@@ -169,17 +170,17 @@ def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
     return u
 
 
-def build_smoother_2d(disc: Discretization1D, tau: float) -> Smoother2D:
-    """Set up the 2D smoother (plain damping u += tau * LL^-1 r).
+def build_smoother_2d(op: Operator2D, tau: float) -> Smoother2D:
+    """Set up the 2D smoother (plain damping u += tau * LL^-1 r) for the
+    operator ``op``, sharing its dense mass matrix.
 
     LL = h^2 (L (x) L - C (x) C) is the Kronecker sum M (x) B + B (x) M with
     B = h^-2 M / 2 + C, inverted exactly by fast diagonalization.
     """
-    b = _boundary(disc, tau)
-    M = disc.M.toarray()
-    B = M / (2.0 * b.mesh_size**2) + b.correction()
+    b = _boundary(op.disc, tau)
+    B = op.M / (2.0 * b.mesh_size**2) + b.correction()
     return Smoother2D(**vars(b), solver=KronSumSolver.build(
-        M, B, "2D smoother matrix"))
+        op.M, B, "2D smoother matrix"))
 
 
 def apply_Linv_2d(s: Smoother2D, r: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Multigrid hierarchy, two-grid/V/W cycles, and V-cycle-preconditioned CG."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,7 +55,8 @@ class Level:
     disc: Discretization1D
     op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
     smoother: Smoother1D | Smoother2D | None   # None on the coarsest level
-    P: scipy.sparse.csr_matrix | None      # embedding from the next coarser level
+    # embedding from the next coarser level: CSR in 1D, dense m x m_c in 2D
+    P: scipy.sparse.csr_matrix | np.ndarray | None
     direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
 
@@ -103,8 +105,14 @@ class SolveReport:
 
     iterations: int
     residual_history: list[float]
-    converged: bool
+    #: "converged", "max_iter", "non-finite" (a residual or a CG scalar is
+    #: NaN or infinite) or "breakdown" (CG met r^T z <= 0 or p^T A p <= 0)
+    stop_reason: str
     wall_time: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def min_smoother_level(p: int) -> int:
@@ -156,8 +164,10 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             if d == 1:
                 smoother = build_smoother_1d(disc, tau)
             else:
-                smoother = build_smoother_2d(disc, tau)
+                smoother = build_smoother_2d(op, tau)
         P = build_prolongation(levels[-1].space, space) if levels else None
+        if P is not None and d == 2:
+            P = P.toarray()             # the 2D transfers run as GEMMs
         levels.append(Level(space=space, disc=disc, op=op, smoother=smoother, P=P))
 
     hier = MgHierarchy(dim=d, degree=p, coarse_level=coarse_level,
@@ -223,9 +233,31 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
     return u
 
 
+def _residual_stop(res: float, target: float) -> str | None:
+    """Stop reason after a residual norm, or None to go on."""
+    if res <= target:
+        return "converged"
+    return None if math.isfinite(res) else "non-finite"
+
+
+def _cg_scalar_stop(value: float) -> str | None:
+    """Stop reason for a CG scalar (r^T z or p^T A p) that an SPD operator
+    and preconditioner keep positive and finite, or None when it is."""
+    if 0.0 < value < math.inf:
+        return None
+    return "breakdown" if math.isfinite(value) else "non-finite"
+
+
+def _report(iterations: int, history: list[float], stop: str | None,
+            start: float) -> SolveReport:
+    return SolveReport(iterations, history, stop or "max_iter",
+                       time.perf_counter() - start)
+
+
 def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
              u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Iterate cycles until ||f - A u|| <= tol * ||f - A u0|| or max_iter.
+    """Iterate cycles until ||f - A u|| <= tol * ||f - A u0||, a residual
+    is not finite, or max_iter; ``stop_reason`` says which.
 
     Raises ValueError naming ``f`` or ``u0`` when it has the wrong length or
     a non-finite entry.
@@ -237,21 +269,15 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
     r0 = float(np.linalg.norm(f - A.apply(u)))
     history = [r0]
-    if r0 == 0.0:
-        return u, SolveReport(0, history, True, time.perf_counter() - start)
-
-    converged = False
+    stop = _residual_stop(r0, 0.0)
     iterations = 0
-    for k in range(1, cfg.max_iter + 1):
+    while stop is None and iterations < cfg.max_iter:
         u = mg_cycle(h, cfg, top, u, f)
         res = float(np.linalg.norm(f - A.apply(u)))
         history.append(res)
-        iterations = k
-        if res <= cfg.tol * r0:
-            converged = True
-            break
-    return u, SolveReport(iterations, history, converged,
-                          time.perf_counter() - start)
+        iterations += 1
+        stop = _residual_stop(res, cfg.tol * r0)
+    return u, _report(iterations, history, stop, start)
 
 
 def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
@@ -260,7 +286,9 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
 
     Requires a symmetric cycle (equal pre- and post-smoothing counts) so the
     preconditioner is an SPD operator. The stopping rule (reduction of the
-    unpreconditioned residual) and the input checks match :func:`solve_mg`.
+    unpreconditioned residual) and the input checks match :func:`solve_mg`;
+    it also stops, with ``stop_reason`` "breakdown", at the first
+    r^T z <= 0 or p^T A p <= 0.
     """
     if cfg.pre_smooth != cfg.post_smooth:
         raise ValueError(
@@ -278,28 +306,31 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     r = f - A.apply(u)
     r0 = float(np.linalg.norm(r))
     history = [r0]
-    if r0 == 0.0:
-        return u, SolveReport(0, history, True, time.perf_counter() - start)
-
-    z = precond(r)
-    p = z.copy()
-    rho = float(r @ z)
-    converged = False
+    stop = _residual_stop(r0, 0.0)
     iterations = 0
-    for k in range(1, cfg.max_iter + 1):
+    if stop is None:
+        z = precond(r)
+        p = z.copy()
+        rho = float(r @ z)
+        stop = _cg_scalar_stop(rho)
+    while stop is None and iterations < cfg.max_iter:
         q = A.apply(p)
-        alpha = rho / float(p @ q)
+        pq = float(p @ q)
+        stop = _cg_scalar_stop(pq)
+        if stop:
+            break
+        alpha = rho / pq
         u = u + alpha * p
         r = r - alpha * q
         res = float(np.linalg.norm(r))
         history.append(res)
-        iterations = k
-        if res <= cfg.tol * r0:
-            converged = True
+        iterations += 1
+        stop = _residual_stop(res, cfg.tol * r0)
+        if stop:
             break
         z = precond(r)
         rho_new = float(r @ z)
+        stop = _cg_scalar_stop(rho_new)
         p = z + (rho_new / rho) * p
         rho = rho_new
-    return u, SolveReport(iterations, history, converged,
-                          time.perf_counter() - start)
+    return u, _report(iterations, history, stop, start)

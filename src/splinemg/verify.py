@@ -203,10 +203,11 @@ def _dense_pair(p, level, d, tau):
         sm = build_smoother_1d(df, tau)
         L_eff = smoother_matrix_1d(sm, df, damped=True)
     else:
-        A = operator_2d(df).toarray()
+        op = operator_2d(df)
+        A = op.toarray()
         Ac = operator_2d(dc).toarray()
         P = np.kron(P1, P1)
-        s2 = build_smoother_2d(df, tau)
+        s2 = build_smoother_2d(op, tau)
         L_eff = smoother_matrix_2d(s2, df) / tau
     return A, Ac, P, L_eff
 

@@ -22,6 +22,7 @@ from splinemg import (
     eval_spline,
     measure_CA,
     measure_smoothing_constant,
+    operator_2d,
     prolong,
     verify_approximation_constant,
     verify_counterexample,
@@ -167,7 +168,7 @@ def test_criterion_8_oracle_equivalence():
             if n <= p:
                 continue
             disc = assemble_1d(build_space(p, int(np.log2(n))))
-            s2 = build_smoother_2d(disc, 0.08)
+            s2 = build_smoother_2d(operator_2d(disc), 0.08)
             LL = smoother_matrix_2d(s2, disc)
             r = rng.standard_normal(disc.space.dim ** 2)
             ref = np.linalg.solve(LL, r)

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +32,9 @@ def test_config_validation():
         ExperimentConfig(dim=3, degrees=[1], levels=[2])
     with pytest.raises(ValueError):
         ExperimentConfig(dim=1, degrees=[], levels=[2])
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=1, degrees=[1], levels=[2], tau=-1.0)
+    for tau in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ExperimentConfig(dim=1, degrees=[1], levels=[2], tau=tau)
     with pytest.raises(ValueError):
         ExperimentConfig(dim=1, degrees=[1], levels=[2], tol=1.5)
     with pytest.raises(ValueError):
@@ -181,3 +186,21 @@ def test_nonconvergent_cell_sets_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert ">2" in out
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_non_finite_tau_is_a_configuration_error(capsys, tau):
+    assert main(["table", "--dim", "2", "--degrees", "3", "--levels", "4",
+                 "--tau", tau]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_python_m_splinemg_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "splinemg", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "table" in done.stdout

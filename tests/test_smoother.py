@@ -160,7 +160,7 @@ def test_incremental_residual_consistency_1d():
 def _setup_2d(p, n, tau=0.08):
     sp = build_space(p, 0, n)          # n intervals, any n >= p + 2
     disc = assemble_1d(sp)
-    return disc, build_smoother_2d(disc, tau)
+    return disc, build_smoother_2d(operator_2d(disc), tau)
 
 
 # n = p + 2 is the tightest admissible space: one interior coefficient
@@ -252,8 +252,9 @@ def test_spectral_equivalence_bounded_in_p_2d():
     for p in range(1, 6):
         sp = build_space(p, 0, p + 2)
         disc = assemble_1d(sp)
-        s2 = build_smoother_2d(disc, 0.08)
-        AA = operator_2d(disc).toarray()
+        op = operator_2d(disc)
+        s2 = build_smoother_2d(op, 0.08)
+        AA = op.toarray()
         LL = smoother_matrix_2d(s2, disc)
         lam = scipy.linalg.eigh(AA, LL, eigvals_only=True)[-1]
         values.append(lam)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import assemble_load, build_hierarchy, min_smoother_level, \
-    mg_cycle, solve_mg, solve_pcg, CycleConfig
+from splinemg import assemble_load, build_hierarchy, build_prolongation, \
+    min_smoother_level, mg_cycle, prolong_2d, restrict_2d, solve_mg, \
+    solve_pcg, CycleConfig
 from splinemg.smoother import smoother_matrix_1d
 from splinemg.solver import experiment_initial_guess
 
@@ -128,7 +131,7 @@ def test_solve_mg_reduces_residual():
     h = build_hierarchy(1, 3, 3, 7)
     f = assemble_load(h.finest.space, 1)
     u, rep = solve_mg(h, V11, f)
-    assert rep.converged
+    assert rep.converged and rep.stop_reason == "converged"
     assert rep.residual_history[-1] <= 1e-8 * rep.residual_history[0]
     r = f - h.finest.disc.A.apply(u)
     assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(f)
@@ -140,6 +143,7 @@ def test_solve_report_non_convergence_flag():
     cfg = CycleConfig(cycle="v", pre_smooth=1, post_smooth=1, max_iter=2)
     u, rep = solve_mg(h, cfg, f, experiment_initial_guess(f.shape[0]))
     assert not rep.converged
+    assert rep.stop_reason == "max_iter"
     assert rep.iterations == 2
 
 
@@ -280,3 +284,62 @@ def test_solver_rejects_bad_input_by_name(solve, d):
     for name, kwargs in bad:
         with pytest.raises(ValueError, match=f"^{name} has"):
             solve(h, V11, **kwargs)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+@pytest.mark.parametrize("d", [1, 2])
+def test_hierarchy_rejects_non_finite_tau(d, tau):
+    with pytest.raises(ValueError, match="damping parameter must be positive"):
+        build_hierarchy(d, 3, 1, 4, tau)
+
+
+def _overdamped_2d():
+    # tau = 20 makes the 2D smoother step expand the error, so the V-cycle
+    # diverges and the V-cycle preconditioner is indefinite
+    h = build_hierarchy(2, 3, 1, 4, 20.0)
+    f = assemble_load(h.finest.space, 2)
+    return h, f, np.ones_like(f)
+
+
+def test_solve_mg_stops_at_first_non_finite_residual():
+    h, f, u0 = _overdamped_2d()
+    u, rep = solve_mg(h, V11, f, u0)
+    assert rep.stop_reason == "non-finite" and not rep.converged
+    assert rep.iterations < 50
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert not math.isfinite(rep.residual_history[-1])
+    assert all(math.isfinite(r) for r in rep.residual_history[:-1])
+
+
+def test_solve_pcg_stops_on_indefinite_preconditioner():
+    h, f, u0 = _overdamped_2d()
+    u, rep = solve_pcg(h, V11, f, u0)
+    assert rep.stop_reason == "breakdown" and not rep.converged
+    assert rep.iterations == 0
+    npt.assert_array_equal(u, u0)
+
+
+@pytest.mark.parametrize("p, level", [(3, 4), (8, 5)])
+def test_dense_2d_level_matches_kron_oracles(p, level):
+    # every 2D level holds dense factors and a dense P; check the operator
+    # apply and both transfers against np.kron built from the banded and
+    # CSR forms
+    h = build_hierarchy(2, p, min_smoother_level(p) - 1, level)
+    rng = np.random.default_rng(p)
+
+    def rel_err(x, ref):
+        return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+    disc = h.finest.disc
+    K, M, A = disc.K.toarray(), disc.M.toarray(), disc.A.toarray()
+    v = rng.standard_normal(h.finest.op.order)
+    ref = np.kron(K, M) @ v + np.kron(M, A) @ v
+    assert rel_err(h.finest.op.apply(v), ref) <= 1e-13
+    for coarse, fine in zip(h.levels, h.levels[1:]):
+        P = build_prolongation(coarse.space, fine.space).toarray()
+        npt.assert_array_equal(fine.P, P)
+        PP = np.kron(P, P)
+        c = rng.standard_normal(PP.shape[1])
+        r = rng.standard_normal(PP.shape[0])
+        assert rel_err(prolong_2d(fine.P, c), PP @ c) <= 1e-13
+        assert rel_err(restrict_2d(fine.P, r), PP.T @ r) <= 1e-13
