@@ -16,8 +16,9 @@ from .solver import MgHierarchy, CycleConfig, SolveReport, build_hierarchy, \
     min_smoother_level, mg_cycle, solve_mg, solve_pcg, \
     experiment_initial_guess, TAU_DEFAULT
 from .verify import ConstraintBasis, InverseInequalityResult, INVERSE_BOUND, \
-    APPROX_BOUND, build_constraint_basis, verify_inverse_inequality, \
-    verify_counterexample, verify_approximation_constant, measure_CA, \
-    measure_smoothing_constant, smoother_energy_norm
+    APPROX_BOUND, SmootherPencil, build_constraint_basis, smoother_pencil, \
+    verify_inverse_inequality, verify_counterexample, \
+    verify_approximation_constant, measure_CA, measure_smoothing_constant, \
+    smoother_energy_norm
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .solver import CycleConfig, TAU_DEFAULT, build_hierarchy, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
 from .verify import APPROX_BOUND, INVERSE_BOUND, dense_limit, \
     measure_CA, measure_smoothing_constant, smoother_energy_norm, \
-    verify_approximation_constant, verify_counterexample, \
+    smoother_pencil, verify_approximation_constant, verify_counterexample, \
     verify_inverse_inequality
 
 __all__ = [
@@ -88,7 +88,7 @@ class TableResult:
     config: ExperimentConfig
     degrees: list[int]
     levels: list[int]                   # descending, one row each
-    cells: list[list[str]]              # counts, "-" or ">N"
+    cells: list[list[str]]              # counts, "-", ">N" or "reason@it"
     timings: list[list[float | None]]
     any_failure: bool = False
 
@@ -143,7 +143,9 @@ def run_table(config: ExperimentConfig) -> TableResult:
             if report.converged:
                 row.append(str(report.iterations))
             else:
-                row.append(f">{cfg.max_iter}")
+                row.append(f">{cfg.max_iter}"
+                           if report.stop_reason == "max_iter" else
+                           f"{report.stop_reason}@{report.iterations}")
                 any_failure = True
         cells.append(row)
         timings.append(trow)
@@ -252,21 +254,20 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                 results.append(_skip("smoothing-constant", p, level,
                                      "no valid coarse/fine smoother pair"))
                 continue
-            worst = max(measure_smoothing_constant(p, level, nu, d=d,
-                                                   tau=tau_eff)
+            pencil = smoother_pencil(p, level, d=d, tau=tau_eff)
+            worst = max(measure_smoothing_constant(pencil, nu)
                         for nu in range(1, 9))
             results.append(_check("smoothing-constant", p, level, worst,
                                   1.0 / tau_eff + 1e-8, "upper"))
             results.append(_check("smoother-energy-norm", p, level,
-                                  smoother_energy_norm(p, level, d=d,
-                                                       tau=tau_eff),
-                                  1.0, "upper"))
-            ca_values[p] = measure_CA(p, level, d=d, tau=tau_eff)
+                                  smoother_energy_norm(pencil), 1.0, "upper"))
+            ca_values[p] = measure_CA(pencil)
         if ca_values:
             ref = ca_values.get(1)
             if ref is None:
                 try:
-                    ref = measure_CA(1, level, d=d, tau=tau_eff)
+                    ref = measure_CA(smoother_pencil(1, level, d=d,
+                                                     tau=tau_eff))
                 except ValueError:
                     ref = None
             if ref:

@@ -210,8 +210,9 @@ class KronSumSolver:
 
 def generalized_eig_max(A: np.ndarray, B: np.ndarray) -> float:
     """Largest lambda with A x = lambda B x (A symmetric, B SPD), dense."""
+    n = A.shape[0]
     try:
-        vals = eigh(A, B, eigvals_only=True)
+        vals = eigh(A, B, eigvals_only=True, subset_by_index=[n - 1, n - 1])
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(0, "B") from exc
     return float(vals[-1])

@@ -9,12 +9,13 @@ properties) of the two-grid convergence bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .assembly import assemble_1d, operator_2d
-from .linalg import generalized_eig_max, operator_norm
+from .linalg import generalized_eig_max
 from .smoother import build_smoother_1d, build_smoother_2d, \
     smoother_matrix_1d, smoother_matrix_2d
 from .solver import TAU_DEFAULT
@@ -27,22 +28,22 @@ __all__ = [
     "InverseInequalityResult",
     "INVERSE_BOUND",
     "APPROX_BOUND",
-    "DENSE_VERIFY_LIMIT",
+    "SmootherPencil",
     "dense_limit",
     "build_constraint_basis",
     "verify_inverse_inequality",
     "verify_counterexample",
     "verify_approximation_constant",
+    "smoother_pencil",
     "measure_CA",
     "measure_smoothing_constant",
+    "smoother_energy_norm",
 ]
 
 #: theoretical bound on h * sqrt(lambda_max(K, M)) over the constrained space
 INVERSE_BOUND = 2.0 * np.sqrt(3.0)
 #: theoretical bound on the constrained-space L2 approximation constant
 APPROX_BOUND = 2.0 * np.sqrt(2.0)
-#: largest 1D dimension for which the dense verification paths are allowed
-DENSE_VERIFY_LIMIT = 300
 
 
 @dataclass
@@ -101,7 +102,7 @@ class InverseInequalityResult:
 
 def dense_limit(d: int = 1) -> int:
     """Largest 1D dimension the dense paths accept for a ``d``-dim problem."""
-    return DENSE_VERIFY_LIMIT if d == 1 else DENSE_VERIFY_LIMIT // 10
+    return 300 if d == 1 else 30
 
 
 def _check_dense(space: SplineSpace, d: int = 1):
@@ -159,12 +160,6 @@ def _composite_prolongation(p, coarse_level, fine_level):
     return mat
 
 
-def _sym_sqrt(mat: np.ndarray, power: float = 0.5) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, np.finfo(float).tiny, None)
-    return v @ np.diag(w**power) @ v.T
-
-
 def verify_approximation_constant(p: int, level: int,
                                   proxy_levels: int = 4) -> float:
     """L2 approximation constant of the constrained space at one level.
@@ -183,14 +178,33 @@ def verify_approximation_constant(p: int, level: int,
     Z = P.toarray() @ build_constraint_basis(coarse).basis
     # A-orthogonal projector onto the embedded constrained space
     T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
-    X = _sym_sqrt(Mf) @ (np.eye(fine.dim) - T) @ _sym_sqrt(Af, -0.5)
-    return float(operator_norm(X) / coarse.mesh_size)
+    # ||M^(1/2) R A^(-1/2)||^2 with R = I - T is lambda_max(R^T M R, A)
+    R = np.eye(fine.dim) - T
+    lam = generalized_eig_max(R.T @ Mf @ R, Af)
+    return float(np.sqrt(max(lam, 0.0)) / coarse.mesh_size)
 
 
-def _dense_pair(p, level, d, tau):
-    """Dense (system matrix, effective smoother matrix, coarse projector
-    ingredients) at one level for the given dimension; ``tau`` defaults to
-    the solver's choice for ``d``."""
+@dataclass
+class SmootherPencil:
+    """Dense two-level data at one (p, level): system matrix A, coarse matrix
+    A_c, prolongation P and the effective smoother matrix L_eff (the one the
+    damped smoothing step inverts, so S = I - L_eff^(-1) A)."""
+
+    A: np.ndarray
+    A_c: np.ndarray
+    P: np.ndarray
+    L_eff: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the pencil (A, L_eff), ascending, computed once."""
+        return scipy.linalg.eigh(self.A, self.L_eff, eigvals_only=True)
+
+
+def smoother_pencil(p: int, level: int, d: int = 1,
+                    tau: float | None = None) -> SmootherPencil:
+    """Build the dense pencil between ``level`` and ``level - 1`` for the
+    ``d``-dim problem; ``tau`` defaults to the solver's choice for ``d``."""
     if tau is None:
         tau = TAU_DEFAULT[d]
     fine = build_space(p, level)
@@ -199,51 +213,39 @@ def _dense_pair(p, level, d, tau):
     df, dc = assemble_1d(fine), assemble_1d(coarse)
     P1 = build_prolongation(coarse, fine).toarray()
     if d == 1:
-        A, Ac, P = df.A.toarray(), dc.A.toarray(), P1
         sm = build_smoother_1d(df, tau)
-        L_eff = smoother_matrix_1d(sm, df, damped=True)
-    else:
-        op = operator_2d(df)
-        A = op.toarray()
-        Ac = operator_2d(dc).toarray()
-        P = np.kron(P1, P1)
-        s2 = build_smoother_2d(op, tau)
-        L_eff = smoother_matrix_2d(s2, df) / tau
-    return A, Ac, P, L_eff
+        return SmootherPencil(df.A.toarray(), dc.A.toarray(), P1,
+                              smoother_matrix_1d(sm, df, damped=True))
+    op = operator_2d(df)
+    s2 = build_smoother_2d(op, tau)
+    return SmootherPencil(op.toarray(), operator_2d(dc).toarray(),
+                          np.kron(P1, P1), smoother_matrix_2d(s2, df) / tau)
 
 
-def measure_CA(p: int, level: int, d: int = 1,
-               tau: float | None = None) -> float:
+def measure_CA(pencil: SmootherPencil) -> float:
     """Measured approximation-property constant between two adjacent levels.
 
-    Computes the norm of L^(1/2) (I - T) A^(-1) L^(1/2) densely, where T is
-    the coarse-grid A-orthogonal projector and L the effective smoother
-    matrix (the one the damped smoothing step actually inverts, so that this
-    constant and the smoothing constant refer to the same norm).
+    The norm of L^(1/2) (I - T) A^(-1) L^(1/2), where T is the coarse-grid
+    A-orthogonal projector and L the effective smoother matrix (so that this
+    constant and the smoothing constant refer to the same norm). With
+    (I - T) A^(-1) = W = A^(-1) - P A_c^(-1) P^T symmetric PSD, that norm is
+    lambda_max(L W L, L).
     """
-    A, Ac, P, L_eff = _dense_pair(p, level, d, tau)
-    T = P @ np.linalg.solve(Ac, P.T @ A)
-    Lhalf = _sym_sqrt(L_eff)
-    X = Lhalf @ (np.eye(A.shape[0]) - T) @ np.linalg.solve(A, Lhalf)
-    X = 0.5 * (X + X.T)        # symmetric PSD up to roundoff
-    return float(operator_norm(X))
+    A, P, L = pencil.A, pencil.P, pencil.L_eff
+    W = np.linalg.inv(A) - P @ np.linalg.solve(pencil.A_c, P.T)
+    G = L @ W @ L
+    return generalized_eig_max(0.5 * (G + G.T), L)
 
 
-def measure_smoothing_constant(p: int, level: int, nu: int, d: int = 1,
-                               tau: float | None = None) -> float:
+def measure_smoothing_constant(pencil: SmootherPencil, nu: int) -> float:
     """nu * || L^(-1/2) A S^nu L^(-1/2) || for the damped smoother S.
 
-    L is the effective smoother matrix, so S = I - L^(-1) A; the measured
-    value is expected to stay below 1/tau.
+    The measured value is expected to stay below 1/tau.
     """
-    A, _, _, L_eff = _dense_pair(p, level, d, tau)
-    lam = scipy.linalg.eigh(A, L_eff, eigvals_only=True)
+    lam = pencil.eigenvalues
     return float(nu * np.abs(lam * (1.0 - lam)**nu).max())
 
 
-def smoother_energy_norm(p: int, level: int, d: int = 1,
-                         tau: float | None = None) -> float:
+def smoother_energy_norm(pencil: SmootherPencil) -> float:
     """||S||_A of the damped smoothing step (at most 1 for admissible tau)."""
-    A, _, _, L_eff = _dense_pair(p, level, d, tau)
-    lam = scipy.linalg.eigh(A, L_eff, eigvals_only=True)
-    return float(np.abs(1.0 - lam).max())
+    return float(np.abs(1.0 - pencil.eigenvalues).max())

@@ -24,6 +24,7 @@ from splinemg import (
     measure_smoothing_constant,
     operator_2d,
     prolong,
+    smoother_pencil,
     verify_approximation_constant,
     verify_counterexample,
     verify_inverse_inequality,
@@ -141,9 +142,9 @@ def test_criterion_7_smoothing_property():
     tau = 0.14
     worst = 0.0
     for p in range(1, 7):
+        pencil = smoother_pencil(p, 5, d=1, tau=tau)
         for nu in range(1, 9):
-            worst = max(worst,
-                        measure_smoothing_constant(p, 5, nu, d=1, tau=tau))
+            worst = max(worst, measure_smoothing_constant(pencil, nu))
     _report("7 (smoothing property <= 1/tau)", worst <= 1.0 / tau + 1e-8,
             f"max measured = {worst:.4f}, bound = {1 / tau:.4f}")
 
@@ -223,7 +224,7 @@ def test_criterion_10_robustness(table_1d):
     row12 = [int(c) for c in table_1d.cells[table_1d.levels.index(12)]]
     spread = max(row12) - min(row12)
 
-    ca = {p: measure_CA(p, 5, d=1) for p in range(1, 11)}
+    ca = {p: measure_CA(smoother_pencil(p, 5, d=1)) for p in range(1, 11)}
     ratio = max(ca.values()) / ca[1]
     _report("10 (degree robustness)", spread <= 6 and ratio <= 3.0,
             f"iteration spread = {spread} (<=6), CA ratio = {ratio:.3f} (<=3)")

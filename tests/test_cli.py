@@ -8,7 +8,7 @@ import pytest
 
 from splinemg.cli import ExperimentConfig, run_table, run_verify, \
     write_table, read_table_csv, format_verify_report, main, _parse_range
-from splinemg.verify import dense_limit, measure_CA
+from splinemg.verify import dense_limit, smoother_pencil
 
 
 def _small_config(**kw):
@@ -121,7 +121,7 @@ def test_run_verify_skips_oversize():
         p = dense_limit(d) - 2**level + 1          # m = n + p
         assert run_verify([p], [level], d=d)[0].note == "size beyond dense limit"
         with pytest.raises(ValueError, match="dense verification limit"):
-            measure_CA(p, level, d=d)
+            smoother_pencil(p, level, d=d)
 
 
 def test_format_verify_report():
@@ -186,6 +186,20 @@ def test_nonconvergent_cell_sets_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert ">2" in out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("solver,cell", [("mg", "non-finite@16"),
+                                         ("cg-mg", "breakdown@0")])
+def test_early_stop_cell_shows_reason_and_iteration(capsys, solver, cell):
+    # tau = 20 makes the 2D smoother diverge: solve_mg stops at the first
+    # non-finite residual and solve_pcg at an indefinite preconditioner,
+    # neither at max_iter
+    code = main(["table", "--dim", "2", "--degrees", "3", "--levels", "4",
+                 "--coarse", "1", "--tau", "20", "--solver", solver])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == f"level/degree,3\n4,{cell}\n"
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])

@@ -5,8 +5,38 @@ import pytest
 from splinemg import build_space, assemble_1d, eval_spline, \
     build_constraint_basis, verify_inverse_inequality, verify_counterexample, \
     verify_approximation_constant, measure_CA, measure_smoothing_constant, \
-    smoother_energy_norm, INVERSE_BOUND, APPROX_BOUND
-from splinemg.verify import _composite_prolongation, _sym_sqrt
+    smoother_energy_norm, smoother_pencil, INVERSE_BOUND, APPROX_BOUND
+from splinemg import cli
+from splinemg.verify import _composite_prolongation
+
+
+def _sym_sqrt(mat: np.ndarray, power: float = 0.5) -> np.ndarray:
+    w, v = np.linalg.eigh(mat)
+    w = np.clip(w, np.finfo(float).tiny, None)
+    return v @ np.diag(w**power) @ v.T
+
+
+def _approximation_oracle(p, level, proxy, constrained=True):
+    """||M^(1/2) (I - T) A^(-1/2)|| / h from two square roots and an SVD."""
+    coarse = build_space(p, level)
+    fine = build_space(p, level + proxy)
+    disc = assemble_1d(fine)
+    Af, Mf = disc.A.toarray(), disc.M.toarray()
+    Z = _composite_prolongation(p, level, level + proxy).toarray()
+    if constrained:
+        Z = Z @ build_constraint_basis(coarse).basis
+    T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
+    X = _sym_sqrt(Mf) @ (np.eye(fine.dim) - T) @ _sym_sqrt(Af, -0.5)
+    return np.linalg.svd(X, compute_uv=False)[0] / coarse.mesh_size
+
+
+def _CA_oracle(pencil):
+    """||L^(1/2) (I - T) A^(-1) L^(1/2)|| from a square root and an SVD."""
+    A, L = pencil.A, pencil.L_eff
+    T = pencil.P @ np.linalg.solve(pencil.A_c, pencil.P.T @ A)
+    Lhalf = _sym_sqrt(L)
+    X = Lhalf @ (np.eye(A.shape[0]) - T) @ np.linalg.solve(A, Lhalf)
+    return np.linalg.svd(0.5 * (X + X.T), compute_uv=False)[0]
 
 
 def test_constraint_basis_p1_is_full_space():
@@ -99,21 +129,25 @@ def test_approximation_projector_fixes_subspace():
 def test_approximation_constant_full_space_not_larger():
     # projecting onto the full spline space cannot be worse than onto the
     # constrained subspace
-    p, level, proxy = 2, 3, 3
-    coarse = build_space(p, level)
-    fine = build_space(p, level + proxy)
-    disc = assemble_1d(fine)
-    Af, Mf = disc.A.toarray(), disc.M.toarray()
-    P = _composite_prolongation(p, level, level + proxy).toarray()
+    full = _approximation_oracle(2, 3, 3, constrained=False)
+    assert full <= _approximation_oracle(2, 3, 3) + 1e-12
 
-    def const(Z):
-        T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
-        X = _sym_sqrt(Mf) @ (np.eye(fine.dim) - T) @ _sym_sqrt(Af, -0.5)
-        return np.linalg.svd(X, compute_uv=False)[0] / coarse.mesh_size
 
-    full = const(P)
-    constrained = const(P @ build_constraint_basis(coarse).basis)
-    assert full <= constrained + 1e-12
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_approximation_constant_matches_square_root_oracle(p, level):
+    value = verify_approximation_constant(p, level)
+    ref = _approximation_oracle(p, level, 4)
+    assert abs(value - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("d,level,degrees", [(1, 5, range(1, 9)),
+                                             (2, 3, range(1, 4))])
+def test_measure_CA_matches_square_root_oracle(d, level, degrees):
+    for p in degrees:
+        pencil = smoother_pencil(p, level, d=d)
+        ref = _CA_oracle(pencil)
+        assert abs(measure_CA(pencil) - ref) <= 1e-12 * ref
 
 
 def test_measure_CA_identical_spaces_is_zero():
@@ -132,26 +166,28 @@ def test_measure_CA_identical_spaces_is_zero():
 
 
 def test_measure_CA_bounded_sequence_1d():
-    values = [measure_CA(p, 5, d=1) for p in range(1, 7)]
+    values = [measure_CA(smoother_pencil(p, 5, d=1)) for p in range(1, 7)]
     assert max(values) <= 3.0 * values[0]
 
 
 def test_measure_CA_bounded_sequence_2d():
-    values = [measure_CA(p, 3, d=2) for p in range(1, 4)]
+    values = [measure_CA(smoother_pencil(p, 3, d=2)) for p in range(1, 4)]
     assert max(values) <= 3.0 * values[0]
 
 
 def test_smoothing_constant_bounded_by_inverse_tau():
     tau = 0.14
     for p in [1, 3, 6]:
+        pencil = smoother_pencil(p, 5, d=1, tau=tau)
         for nu in range(1, 9):
-            val = measure_smoothing_constant(p, 5, nu, d=1, tau=tau)
+            val = measure_smoothing_constant(pencil, nu)
             assert val <= 1.0 / tau + 1e-8
 
 
 def test_smoothing_norm_sequence_non_increasing():
     for p in [1, 4]:
-        norms = [measure_smoothing_constant(p, 5, nu, d=1) / nu
+        pencil = smoother_pencil(p, 5, d=1)
+        norms = [measure_smoothing_constant(pencil, nu) / nu
                  for nu in range(1, 9)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -159,17 +195,65 @@ def test_smoothing_norm_sequence_non_increasing():
 def test_smoothing_constant_2d():
     tau = 0.08
     for p in [1, 2]:
-        val = measure_smoothing_constant(p, 3, 1, d=2, tau=tau)
+        val = measure_smoothing_constant(smoother_pencil(p, 3, d=2, tau=tau),
+                                         1)
         assert val <= 1.0 / tau + 1e-8
 
 
 def test_smoother_energy_norm_at_most_one():
     for p in [1, 3, 6]:
-        assert smoother_energy_norm(p, 5, d=1) <= 1.0
-    assert smoother_energy_norm(2, 3, d=2) <= 1.0
+        assert smoother_energy_norm(smoother_pencil(p, 5, d=1)) <= 1.0
+    assert smoother_energy_norm(smoother_pencil(2, 3, d=2)) <= 1.0
 
 
 def test_corrupted_tau_violates_smoothing_bound():
     # with tau = 10 the bound 1/tau = 0.1 must be violated
-    val = measure_smoothing_constant(2, 5, 1, d=1, tau=10.0)
+    val = measure_smoothing_constant(smoother_pencil(2, 5, d=1, tau=10.0), 1)
     assert val > 1.0 / 10.0 + 1e-8
+
+
+def _count_pencils(monkeypatch):
+    built = []
+
+    def counting(p, level, d=1, tau=None):
+        built.append((p, level))
+        return smoother_pencil(p, level, d=d, tau=tau)
+
+    monkeypatch.setattr(cli, "smoother_pencil", counting)
+    return built
+
+
+def test_run_verify_builds_one_pencil_per_cell(monkeypatch):
+    built = _count_pencils(monkeypatch)
+    cli.run_verify(list(range(1, 9)), [4], d=1)
+    assert built == [(p, 4) for p in range(1, 9)]
+    # without p=1 in the range, one more pencil for the C_A reference
+    built.clear()
+    cli.run_verify([2, 3], [4], d=1)
+    assert built == [(2, 4), (3, 4), (1, 4)]
+
+
+@pytest.mark.parametrize("d,level,degrees", [(1, 4, range(1, 5)),
+                                             (2, 3, range(1, 3))])
+def test_run_verify_values_equal_the_public_functions(d, level, degrees):
+    report = {(r.name, r.degree): r.value
+              for r in cli.run_verify(list(degrees), [level], d=d)}
+    ca = {}
+    for p in degrees:
+        pencil = smoother_pencil(p, level, d=d)
+        assert report["smoothing-constant", p] == max(
+            measure_smoothing_constant(pencil, nu) for nu in range(1, 9))
+        assert report["smoother-energy-norm", p] == \
+            smoother_energy_norm(pencil)
+        ca[p] = measure_CA(pencil)
+        if d == 1:
+            res = verify_inverse_inequality(p, level)
+            assert report["inverse-inequality-constrained", p] == \
+                res.constrained
+            assert report["inverse-inequality-interior", p] == res.interior
+            assert report["counterexample-growth", p] == \
+                verify_counterexample(p, level)
+            assert report["approximation-constant", p] == \
+                verify_approximation_constant(p, level)
+    assert report["approximation-property-ratio", max(degrees)] == \
+        max(ca.values()) / ca[1]
