@@ -33,7 +33,6 @@ __all__ = [
     "run_table",
     "run_verify",
     "write_table",
-    "read_table_csv",
     "format_verify_report",
     "main",
 ]
@@ -175,21 +174,6 @@ def write_timings(result: TableResult, stream) -> None:
     for level, trow in zip(result.levels, result.timings):
         writer.writerow([str(level)] +
                         ["-" if t is None else f"{t:.6f}" for t in trow])
-
-
-def read_table_csv(stream) -> tuple[list[int], list[int], list[list[str]]]:
-    """Parse a table CSV back into (degrees, levels, cells)."""
-    rows = list(csv.reader(stream))
-    if not rows or rows[0][0] != "level/degree":
-        raise ValueError("not a table CSV: missing level/degree header")
-    degrees = [int(x) for x in rows[0][1:]]
-    levels, cells = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        levels.append(int(row[0]))
-        cells.append(row[1:])
-    return degrees, levels, cells
 
 
 # ------------------------------------------------------------------ verify

@@ -2,10 +2,15 @@
 
 The 1D smoother matrix is L = h^-2 M + C where C adds, on the 2p boundary
 coefficients, the Schur complement Q of the interior block of A (the energy
-of the discrete harmonic extension of the boundary coefficients). L couples
-the first and last p indices, so a plain band factorization would fill in;
-instead L^-1 is applied through a Sherman-Morrison-Woodbury identity around
-the banded Cholesky factor of M, which keeps every application at O(m p).
+of the discrete harmonic extension of the boundary coefficients). C couples
+the first and last p indices. In the folded order 0, m-1, 1, m-2, ... those
+2p indices come first and every entry of M lies within 2p of the diagonal,
+so L is a plain band matrix of bandwidth 2p: each 1D smoother matrix is one
+banded Cholesky factor, and a solve is a gather, two O(m p) substitutions
+and a scatter. The factor fills the band between indices k and m-1-k with
+entries that decay exponentially and underflow; they are zeroed, because
+every substitution would pay a slow floating-point assist on each
+subnormal.
 
 The 2D smoother matrix is the rank-corrected tensor square
 LL = h^2 (L (x) L - C (x) C). Expanded, it is the Kronecker sum
@@ -21,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import Discretization1D, Operator2D
-from .linalg import CholeskyFactor, KronSumSolver, cholesky
+from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
+    cholesky
 from .splines import IndexSplit, index_split
 
 __all__ = [
@@ -38,37 +44,6 @@ __all__ = [
     "smoother_matrix_1d",
     "smoother_matrix_2d",
 ]
-
-
-@dataclass
-class _CorrectedMassSolver:
-    """Applies (sigma * M + E Q E^T)^-1 at O(m p) per right-hand side.
-
-    E selects the boundary indices (left ascending, then right ascending).
-    Woodbury around sigma*M: the capacitance is Q^-1 + sigma^-1 (M^-1)_GG.
-    """
-
-    sigma: float
-    chol_M: CholeskyFactor
-    boundary: np.ndarray
-    Minv_E: np.ndarray                       # M^-1 E, dense m x 2p
-    chol_cap: CholeskyFactor
-
-    @classmethod
-    def build(cls, sigma: float, chol_M: CholeskyFactor, boundary: np.ndarray,
-              Minv_E: np.ndarray, Q: np.ndarray) -> "_CorrectedMassSolver":
-        Qinv = np.linalg.inv(Q)
-        cap = Qinv + Minv_E[boundary, :] / sigma
-        cap = 0.5 * (cap + cap.T)
-        return cls(sigma, chol_M, boundary, Minv_E,
-                   cholesky(cap, "smoother capacitance"))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs may be a vector or a matrix of column right-hand sides."""
-        y = self.chol_M.solve(rhs) / self.sigma
-        t = y[self.boundary]
-        s = self.chol_cap.solve(t)
-        return y - (self.Minv_E @ s) / self.sigma
 
 
 @dataclass
@@ -91,14 +66,21 @@ class _Boundary:
 
 @dataclass
 class Smoother1D(_Boundary):
-    """Precomputed factorizations for the 1D boundary-corrected smoother."""
+    """Banded Cholesky factors of the 1D smoother matrices in folded order."""
 
-    L_solver: _CorrectedMassSolver     # undamped L = h^-2 M + C
-    L_eff_solver: _CorrectedMassSolver = field(repr=False)  # tau^-1 h^-2 M + C
+    fold: np.ndarray                   # index at each folded position
+    L_solver: CholeskyFactor           # undamped L = h^-2 M + C
+    L_eff_solver: CholeskyFactor = field(repr=False)  # tau^-1 h^-2 M + C
+
+    def solve(self, factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+        """Apply the inverse of the folded ``factor``'s matrix to ``rhs``."""
+        out = np.empty_like(rhs, dtype=float)
+        out[self.fold] = factor.solve(rhs[self.fold])
+        return out
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
         """Update direction for one smoothing step applied to ``residual``."""
-        return self.L_eff_solver.solve(residual)
+        return self.solve(self.L_eff_solver, residual)
 
 
 @dataclass
@@ -131,22 +113,43 @@ def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
     is u += (tau^-1 h^-2 M + C)^-1 r.
     """
     b = _boundary(disc, tau)
-    bnd = b.split.boundary
-    chol_M = cholesky(disc.M, "mass matrix")
+    m, p = b.space_dim, disc.M.bandwidth
+    fold = np.empty(m, dtype=int)              # 0, m-1, 1, m-2, ...
+    fold[0::2] = np.arange((m + 1) // 2)
+    fold[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
+    pos = np.empty(m, dtype=int)
+    pos[fold] = np.arange(m)
 
-    E = np.zeros((b.space_dim, len(bnd)))
-    E[bnd, np.arange(len(bnd))] = 1.0
-    Minv_E = chol_M.solve(E)
+    def slots(rows, cols):         # folded band slots of the entries (i, j)
+        a, c = pos[rows], pos[cols]
+        return np.abs(a - c), np.minimum(a, c)
+
+    # one scatter of M's lower band and of Q's lower triangle; bandwidth 2p
+    k, j = np.nonzero(np.arange(p + 1)[:, None] + np.arange(m) < m)
+    mass = np.zeros((2 * p + 1, m))
+    mass[slots(j + k, j)] = disc.M.bands[k, j]
+    bnd = b.split.boundary
+    r, c = np.tril_indices(len(bnd))
+    correction = np.zeros_like(mass)
+    correction[slots(bnd[r], bnd[c])] = b.Q[r, c]
+
+    def factor(sigma: float, what: str) -> CholeskyFactor:
+        band = BandedSymMatrix(m, 2 * p, sigma * mass + correction)
+        chol = cholesky(band, what)
+        # the fill between k and m-1-k decays into subnormals; each one
+        # would cost a floating-point assist in every substitution
+        chol.factor[np.abs(chol.factor) < np.finfo(float).tiny] = 0.0
+        return chol
 
     sigma = b.mesh_size ** -2
-    L_solver = _CorrectedMassSolver.build(sigma, chol_M, bnd, Minv_E, b.Q)
-    L_eff_solver = _CorrectedMassSolver.build(sigma / tau, chol_M, bnd, Minv_E, b.Q)
-    return Smoother1D(**vars(b), L_solver=L_solver, L_eff_solver=L_eff_solver)
+    return Smoother1D(
+        **vars(b), fold=fold, L_solver=factor(sigma, "1D smoother matrix"),
+        L_eff_solver=factor(sigma / tau, "1D damped smoother matrix"))
 
 
 def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
     """Apply the inverse of the undamped smoother matrix L = h^-2 M + C."""
-    return s.L_solver.solve(np.asarray(r, dtype=float))
+    return s.solve(s.L_solver, np.asarray(r, dtype=float))
 
 
 def smooth_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,

@@ -95,10 +95,6 @@ class InverseInequalityResult:
     constrained: float         # over the odd-derivative-constrained space
     interior: float            # over the interior-coefficient block
 
-    @property
-    def bound(self) -> float:
-        return INVERSE_BOUND
-
 
 def dense_limit(d: int = 1) -> int:
     """Largest 1D dimension the dense paths accept for a ``d``-dim problem."""

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from splinemg import build_space, assemble_1d, operator_2d, index_split, \
     build_smoother_1d, build_smoother_2d, apply_Linv_1d, apply_Linv_2d, \
@@ -12,11 +13,13 @@ from splinemg.linalg import cholesky
 
 
 def _setup(p, n, tau=0.14):
-    level = int(np.log2(n))
-    assert 2**level == n
-    sp = build_space(p, level)
-    disc = assemble_1d(sp)
+    disc = assemble_1d(build_space(p, 0, n))   # n intervals, any n >= p + 1
     return disc, build_smoother_1d(disc, tau)
+
+
+def _backward_error(L, x, r):
+    """Normwise backward error ||L x - r|| / (||L|| ||x||) of a solve."""
+    return np.linalg.norm(L @ x - r) / (np.linalg.norm(L, 2) * np.linalg.norm(x))
 
 
 def _dense_blocks(disc):
@@ -89,15 +92,43 @@ def test_build_smoother_rejects_bad_input():
         build_smoother_1d(disc, -1.0)
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (1, 4), (3, 16), (4, 32)])
+# n = p + 1 is the tightest space (m = 2p + 1, the folded band is full);
+# m = n + p takes both parities; p = 30, n = 256 is l = 8
+@pytest.mark.parametrize("p,n", [(2, 8), (1, 4), (3, 16), (4, 32)] +
+                         [(p, p + 1) for p in (1, 2, 3, 7, 15, 30)] +
+                         [(p, p + 2) for p in (1, 2, 15)] + [(30, 256)])
 def test_apply_Linv_1d_matches_dense_solve(p, n):
     disc, sm = _setup(p, n)
-    L = smoother_matrix_1d(sm, disc)
     rng = np.random.default_rng(p * n)
     r = rng.standard_normal(disc.space.dim)
-    mine = apply_Linv_1d(sm, r)
-    ref = np.linalg.solve(L, r)
-    assert np.linalg.norm(mine - ref) <= 1e-10 * np.linalg.norm(ref)
+    for damped, x in [(False, apply_Linv_1d(sm, r)),
+                      (True, sm.step_direction(r))]:
+        L = smoother_matrix_1d(sm, disc, damped=damped)
+        assert _backward_error(L, x, r) <= 1e-15
+        # cond(L) reaches 2e14 at p = 30, which bounds the forward error
+        ref = np.linalg.solve(L, r)
+        assert np.linalg.norm(x - ref) <= \
+            1e-15 * np.linalg.cond(L) * np.linalg.norm(ref)
+    # the folded fill underflows at p = 3, l = 12 (3,085 subnormals)
+    if (p, n) == (3, 16):
+        _, sm = _setup(p, 4096)
+    for chol in (sm.L_solver, sm.L_eff_solver):
+        f = chol.factor
+        assert not np.any((f != 0) & (np.abs(f) < np.finfo(float).tiny))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pn=st.integers(1, 12).flatmap(
+           lambda p: st.tuples(st.just(p), st.integers(p + 1, 4 * p + 3))),
+       tau=st.floats(0.01, 1.0))
+def test_folded_solves_backward_stable(pn, tau):
+    p, n = pn
+    disc, sm = _setup(p, n, tau)
+    r = np.random.default_rng(n).standard_normal(disc.space.dim)
+    for damped, x in [(False, apply_Linv_1d(sm, r)),
+                      (True, sm.step_direction(r))]:
+        L = smoother_matrix_1d(sm, disc, damped=damped)
+        assert _backward_error(L, x, r) <= 1e-14
 
 
 @pytest.mark.parametrize("p,n", [(1, 8), (2, 8), (3, 32), (4, 32)])

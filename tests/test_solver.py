@@ -246,13 +246,15 @@ def test_pcg_preconditioner_symmetry():
 
 
 @pytest.mark.parametrize("solve", [solve_mg, solve_pcg])
-@pytest.mark.parametrize("p", [25, 30])
-def test_2d_high_degree_converges(solve, p):
-    # the automatic coarse level; the smoother and the coarse solve are
-    # exact Kronecker-sum inverses, so no capacitance or dense coarse
-    # Cholesky loses definiteness at these degrees
-    h = build_hierarchy(2, p, min_smoother_level(p) - 1, 6)
-    f = assemble_load(h.finest.space, 2)
+@pytest.mark.parametrize("d,p,level", [(2, 25, 6), (2, 30, 6), (1, 34, 9),
+                                       (1, 36, 9)],
+                         ids=["25", "30", "1d-34", "1d-36"])
+def test_2d_high_degree_converges(solve, d, p, level):
+    # the automatic coarse level; the 2D smoother and coarse solve are exact
+    # Kronecker-sum inverses and each 1D smoother matrix is one folded band
+    # factor, so no capacitance or dense coarse Cholesky loses definiteness
+    h = build_hierarchy(d, p, min_smoother_level(p) - 1, level)
+    f = assemble_load(h.finest.space, d)
     u0 = experiment_initial_guess(f.shape[0])
     u, rep = solve(h, V11, f, u0)
     assert rep.converged
