@@ -3,7 +3,8 @@
 Builds the 1D mass matrix M, stiffness matrix K and system matrix A = K + M
 with per-span Gauss-Legendre quadrature (exact for the polynomial integrands),
 plus load vectors for f(x) = d pi^2 prod_j sin(pi (x_j + 1/2)) and the
-2D operator K(x)M + M(x)K + M(x)M, applied factor-wise on dense 1D factors.
+2D operator K(x)M + M(x)K + M(x)M, applied factor-wise on block-banded 1D
+factors.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BandedSymMatrix, KronSumSolver, kron_apply
+from .linalg import BandedSymMatrix, BlockBandMatrix, KronSumSolver, \
+    kron_apply
 from .splines import SplineSpace, eval_basis_array
 
 __all__ = [
@@ -37,17 +39,19 @@ class Discretization1D:
 @dataclass
 class Operator2D:
     """v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors, applied as
-    K(x)M + M(x)A with A = K + M. The factors are held as dense m x m arrays,
-    so an apply is four BLAS matrix products; ``disc`` keeps the banded ones."""
+    K(x)M + M(x)A with A = K + M. The factors are held block-banded, so an
+    apply is four products that skip the zero blocks of each band; the dense
+    M serves the fast-diagonalization setups, and ``disc`` keeps the banded
+    forms."""
 
     disc: Discretization1D
-    K: np.ndarray = field(init=False, repr=False)
     M: np.ndarray = field(init=False, repr=False)
-    A: np.ndarray = field(init=False, repr=False)
+    factors: tuple[BlockBandMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.K, self.M = self.disc.K.toarray(), self.disc.M.toarray()
-        self.A = self.disc.A.toarray()
+        self.M = self.disc.M.toarray()
+        self.factors = tuple(BlockBandMatrix.from_dense(a) for a in (
+            self.disc.K.toarray(), self.M, self.disc.A.toarray()))
 
     @property
     def order(self) -> int:
@@ -58,16 +62,17 @@ class Operator2D:
         return (self.order, self.order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return kron_apply(self.K, self.M, v) + kron_apply(self.M, self.A, v)
+        K, M, A = self.factors
+        return kron_apply(K, M, v) + kron_apply(M, A, v)
 
     def direct_solver(self) -> KronSumSolver:
         """Fast-diagonalization inverse of M (x) B + B (x) M, B = K + M/2."""
-        return KronSumSolver.build(self.M, self.K + self.M / 2.0,
-                                   "2D system matrix")
+        B = self.disc.K.toarray() + self.M / 2.0
+        return KronSumSolver.build(self.M, B, "2D system matrix")
 
     def toarray(self) -> np.ndarray:
         """Dense matrix (verification sizes only)."""
-        K, M = self.K, self.M
+        K, M = self.disc.K.toarray(), self.M
         return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
 
 

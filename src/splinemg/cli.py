@@ -6,7 +6,8 @@ them as CSV or markdown; ``splinemg verify`` runs the spectral checks and
 reports one PASS/FAIL/SKIP line per check.
 
 Exit codes: 0 on success, 1 when any verification check fails or any
-requested table cell does not converge, 2 on configuration errors.
+requested table cell runs out of its iterations, 2 on configuration errors,
+3 when any table cell's solve stopped early (non-finite or breakdown).
 """
 from __future__ import annotations
 
@@ -90,6 +91,8 @@ class TableResult:
     cells: list[list[str]]              # counts, "-", ">N" or "reason@it"
     timings: list[list[float | None]]
     any_failure: bool = False
+    #: a solve stopped early: non-finite residual or CG breakdown
+    early_stop: bool = False
 
 
 @dataclass
@@ -123,7 +126,7 @@ def run_table(config: ExperimentConfig) -> TableResult:
     levels = sorted(set(config.levels), reverse=True)
     degrees = sorted(set(config.degrees))
     cells, timings = [], []
-    any_failure = False
+    any_failure = early_stop = False
     for level in levels:
         row, trow = [], []
         for p in degrees:
@@ -141,15 +144,17 @@ def run_table(config: ExperimentConfig) -> TableResult:
             trow.append(time.perf_counter() - start)
             if report.converged:
                 row.append(str(report.iterations))
-            else:
-                row.append(f">{cfg.max_iter}"
-                           if report.stop_reason == "max_iter" else
-                           f"{report.stop_reason}@{report.iterations}")
+            elif report.stop_reason == "max_iter":
+                row.append(f">{cfg.max_iter}")
                 any_failure = True
+            else:
+                row.append(f"{report.stop_reason}@{report.iterations}")
+                any_failure = early_stop = True
         cells.append(row)
         timings.append(trow)
     return TableResult(config=config, degrees=degrees, levels=levels,
-                       cells=cells, timings=timings, any_failure=any_failure)
+                       cells=cells, timings=timings, any_failure=any_failure,
+                       early_stop=early_stop)
 
 
 def write_table(result: TableResult, stream, fmt: str | None = None) -> None:
@@ -308,7 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "boundary-corrected mass smoother multigrid solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("table", help="run an iteration-count table")
+    t = sub.add_parser(
+        "table", help="run an iteration-count table",
+        epilog="exit codes: 0 every cell converged, 1 a cell ran out of "
+               "--max-iter (>N), 2 configuration error, 3 a cell's solve "
+               "stopped early (non-finite@k or breakdown@k); 3 wins over 1")
     t.add_argument("--dim", type=int, default=1, choices=(1, 2))
     t.add_argument("--degrees", default="1-15",
                    help="degree range, e.g. 1-15 or 2,3,5")
@@ -375,7 +384,7 @@ def main(argv=None) -> int:
                 write_timings(result, fh)
         else:
             write_table(result, sys.stdout)
-        return 1 if result.any_failure else 0
+        return 3 if result.early_stop else 1 if result.any_failure else 0
 
     try:
         results = run_verify(degrees, levels, d=args.dim, tau=args.tau)

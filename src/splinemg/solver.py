@@ -7,15 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import scipy.sparse
-
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d
-from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, cholesky
+from .linalg import BandedSymMatrix, BlockBandMatrix, CholeskyFactor, \
+    KronSumSolver, cholesky
 from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     build_smoother_2d, smooth_1d, smooth_2d
 from .splines import SplineSpace, build_space
-from .transfer import build_prolongation, prolong, prolong_2d, restrict, \
-    restrict_2d
+from .transfer import SparseEmbedding, build_prolongation, prolong, \
+    prolong_2d, restrict, restrict_2d
 
 __all__ = [
     "Level",
@@ -55,8 +54,8 @@ class Level:
     disc: Discretization1D
     op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
     smoother: Smoother1D | Smoother2D | None   # None on the coarsest level
-    # embedding from the next coarser level: CSR in 1D, dense m x m_c in 2D
-    P: scipy.sparse.csr_matrix | np.ndarray | None
+    # embedding from the next coarser level, held with its transpose
+    P: SparseEmbedding | BlockBandMatrix | None
     direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
 
@@ -165,9 +164,11 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
                 smoother = build_smoother_1d(disc, tau)
             else:
                 smoother = build_smoother_2d(op, tau)
-        P = build_prolongation(levels[-1].space, space) if levels else None
-        if P is not None and d == 2:
-            P = P.toarray()             # the 2D transfers run as GEMMs
+        P = None
+        if levels:
+            P = build_prolongation(levels[-1].space, space)
+            P = (SparseEmbedding(P) if d == 1
+                 else BlockBandMatrix.from_dense(P.toarray()))
         levels.append(Level(space=space, disc=disc, op=op, smoother=smoother, P=P))
 
     hier = MgHierarchy(dim=d, degree=p, coarse_level=coarse_level,

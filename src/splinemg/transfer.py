@@ -3,9 +3,13 @@
 The prolongation is the canonical embedding of the coarse space into the fine
 space: the matrix of knot insertion of all coarse-interval midpoints, built
 with the Oslo algorithm (discrete B-splines) over all rows at once. Restriction is the
-transpose; 2D transfers are Kronecker squares applied factor-wise.
+transpose, held once per hierarchy level with P (:class:`SparseEmbedding` in
+1D, :class:`~splinemg.linalg.BlockBandMatrix` in 2D); 2D transfers are
+Kronecker squares applied factor-wise.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -14,12 +18,28 @@ from .linalg import kron_apply
 from .splines import SplineSpace, find_span
 
 __all__ = [
+    "SparseEmbedding",
     "build_prolongation",
     "prolong",
     "restrict",
     "prolong_2d",
     "restrict_2d",
 ]
+
+
+@dataclass
+class SparseEmbedding:
+    """A CSR prolongation held with its CSR transpose, so that a restriction
+    forms no transpose per call."""
+
+    matrix: scipy.sparse.csr_matrix
+    T: scipy.sparse.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.shape, self.T = self.matrix.shape, self.matrix.T.tocsr()
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
 
 
 def build_prolongation(coarse: SplineSpace,
@@ -63,23 +83,23 @@ def build_prolongation(coarse: SplineSpace,
         (vals[nonzero], cols[nonzero], indptr), shape=(fine.dim, coarse.dim))
 
 
-def prolong(P: scipy.sparse.csr_matrix, coarse_vec: np.ndarray) -> np.ndarray:
+def prolong(P, coarse_vec: np.ndarray) -> np.ndarray:
     if coarse_vec.shape[0] != P.shape[1]:
         raise ValueError("coarse vector length mismatch")
     return P @ coarse_vec
 
 
-def restrict(P: scipy.sparse.csr_matrix, fine_vec: np.ndarray) -> np.ndarray:
+def restrict(P, fine_vec: np.ndarray) -> np.ndarray:
     if fine_vec.shape[0] != P.shape[0]:
         raise ValueError("fine vector length mismatch")
     return P.T @ fine_vec
 
 
-def prolong_2d(P: scipy.sparse.csr_matrix, coarse_vec: np.ndarray) -> np.ndarray:
+def prolong_2d(P, coarse_vec: np.ndarray) -> np.ndarray:
     """Apply P (x) P without materializing the Kronecker product."""
     return kron_apply(P, P, coarse_vec)
 
 
-def restrict_2d(P: scipy.sparse.csr_matrix, fine_vec: np.ndarray) -> np.ndarray:
+def restrict_2d(P, fine_vec: np.ndarray) -> np.ndarray:
     """Apply P^T (x) P^T without materializing the Kronecker product."""
     return kron_apply(P.T, P.T, fine_vec)

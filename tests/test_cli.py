@@ -190,11 +190,11 @@ def test_nonconvergent_cell_sets_exit_code(capsys):
 def test_early_stop_cell_shows_reason_and_iteration(capsys, solver, cell):
     # tau = 20 makes the 2D smoother diverge: solve_mg stops at the first
     # non-finite residual and solve_pcg at an indefinite preconditioner,
-    # neither at max_iter
+    # neither at max_iter; an early stop has its own exit code
     code = main(["table", "--dim", "2", "--degrees", "3", "--levels", "4",
                  "--coarse", "1", "--tau", "20", "--solver", solver])
     out = capsys.readouterr().out
-    assert code == 1
+    assert code == 3
     assert out == f"level/degree,3\n4,{cell}\n"
 
 

@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
-    kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d
+    kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
+    build_prolongation
+from splinemg.linalg import BLOCK_ROWS, BlockBandMatrix
 
 
 def _random_spd_banded(rng, m, b):
@@ -212,3 +214,45 @@ def test_operator_norm_matches_svd():
     q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     C = q @ np.diag(np.r_[1.0, 0.999, np.linspace(0.5, 0.01, 38)]) @ q.T
     assert abs(operator_norm(C) - 1.0) <= 1e-12
+
+
+def _random_band(m, p, seed):
+    i, j = np.indices((m, m))
+    a = np.random.default_rng(seed).standard_normal((m, m))
+    return np.where(np.abs(i - j) <= p, a, 0.0)
+
+
+def _zero_row_block():
+    a = _random_band(3 * BLOCK_ROWS + 5, 3, 2)
+    a[BLOCK_ROWS:2 * BLOCK_ROWS] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("a", [
+    _random_band(2 * BLOCK_ROWS + 6, 3, 0),
+    _random_band(BLOCK_ROWS - 12, 2, 1),
+    _zero_row_block(),
+    build_prolongation(build_space(4, 5), build_space(4, 6)).toarray(),
+], ids=["not-a-multiple", "below-one-block", "zero-row-block", "prolongation"])
+def test_block_band_product_matches_dense(a):
+    B = BlockBandMatrix.from_dense(a)
+    assert B.T.T is B
+    if len(a) > 2 * BLOCK_ROWS and not a[BLOCK_ROWS:2 * BLOCK_ROWS].any():
+        assert B.blocks[1][2].size == 0     # an all-zero row block stores none
+    rng = np.random.default_rng(3)
+    for op, dense in ((B, a), (B.T, a.T)):
+        n = dense.shape[1]
+        operands = (rng.standard_normal((n, 7)),       # C-contiguous
+                    rng.standard_normal((9, n)).T,     # transposed, strided
+                    rng.standard_normal(n))
+        for x in operands:
+            ref = dense @ x
+            assert np.linalg.norm(op @ x - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_block_band_symmetric_matrix_is_its_own_transpose():
+    a = _random_band(40, 2, 4)
+    B = BlockBandMatrix.from_dense(a + a.T)
+    assert B.T is B
+    C = BlockBandMatrix.from_dense(a)
+    assert C.T is not C and C.T.T is C

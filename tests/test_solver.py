@@ -7,6 +7,7 @@ import pytest
 from splinemg import assemble_load, build_hierarchy, build_prolongation, \
     min_smoother_level, mg_cycle, prolong_2d, restrict_2d, solve_mg, \
     solve_pcg, CycleConfig
+from splinemg.linalg import BLOCK_ROWS
 from splinemg.smoother import smoother_matrix_1d
 from splinemg.solver import experiment_initial_guess
 
@@ -58,8 +59,8 @@ def test_hierarchy_rejects_bad_levels():
 def test_hierarchy_galerkin_consistency():
     h = build_hierarchy(1, 2, 2, 4)
     for lo, hi in zip(h.levels, h.levels[1:]):
-        P = hi.P
-        proj = (P.T @ hi.disc.A.tocsr() @ P).toarray()
+        # the held restriction is the transpose of the CSR prolongation
+        proj = (hi.P.T @ hi.disc.A.tocsr() @ hi.P.matrix).toarray()
         ref = lo.disc.A.toarray()
         assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -94,7 +95,7 @@ def test_two_grid_error_propagation_matches_dense_oracle():
     m = fine.space.dim
     Af = fine.disc.A.toarray()
     Ac = coarse.disc.A.toarray()
-    P = fine.P.toarray()
+    P = fine.P.matrix.toarray()
     Ltau = smoother_matrix_1d(fine.smoother, fine.disc, damped=True)
     S = np.eye(m) - np.linalg.solve(Ltau, Af)
     T = P @ np.linalg.solve(Ac, P.T @ Af)
@@ -321,17 +322,36 @@ def test_solve_pcg_stops_on_indefinite_preconditioner():
     npt.assert_array_equal(u, u0)
 
 
-@pytest.mark.parametrize("p, level", [(3, 4), (8, 5)])
-def test_dense_2d_level_matches_kron_oracles(p, level):
-    # every 2D level holds dense factors and a dense P; check the operator
-    # apply and both transfers against np.kron built from the banded and
-    # CSR forms
+def _expand(B):
+    """Dense array from a BlockBandMatrix's stored blocks alone."""
+    out = np.zeros(B.shape)
+    for rows, cols, data in B.blocks:
+        out[rows, cols] = data
+    return out
+
+
+# (1, 1), (3, 2) and (7, 3) make the finest space tight, n = p + 1
+@pytest.mark.parametrize("p, level", [(1, 1), (1, 4), (3, 2), (3, 4), (7, 3),
+                                      (8, 5)])
+def test_block_band_2d_level_matches_kron_oracles(p, level):
+    # every 2D level holds block-banded factors and a block-banded P with
+    # its transpose; check their stored entries against the banded and CSR
+    # forms, and the operator apply and both transfers against np.kron
     h = build_hierarchy(2, p, min_smoother_level(p) - 1, level)
     rng = np.random.default_rng(p)
 
     def rel_err(x, ref):
         return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
+    def check_storage(B, dense):
+        npt.assert_array_equal(_expand(B), dense)
+        npt.assert_array_equal(_expand(B.T), dense.T)
+        assert B.T.T is B
+
+    for lvl in h.levels:
+        disc = lvl.disc
+        for B, banded in zip(lvl.op.factors, (disc.K, disc.M, disc.A)):
+            check_storage(B, banded.toarray())
     disc = h.finest.disc
     K, M, A = disc.K.toarray(), disc.M.toarray(), disc.A.toarray()
     v = rng.standard_normal(h.finest.op.order)
@@ -339,9 +359,19 @@ def test_dense_2d_level_matches_kron_oracles(p, level):
     assert rel_err(h.finest.op.apply(v), ref) <= 1e-13
     for coarse, fine in zip(h.levels, h.levels[1:]):
         P = build_prolongation(coarse.space, fine.space).toarray()
-        npt.assert_array_equal(fine.P, P)
+        check_storage(fine.P, P)
         PP = np.kron(P, P)
         c = rng.standard_normal(PP.shape[1])
         r = rng.standard_normal(PP.shape[0])
         assert rel_err(prolong_2d(fine.P, c), PP @ c) <= 1e-13
         assert rel_err(restrict_2d(fine.P, r), PP.T @ r) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1, 4, 15])
+def test_2d_levels_store_only_their_bands(p):
+    # a silent return to dense m x m storage breaks this bound once m > 2p + 33
+    h = build_hierarchy(2, p, min_smoother_level(p) - 1, 7)
+    for lvl in h.levels[1:]:
+        for B in (*lvl.op.factors, lvl.P, lvl.P.T):
+            stored = sum(data.size for _, _, data in B.blocks)
+            assert stored <= max(B.shape) * (BLOCK_ROWS + 2 * p + 1)

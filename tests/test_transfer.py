@@ -5,6 +5,7 @@ from scipy.special import binom
 
 from splinemg import build_space, assemble_1d, eval_spline, \
     build_prolongation, prolong, restrict, prolong_2d, restrict_2d, kron_apply
+from splinemg.transfer import SparseEmbedding
 
 
 def _pair(p, level):
@@ -60,6 +61,19 @@ def test_restrict_is_adjoint():
     f = rng.standard_normal(fi.dim)
     assert abs(prolong(P, c) @ f - c @ restrict(P, f)) <= 1e-13 * (
         1 + abs(c @ restrict(P, f)))
+
+
+def test_sparse_embedding_holds_the_restriction():
+    rng = np.random.default_rng(10)
+    co, fi = _pair(4, 4)
+    P = build_prolongation(co, fi)
+    E = SparseEmbedding(P)
+    assert E.T.format == "csr"
+    npt.assert_array_equal(E.T.toarray(), P.toarray().T)
+    c = rng.standard_normal(co.dim)
+    f = rng.standard_normal(fi.dim)
+    npt.assert_array_equal(prolong(E, c), prolong(P, c))
+    npt.assert_allclose(restrict(E, f), restrict(P, f), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("p,level", [(1, 3), (2, 2), (3, 2), (5, 3)])
