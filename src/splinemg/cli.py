@@ -7,7 +7,8 @@ reports one PASS/FAIL/SKIP line per check.
 
 Exit codes: 0 on success, 1 when any verification check fails or any
 requested table cell runs out of its iterations, 2 on configuration errors,
-3 when any table cell's solve stopped early (non-finite or breakdown).
+3 when any table cell's setup or solve stopped early (not-spd, non-finite
+or breakdown).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .assembly import assemble_load
+from .linalg import NotSPDError
 from .solver import CycleConfig, TAU_DEFAULT, build_hierarchy, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
 from .verify import APPROX_BOUND, INVERSE_BOUND, dense_limit, \
@@ -47,7 +49,7 @@ class ExperimentConfig:
     degrees: list[int]
     levels: list[int]
     coarse: int | str = "auto"          # fixed level or "auto"
-    cycle: str = "v"
+    cycle: str = "v"                    # "v" | "w" | "two-grid"
     pre_smooth: int = 1
     post_smooth: int = 1
     tau: float | None = None
@@ -76,7 +78,8 @@ class ExperimentConfig:
             self.coarse = int(self.coarse)
 
     def cycle_config(self) -> CycleConfig:
-        return CycleConfig(cycle=self.cycle, pre_smooth=self.pre_smooth,
+        cycle = "v" if self.cycle == "two-grid" else self.cycle
+        return CycleConfig(cycle=cycle, pre_smooth=self.pre_smooth,
                            post_smooth=self.post_smooth, tol=self.tol,
                            max_iter=self.max_iter)
 
@@ -91,7 +94,8 @@ class TableResult:
     cells: list[list[str]]              # counts, "-", ">N" or "reason@it"
     timings: list[list[float | None]]
     any_failure: bool = False
-    #: a solve stopped early: non-finite residual or CG breakdown
+    #: a setup broke down (not-spd@0) or a solve stopped early (non-finite
+    #: residual or CG breakdown)
     early_stop: bool = False
 
 
@@ -135,8 +139,16 @@ def run_table(config: ExperimentConfig) -> TableResult:
                 trow.append(None)
                 continue
             start = time.perf_counter()
-            hier = build_hierarchy(config.dim, p, _coarse_for(config, p),
-                                   level, config.tau)
+            coarse = (level - 1 if config.cycle == "two-grid"
+                      else _coarse_for(config, p))
+            try:
+                hier = build_hierarchy(config.dim, p, coarse, level,
+                                       config.tau)
+            except NotSPDError:
+                row.append("not-spd@0")
+                trow.append(time.perf_counter() - start)
+                any_failure = early_stop = True
+                continue
             f = assemble_load(hier.finest.space, config.dim)
             u0 = experiment_initial_guess(f.shape[0])
             solve = solve_pcg if config.solver == "cg-mg" else solve_mg
@@ -316,8 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser(
         "table", help="run an iteration-count table",
         epilog="exit codes: 0 every cell converged, 1 a cell ran out of "
-               "--max-iter (>N), 2 configuration error, 3 a cell's solve "
-               "stopped early (non-finite@k or breakdown@k); 3 wins over 1")
+               "--max-iter (>N), 2 configuration error, 3 a cell's setup lost "
+               "definiteness (not-spd@0) or its solve stopped early "
+               "(non-finite@k or breakdown@k); 3 wins over 1. --cycle "
+               "two-grid is a V-cycle on the hierarchy from level - 1; "
+               "--coarse only decides which of its cells are feasible")
     t.add_argument("--dim", type=int, default=1, choices=(1, 2))
     t.add_argument("--degrees", default="1-15",
                    help="degree range, e.g. 1-15 or 2,3,5")

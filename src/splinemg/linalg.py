@@ -59,12 +59,10 @@ class BandedSymMatrix:
         return out
 
     def toarray(self) -> np.ndarray:
+        k, j = np.nonzero(np.arange(self.bandwidth + 1)[:, None]
+                          + np.arange(self.order) < self.order)
         a = np.zeros((self.order, self.order))
-        for k in range(self.bandwidth + 1):
-            d = self.bands[k, :self.order - k]
-            a += np.diag(d, -k)
-            if k > 0:
-                a += np.diag(d, k)
+        a[j + k, j] = a[j, j + k] = self.bands[k, j]
         return a
 
     def tocsr(self) -> scipy.sparse.csr_matrix:
@@ -88,12 +86,9 @@ class BandedSymMatrix:
 
     def principal_submatrix(self, start: int, stop: int) -> "BandedSymMatrix":
         """Contiguous principal submatrix, band storage preserved."""
-        size = stop - start
-        b = min(self.bandwidth, size - 1)
-        sub = BandedSymMatrix.zeros(size, b)
-        for k in range(b + 1):
-            sub.bands[k, :size - k] = self.bands[k, start:start + size - k]
-        return sub
+        b = min(self.bandwidth, stop - start - 1)
+        return BandedSymMatrix(stop - start, b,
+                               self.bands[:b + 1, start:stop].copy())
 
     def rectangular_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense copy of an arbitrary (rows x cols) block, gathered from the
@@ -183,11 +178,8 @@ class CholeskyFactor:
         """Dense lower-triangular factor (test sizes only)."""
         if self.kind == "dense":
             return np.tril(self.factor)
-        b = self.factor.shape[0] - 1
-        a = np.zeros((self.order, self.order))
-        for k in range(b + 1):
-            a += np.diag(self.factor[k, :self.order - k], -k)
-        return a
+        return np.tril(BandedSymMatrix(self.order, self.factor.shape[0] - 1,
+                                       self.factor).toarray())
 
 
 def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> CholeskyFactor:

@@ -152,10 +152,10 @@ def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
     return s.solve(s.L_solver, np.asarray(r, dtype=float))
 
 
-def smooth_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
+def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray,
               r: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``steps`` smoothing iterations, carrying the residual along."""
-    A = disc.A
+    """Run ``steps`` smoothing iterations for the operator ``A``, carrying
+    the residual along."""
     u = np.array(u, dtype=float)
     r = np.array(r, dtype=float)
     for _ in range(steps):
@@ -169,7 +169,7 @@ def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
                    f: np.ndarray, steps: int = 1) -> np.ndarray:
     """Apply smoothing steps to the system A u = f, returning the new iterate."""
     r = f - disc.A.apply(u)
-    u, _ = smooth_1d(s, disc, u, r, steps)
+    u, _ = smooth_1d(s, disc.A, u, r, steps)
     return u
 
 

@@ -1,4 +1,6 @@
-"""Multigrid hierarchy, two-grid/V/W cycles, and V-cycle-preconditioned CG."""
+"""Multigrid hierarchy, V/W cycles (one recursion for d = 1 and d = 2; the
+two-grid method is a V-cycle on a two-level hierarchy), and V-cycle
+preconditioned CG."""
 from __future__ import annotations
 
 import math
@@ -48,14 +50,14 @@ def experiment_initial_guess(n: int) -> np.ndarray:
 
 @dataclass
 class Level:
-    """One grid level: space, operators, smoother, transfer from one coarser."""
+    """Grid level: operators plus smoother and transfer, or a direct solver."""
 
     space: SplineSpace
     disc: Discretization1D
     op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
-    smoother: Smoother1D | Smoother2D | None   # None on the coarsest level
+    smoother: Smoother1D | Smoother2D | None = None
     # embedding from the next coarser level, held with its transpose
-    P: SparseEmbedding | BlockBandMatrix | None
+    P: SparseEmbedding | BlockBandMatrix | None = None
     direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
 
@@ -79,14 +81,18 @@ class CycleConfig:
     """Cycle shape and stopping parameters (the damping parameter is baked
     into the hierarchy's smoothers)."""
 
-    cycle: str = "v"              # "two-grid" | "v" | "w"
+    cycle: str = "v"              # "v" | "w"
     pre_smooth: int = 1
     post_smooth: int = 1
     tol: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.cycle not in ("two-grid", "v", "w"):
+        if self.cycle == "two-grid":
+            raise ValueError(
+                "the two-grid method is a 'v' cycle on a two-level hierarchy "
+                "(coarse_level = fine_level - 1)")
+        if self.cycle not in ("v", "w"):
             raise ValueError(f"unknown cycle type {self.cycle!r}")
         if self.pre_smooth < 0 or self.post_smooth < 0:
             raise ValueError("smoothing step counts must be non-negative")
@@ -122,15 +128,6 @@ def min_smoother_level(p: int) -> int:
     return level
 
 
-def _direct_factor(level: Level) -> CholeskyFactor | KronSumSolver:
-    if level.direct is None:
-        op = level.op
-        level.direct = (cholesky(op, "coarse system matrix")
-                        if isinstance(op, BandedSymMatrix)
-                        else op.direct_solver())
-    return level.direct
-
-
 def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
                     tau: float | None = None) -> MgHierarchy:
     """Build spaces, operators, smoothers and transfers for the given levels.
@@ -157,43 +154,20 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     for lv in range(coarse_level, fine_level + 1):
         space = build_space(p, lv)
         disc = assemble_1d(space)
-        op = disc.A if d == 1 else operator_2d(disc)
-        smoother = None
-        if lv > coarse_level:
-            if d == 1:
-                smoother = build_smoother_1d(disc, tau)
-            else:
-                smoother = build_smoother_2d(op, tau)
-        P = None
-        if levels:
-            P = build_prolongation(levels[-1].space, space)
-            P = (SparseEmbedding(P) if d == 1
-                 else BlockBandMatrix.from_dense(P.toarray()))
-        levels.append(Level(space=space, disc=disc, op=op, smoother=smoother, P=P))
-
-    hier = MgHierarchy(dim=d, degree=p, coarse_level=coarse_level,
+        lvl = Level(space, disc, disc.A if d == 1 else operator_2d(disc))
+        if not levels:                  # the coarsest level: a direct solver
+            lvl.direct = (cholesky(lvl.op, "coarse system matrix") if d == 1
+                          else lvl.op.direct_solver())
+        elif d == 1:
+            lvl.smoother = build_smoother_1d(disc, tau)
+            lvl.P = SparseEmbedding(build_prolongation(levels[-1].space, space))
+        else:
+            lvl.smoother = build_smoother_2d(lvl.op, tau)
+            lvl.P = BlockBandMatrix.from_dense(
+                build_prolongation(levels[-1].space, space).toarray())
+        levels.append(lvl)
+    return MgHierarchy(dim=d, degree=p, coarse_level=coarse_level,
                        fine_level=fine_level, levels=levels)
-    _direct_factor(levels[0])
-    return hier
-
-
-def _smooth(h: MgHierarchy, idx: int, u, r, steps):
-    lvl = h.levels[idx]
-    if steps == 0:
-        return np.array(u, dtype=float), np.array(r, dtype=float)
-    if h.dim == 1:
-        return smooth_1d(lvl.smoother, lvl.disc, u, r, steps)
-    return smooth_2d(lvl.smoother, lvl.op, u, r, steps)
-
-
-def _restrict(h: MgHierarchy, idx: int, r: np.ndarray) -> np.ndarray:
-    P = h.levels[idx].P
-    return restrict(P, r) if h.dim == 1 else restrict_2d(P, r)
-
-
-def _prolong(h: MgHierarchy, idx: int, c: np.ndarray) -> np.ndarray:
-    P = h.levels[idx].P
-    return prolong(P, c) if h.dim == 1 else prolong_2d(P, c)
 
 
 def _checked_vector(name: str, v, n: int) -> np.ndarray:
@@ -210,27 +184,23 @@ def _checked_vector(name: str, v, n: int) -> np.ndarray:
 def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
              f: np.ndarray) -> np.ndarray:
     """One multigrid cycle at level index ``idx`` (0 = coarsest) for A u = f."""
+    lvl = h.levels[idx]
     if idx == 0:
-        return _direct_factor(h.levels[0]).solve(f)
-
-    A = h.levels[idx].op
-    r = f - A.apply(u)
-    u, r = _smooth(h, idx, u, r, cfg.pre_smooth)
-    rc = _restrict(h, idx, r)
-
-    if cfg.cycle == "two-grid" or idx == 1:
-        ec = _direct_factor(h.levels[idx - 1]).solve(rc)
-    elif cfg.cycle == "v":
-        ec = mg_cycle(h, cfg, idx - 1, np.zeros_like(rc), rc)
-    else:  # W-cycle: two successive corrections on the coarse problem
-        ec = mg_cycle(h, cfg, idx - 1, np.zeros_like(rc), rc)
+        return lvl.direct.solve(f)
+    # module globals read per call, so a tracer that wraps them sees each one
+    smooth, down, up = ((smooth_1d, restrict, prolong) if h.dim == 1
+                        else (smooth_2d, restrict_2d, prolong_2d))
+    A = lvl.op
+    u, r = smooth(lvl.smoother, A, u, f - A.apply(u), cfg.pre_smooth)
+    rc = down(lvl.P, r)
+    ec = np.zeros_like(rc)
+    # a W-cycle corrects twice, except above the coarsest level's exact solve
+    for _ in range(2 if cfg.cycle == "w" and idx > 1 else 1):
         ec = mg_cycle(h, cfg, idx - 1, ec, rc)
-
-    d = _prolong(h, idx, ec)
+    d = up(lvl.P, ec)
     u = u + d
     if cfg.post_smooth:
-        r = r - A.apply(d)
-        u, r = _smooth(h, idx, u, r, cfg.post_smooth)
+        u, r = smooth(lvl.smoother, A, u, r - A.apply(d), cfg.post_smooth)
     return u
 
 

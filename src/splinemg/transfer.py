@@ -1,11 +1,12 @@
 """Intergrid transfer for dyadically refined spline spaces.
 
-The prolongation is the canonical embedding of the coarse space into the fine
-space: the matrix of knot insertion of all coarse-interval midpoints, built
-with the Oslo algorithm (discrete B-splines) over all rows at once. Restriction is the
-transpose, held once per hierarchy level with P (:class:`SparseEmbedding` in
-1D, :class:`~splinemg.linalg.BlockBandMatrix` in 2D); 2D transfers are
-Kronecker squares applied factor-wise.
+The prolongation is the canonical embedding of the coarse space into a fine
+space with 2^k times its intervals: the matrix of knot insertion, built with
+the Oslo algorithm (discrete B-splines) over all rows at once (k = 1 in the
+hierarchy, k = proxy_levels in verify). Restriction is the transpose, held
+once per hierarchy level with P (:class:`SparseEmbedding` in 1D,
+:class:`~splinemg.linalg.BlockBandMatrix` in 2D); 2D transfers are Kronecker
+squares applied factor-wise.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import kron_apply
-from .splines import SplineSpace, find_span
+from .splines import SplineSpace
 
 __all__ = [
     "SparseEmbedding",
@@ -44,23 +45,26 @@ class SparseEmbedding:
 
 def build_prolongation(coarse: SplineSpace,
                        fine: SplineSpace) -> scipy.sparse.csr_matrix:
-    """Canonical embedding matrix (fine.dim x coarse.dim) for one dyadic
-    refinement step.
+    """Canonical embedding matrix (fine.dim x coarse.dim) for a fine space
+    with 2^k times the coarse intervals, k >= 1.
 
     Row i holds the discrete B-splines b_{mu-p..mu, p}(i) of the coarse knots
-    t on the fine knots tau, where mu is the coarse span of tau[i]; the Oslo
-    recurrence runs once over all rows.
+    t on the fine knots tau, where mu is the coarse span of tau[i], counted
+    in integers (with 3 * 2^l intervals a rounded knot can fall below its
+    breakpoint); the Oslo recurrence runs once over all rows.
     """
     if coarse.degree != fine.degree:
         raise ValueError(
             f"degree mismatch: coarse {coarse.degree}, fine {fine.degree}")
-    if fine.intervals != 2 * coarse.intervals:
+    ratio, rest = divmod(fine.intervals, coarse.intervals)
+    if rest or ratio < 2 or ratio & (ratio - 1):
         raise ValueError(
             "refinement must be dyadic: fine intervals "
-            f"{fine.intervals} != 2 * {coarse.intervals}")
+            f"{fine.intervals} != 2^k * {coarse.intervals}, k >= 1")
     p = coarse.degree
     t, tau = coarse.knots, fine.knots
-    mu = find_span(coarse, tau[:fine.dim])
+    mu = p + np.minimum(np.maximum(np.arange(fine.dim) - p, 0) // ratio,
+                        coarse.intervals - 1)
 
     vals = np.zeros((p + 1, fine.dim))
     vals[0] = 1.0

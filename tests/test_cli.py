@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from splinemg.cli import ExperimentConfig, run_table, run_verify, \
-    write_table, format_verify_report, main, _parse_range
+    write_table, format_verify_report, main, _cell_feasible, _parse_range
 from splinemg.verify import dense_limit, smoother_pencil
 
 
@@ -196,6 +196,36 @@ def test_early_stop_cell_shows_reason_and_iteration(capsys, solver, cell):
     out = capsys.readouterr().out
     assert code == 3
     assert out == f"level/degree,3\n4,{cell}\n"
+
+
+def test_setup_breakdown_marks_its_cell_and_the_table_goes_on(capsys):
+    # p = 37 loses definiteness in the 2D setup (NotSPDError); that cell
+    # reads not-spd@0 and the converged p = 30 cell is kept
+    code = main(["table", "--dim", "2", "--degrees", "30,37", "--levels", "6"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert out[0] == "level/degree,30,37"
+    level, p30, p37 = out[1].split(",")
+    assert level == "6" and p30.isdigit() and p37 == "not-spd@0"
+
+
+@pytest.mark.parametrize("dim, degrees, levels, coarse", [
+    (1, [1, 2, 3, 4, 5, 8], [3, 4, 6], 2),
+    (2, [1, 2, 3, 4], [2, 3, 4], "auto"),
+])
+def test_two_grid_table_is_v_cycle_on_two_levels(dim, degrees, levels, coarse):
+    # --coarse decides which cells are feasible; each feasible cell solves
+    # on the two-level hierarchy from level - 1
+    two_grid = run_table(ExperimentConfig(dim=dim, degrees=degrees,
+                                          levels=levels, coarse=coarse,
+                                          cycle="two-grid"))
+    assert "-" in two_grid.cells[0] + two_grid.cells[-1]
+    for level, row in zip(two_grid.levels, two_grid.cells):
+        v = run_table(ExperimentConfig(dim=dim, degrees=degrees,
+                                       levels=[level], coarse=level - 1))
+        for p, cell, v_cell in zip(degrees, row, v.cells[0]):
+            assert cell == ("-" if not _cell_feasible(two_grid.config, p, level)
+                            else v_cell)
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])

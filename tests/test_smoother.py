@@ -180,7 +180,7 @@ def test_incremental_residual_consistency_1d():
     u = rng.standard_normal(disc.space.dim)
     f = rng.standard_normal(disc.space.dim)
     r = f - disc.A.apply(u)
-    u10, r10 = smooth_1d(sm, disc, u, r, 10)
+    u10, r10 = smooth_1d(sm, disc.A, u, r, 10)
     recomputed = f - disc.A.apply(u10)
     assert np.linalg.norm(r10 - recomputed) <= 1e-11 * np.linalg.norm(f)
 

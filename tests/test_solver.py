@@ -32,6 +32,7 @@ def test_hierarchy_structure_1d():
     assert h.levels[0].P is None
     assert all(lv.P is not None for lv in h.levels[1:])
     assert h.levels[0].direct is not None
+    assert all(lv.direct is None for lv in h.levels[1:])
 
 
 def test_hierarchy_auto_coarse_rule_p4():
@@ -68,6 +69,9 @@ def test_hierarchy_galerkin_consistency():
 def test_cycle_config_validation():
     with pytest.raises(ValueError):
         CycleConfig(cycle="x")
+    with pytest.raises(ValueError, match="two-level hierarchy .*"
+                                         "coarse_level = fine_level - 1"):
+        CycleConfig(cycle="two-grid")
     with pytest.raises(ValueError):
         CycleConfig(pre_smooth=0, post_smooth=0)
     with pytest.raises(ValueError):
@@ -86,11 +90,31 @@ def test_coarsest_level_cycle_is_direct_solve():
         npt.assert_allclose(h.levels[0].op.apply(u), f, atol=1e-11)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("cycle, solves", [("v", 1), ("w", 4)])
+def test_coarse_solves_per_cycle_on_four_levels(d, cycle, solves):
+    # four levels: a V-cycle solves on the coarsest level once, a W-cycle
+    # 2^(4-2) times, since at level 1 one exact coarse solve is enough
+    h = build_hierarchy(d, 2, 1, 4)
+    direct = h.levels[0].direct
+    calls = []
+
+    def counting_solve(rhs):
+        calls.append(rhs.shape)
+        return type(direct).solve(direct, rhs)
+
+    direct.solve = counting_solve
+    n = h.finest.space.dim ** d
+    mg_cycle(h, CycleConfig(cycle=cycle), 3, np.zeros(n), np.ones(n))
+    assert calls == [(h.levels[0].space.dim ** d,)] * solves
+
+
 def test_two_grid_error_propagation_matches_dense_oracle():
-    # (I - T) S^nu with nu post = 0, p=2, 1D, n_fine = 16
+    # (I - T) S^nu with nu post = 0, p=2, 1D, n_fine = 16: the V-cycle on
+    # a two-level hierarchy is the two-grid method
     p = 2
     h = build_hierarchy(1, p, 3, 4)
-    cfg = CycleConfig(cycle="two-grid", pre_smooth=1, post_smooth=0)
+    cfg = CycleConfig(cycle="v", pre_smooth=1, post_smooth=0)
     fine, coarse = h.levels[1], h.levels[0]
     m = fine.space.dim
     Af = fine.disc.A.toarray()
@@ -109,14 +133,14 @@ def test_two_grid_error_propagation_matches_dense_oracle():
     npt.assert_allclose(E, E_ref, atol=1e-10)
 
 
-def test_w_cycle_on_two_levels_equals_two_grid():
+def test_w_cycle_on_two_levels_equals_v_cycle():
     h = build_hierarchy(1, 2, 3, 4)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(h.finest.space.dim)
     u0 = rng.standard_normal(f.shape[0])
     w = mg_cycle(h, CycleConfig(cycle="w"), 1, u0, f)
-    tg = mg_cycle(h, CycleConfig(cycle="two-grid"), 1, u0, f)
-    npt.assert_allclose(w, tg, atol=1e-12)
+    v = mg_cycle(h, CycleConfig(cycle="v"), 1, u0, f)
+    npt.assert_allclose(w, v, atol=1e-12)
 
 
 def test_solve_zero_rhs_zero_guess():
@@ -162,7 +186,7 @@ def test_two_grid_energy_monotonicity():
     # symmetric smoothing: energy norm of the error never increases
     p = 2
     h = build_hierarchy(1, p, 3, 4)
-    cfg = CycleConfig(cycle="two-grid", pre_smooth=1, post_smooth=1)
+    cfg = CycleConfig(cycle="v", pre_smooth=1, post_smooth=1)
     fine = h.levels[1]
     Af = fine.disc.A.toarray()
     rng = np.random.default_rng(2)

@@ -122,9 +122,40 @@ def test_degree_mismatch_rejected():
         build_prolongation(build_space(2, 1), build_space(3, 2))
 
 
-def test_non_dyadic_rejected():
+@pytest.mark.parametrize("coarse, fine", [
+    ((2, 2), (2, 1)),          # the "coarse" space is the finer one
+    ((2, 1), (2, 1)),          # no refinement
+    ((2, 0, 2), (2, 0, 6)),    # 3x the intervals: not 2^k
+], ids=["coarse-finer", "same", "ratio-3"])
+def test_non_nested_pair_rejected(coarse, fine):
     with pytest.raises(ValueError, match="dyadic"):
-        build_prolongation(build_space(2, 1), build_space(2, 3))
+        build_prolongation(build_space(*coarse), build_space(*fine))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 11])
+@pytest.mark.parametrize("k", [2, 4])
+def test_multi_level_embedding_is_product_of_steps(p, k):
+    coarse = build_space(p, 1)
+    steps = np.eye(coarse.dim)
+    for lev in range(1, 1 + k):
+        steps = build_prolongation(build_space(p, lev),
+                                   build_space(p, lev + 1)) @ steps
+    P = build_prolongation(coarse, build_space(p, 1 + k)).toarray()
+    npt.assert_allclose(P, steps, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_embedding_exact_when_intervals_not_power_of_two(p, k):
+    # 3 * 2^l intervals: knots such as 7 * (1/24) round below their
+    # breakpoint, so the coarse span must not come from floor(x * n)
+    rng = np.random.default_rng(p)
+    co, fi = build_space(p, 2, 3), build_space(p, 2 + k, 3)
+    c = rng.standard_normal(co.dim)
+    fc = build_prolongation(co, fi) @ c
+    for x in np.linspace(0.0, 1.0, 97):
+        assert abs(eval_spline(fi, fc, float(x)) -
+                   eval_spline(co, c, float(x))) <= 1e-13
 
 
 def test_2d_transfer_matches_dense_kron():
