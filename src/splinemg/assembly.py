@@ -116,8 +116,7 @@ def assemble_1d(space: SplineSpace, quad_nodes: int | None = None) -> Discretiza
     p, m = space.degree, space.dim
     q = quad_nodes if quad_nodes is not None else p + 1
     _, weights, classes, vals = _span_classes(space, q, 1)
-    w = weights[0]                      # the same rule on every span
-    spans = np.arange(space.intervals)
+    w, n = weights[0], space.intervals  # the same rule on every span
 
     def assemble(order: int) -> BandedSymMatrix:
         v = vals[:, :, order, :]
@@ -125,7 +124,7 @@ def assemble_1d(space: SplineSpace, quad_nodes: int | None = None) -> Discretiza
         mat = BandedSymMatrix.zeros(m, p)
         for a in range(p + 1):
             for b in range(a + 1):
-                np.add.at(mat.bands[a - b], spans + b, loc[classes, a, b])
+                mat.bands[a - b, b:b + n] += loc[classes, a, b]
         return mat
 
     M, K = assemble(0), assemble(1)
@@ -148,15 +147,15 @@ def apply_operator_2d(op: Operator2D, v: np.ndarray) -> np.ndarray:
 
 def _cosine_moments(space: SplineSpace) -> np.ndarray:
     """g_i = integral of cos(pi x) phi_i(x), Gauss rule with p+3 nodes."""
-    p, m, q = space.degree, space.dim, space.degree + 3
+    p, n, q = space.degree, space.intervals, space.degree + 3
     nodes, weights, classes, vals = _span_classes(space, q, 0)
     wcos = weights * np.cos(np.pi * nodes)          # (spans, nodes)
     # summed node by node, so no (spans, nodes, p + 1) array is formed
     contrib = sum(wcos[:, k, None] * vals[classes, k, 0] for k in range(q))
 
-    g = np.zeros(m)
+    g = np.zeros(space.dim)
     for b in range(p + 1):
-        np.add.at(g, np.arange(space.intervals) + b, contrib[:, b])
+        g[b:b + n] += contrib[:, b]
     return g
 
 

@@ -6,15 +6,15 @@ them as CSV or markdown; ``splinemg verify`` runs the spectral checks and
 reports one PASS/FAIL/SKIP line per check.
 
 Exit codes: 0 on success, 1 when any verification check fails or any
-requested table cell runs out of its iterations, 2 on configuration errors,
-3 when any table cell's setup or solve stopped early (not-spd, non-finite
-or breakdown).
+requested table cell runs out of its iterations, 2 on configuration errors
+(an unwritable ``--out`` among them, found before any cell is solved), 3
+when any table cell's setup or solve stopped early (not-spd, non-finite or
+breakdown).
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from .assembly import assemble_load
 from .linalg import NotSPDError
-from .solver import CycleConfig, TAU_DEFAULT, build_hierarchy, \
-    experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
-from .verify import APPROX_BOUND, INVERSE_BOUND, dense_limit, \
+from .smoother import damping
+from .solver import CycleConfig, build_hierarchy, experiment_initial_guess, \
+    min_smoother_level, solve_mg, solve_pcg
+from .verify import APPROX_BOUND, INVERSE_BOUND, PROXY_LEVELS, dense_limit, \
     measure_CA, measure_smoothing_constant, smoother_energy_norm, \
     smoother_pencil, verify_approximation_constant, verify_counterexample, \
     verify_inverse_inequality
@@ -60,16 +61,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
+        self.tau = damping(self.dim, self.tau)
         if not self.degrees or not self.levels:
             raise ValueError("degree and level ranges must be non-empty")
-        if self.tau is None:
-            self.tau = TAU_DEFAULT[self.dim]
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
+        self.cycle_config()
         if self.solver not in ("mg", "cg-mg"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.fmt not in ("csv", "markdown"):
@@ -210,13 +205,9 @@ def _check(name, p, level, value, bound, kind) -> CheckResult:
 def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                tau: float | None = None) -> list[CheckResult]:
     """Run the spectral verification suite over ranges of (p, level)."""
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    tau = damping(d, tau)
     if not degrees or not levels:
         raise ValueError("degree and level ranges must be non-empty")
-    tau_eff = TAU_DEFAULT[d] if tau is None else tau
-    if not 0.0 < tau_eff < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau_eff}")
     results: list[CheckResult] = []
     for level in sorted(set(levels)):
         n = 2**level
@@ -242,7 +233,7 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                 results.append(_check("counterexample-growth", p, level,
                                       verify_counterexample(p, level),
                                       float(p), "lower"))
-                proxy_dim = n * 2**4 + p
+                proxy_dim = n * 2**PROXY_LEVELS + p
                 if proxy_dim <= dense_limit():
                     results.append(_check(
                         "approximation-constant", p, level,
@@ -251,31 +242,25 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                 else:
                     results.append(_skip("approximation-constant", p, level,
                                          "proxy space beyond dense limit"))
-            if n <= p or level < 1:
+            if n <= p:
                 results.append(_skip("smoothing-constant", p, level,
                                      "no valid coarse/fine smoother pair"))
                 continue
-            pencil = smoother_pencil(p, level, d=d, tau=tau_eff)
+            pencil = smoother_pencil(p, level, d=d, tau=tau)
             worst = max(measure_smoothing_constant(pencil, nu)
                         for nu in range(1, 9))
             results.append(_check("smoothing-constant", p, level, worst,
-                                  1.0 / tau_eff + 1e-8, "upper"))
+                                  1.0 / tau + 1e-8, "upper"))
             results.append(_check("smoother-energy-norm", p, level,
                                   smoother_energy_norm(pencil), 1.0, "upper"))
             ca_values[p] = measure_CA(pencil)
         if ca_values:
-            ref = ca_values.get(1)
-            if ref is None:
-                try:
-                    ref = measure_CA(smoother_pencil(1, level, d=d,
-                                                     tau=tau_eff))
-                except ValueError:
-                    ref = None
-            if ref:
-                results.append(_check("approximation-property-ratio",
-                                      max(ca_values), level,
-                                      max(ca_values.values()) / ref,
-                                      3.0, "upper"))
+            # any p that fits here makes p = 1 fit too
+            ref = ca_values[1] if 1 in ca_values else measure_CA(
+                smoother_pencil(1, level, d=d, tau=tau))
+            results.append(_check("approximation-property-ratio",
+                                  max(ca_values), level,
+                                  max(ca_values.values()) / ref, 3.0, "upper"))
     return results
 
 
@@ -328,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser(
         "table", help="run an iteration-count table",
         epilog="exit codes: 0 every cell converged, 1 a cell ran out of "
-               "--max-iter (>N), 2 configuration error, 3 a cell's setup lost "
-               "definiteness (not-spd@0) or its solve stopped early "
+               "--max-iter (>N), 2 configuration error (an unwritable --out "
+               "included, found before any cell is solved), 3 a cell's setup "
+               "lost definiteness (not-spd@0) or its solve stopped early "
                "(non-finite@k or breakdown@k); 3 wins over 1. --cycle "
                "two-grid is a V-cycle on the hierarchy from level - 1; "
                "--coarse only decides which of its cells are feasible")
@@ -344,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--pre", type=int, default=1, help="pre-smoothing steps")
     t.add_argument("--post", type=int, default=1, help="post-smoothing steps")
     t.add_argument("--tau", type=float, default=None,
-                   help="damping parameter (default 0.14 in 1D, 0.08 in 2D)")
+                   help=f"damping parameter (default {damping(1)} in 1D, "
+                        f"{damping(2)} in 2D)")
     t.add_argument("--solver", default="mg", choices=("mg", "cg-mg"))
     t.add_argument("--tol", type=float, default=1e-8)
     t.add_argument("--max-iter", type=int, default=500)
@@ -364,50 +351,43 @@ def _timing_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".timing.csv"
 
 
+def _run(args) -> int:
+    """Run the parsed command and return its exit code."""
+    degrees, levels = _parse_range(args.degrees), _parse_range(args.levels)
+    if args.command == "verify":
+        results = run_verify(degrees, levels, d=args.dim, tau=args.tau)
+        sys.stdout.write(format_verify_report(results))
+        return 1 if any(r.status == "FAIL" for r in results) else 0
+    config = ExperimentConfig(
+        dim=args.dim, degrees=degrees, levels=levels, coarse=args.coarse,
+        cycle=args.cycle, pre_smooth=args.pre, post_smooth=args.post,
+        tau=args.tau, solver=args.solver, tol=args.tol,
+        max_iter=args.max_iter, fmt=args.fmt, out=args.out)
+    if config.out:                      # writable? (append truncates nothing)
+        for path in (config.out, _timing_path(config.out)):
+            open(path, "a", encoding="utf-8").close()
+    result = run_table(config)
+    if config.out:
+        with open(config.out, "w", encoding="utf-8") as fh:
+            write_table(result, fh)
+        with open(_timing_path(config.out), "w", encoding="utf-8") as fh:
+            write_timings(result, fh)
+    else:
+        write_table(result, sys.stdout)
+    return 3 if result.early_stop else 1 if result.any_failure else 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
     try:
-        if args.command == "table":
-            config = ExperimentConfig(
-                dim=args.dim, degrees=_parse_range(args.degrees),
-                levels=_parse_range(args.levels), coarse=args.coarse,
-                cycle=args.cycle, pre_smooth=args.pre, post_smooth=args.post,
-                tau=args.tau, solver=args.solver, tol=args.tol,
-                max_iter=args.max_iter, fmt=args.fmt, out=args.out)
-        else:
-            degrees = _parse_range(args.degrees)
-            levels = _parse_range(args.levels)
-    except (ValueError, TypeError) as exc:
+        return _run(args)
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "table":
-        try:
-            result = run_table(config)
-        except ValueError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        if config.out:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                write_table(result, fh)
-            with open(_timing_path(config.out), "w", encoding="utf-8") as fh:
-                write_timings(result, fh)
-        else:
-            write_table(result, sys.stdout)
-        return 3 if result.early_stop else 1 if result.any_failure else 0
-
-    try:
-        results = run_verify(degrees, levels, d=args.dim, tau=args.tau)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(format_verify_report(results))
-    return 1 if any(r.status == "FAIL" for r in results) else 0
 
 
 if __name__ == "__main__":

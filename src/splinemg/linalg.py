@@ -44,7 +44,7 @@ class BandedSymMatrix:
     order: int
     bandwidth: int
     bands: np.ndarray
-    _csr: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
+    _csr: scipy.sparse.csr_array | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, order: int, bandwidth: int) -> "BandedSymMatrix":
@@ -65,19 +65,12 @@ class BandedSymMatrix:
         a[j + k, j] = a[j, j + k] = self.bands[k, j]
         return a
 
-    def tocsr(self) -> scipy.sparse.csr_matrix:
+    def tocsr(self) -> scipy.sparse.csr_array:
         if self._csr is None:
-            diags = []
-            offsets = []
-            for k in range(self.bandwidth + 1):
-                d = self.bands[k, :self.order - k]
-                diags.append(d)
-                offsets.append(-k)
-                if k > 0:
-                    diags.append(d)
-                    offsets.append(k)
+            offsets = np.arange(-self.bandwidth, self.bandwidth + 1)
+            diags = [self.bands[abs(k), :self.order - abs(k)] for k in offsets]
             self._csr = scipy.sparse.diags_array(
-                diags, offsets=offsets, shape=(self.order, self.order)).tocsr()
+                diags, offsets=offsets, shape=self.shape).tocsr()
         return self._csr
 
     def apply(self, x: np.ndarray) -> np.ndarray:

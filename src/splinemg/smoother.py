@@ -43,7 +43,27 @@ __all__ = [
     "smooth_2d",
     "smoother_matrix_1d",
     "smoother_matrix_2d",
+    "TAU_DEFAULT",
+    "damping",
 ]
+
+#: damping parameters used in the reference experiments, per dimension
+TAU_DEFAULT = {1: 0.14, 2: 0.08}
+
+
+def damping(d: int, tau: float | None = None) -> float:
+    """The damping parameter of a ``d``-dim smoother: ``tau``, or the
+    reference experiments' value for ``d`` when it is None.
+
+    Raises ValueError unless d is 1 or 2 and tau is positive and finite.
+    """
+    if d not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    tau = TAU_DEFAULT[d] if tau is None else tau
+    if not 0.0 < tau < np.inf:
+        raise ValueError(
+            f"damping parameter tau must be positive and finite, got {tau}")
+    return tau
 
 
 @dataclass
@@ -92,9 +112,6 @@ class Smoother2D(_Boundary):
 
 def _boundary(disc: Discretization1D, tau: float) -> _Boundary:
     """Data both smoothers share; Q is the Schur complement of A_II in A."""
-    if not 0.0 < tau < np.inf:
-        raise ValueError(
-            f"damping parameter must be positive and finite, got {tau}")
     space = disc.space
     split = index_split(space)          # raises when the interior is empty
     gg = disc.A.rectangular_block(split.boundary, split.boundary)
@@ -112,7 +129,7 @@ def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
     The damping scales only the mass part of the smoother matrix: one step
     is u += (tau^-1 h^-2 M + C)^-1 r.
     """
-    b = _boundary(disc, tau)
+    b = _boundary(disc, damping(1, tau))
     m, p = b.space_dim, disc.M.bandwidth
     fold = np.empty(m, dtype=int)              # 0, m-1, 1, m-2, ...
     fold[0::2] = np.arange((m + 1) // 2)
@@ -144,7 +161,7 @@ def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
     sigma = b.mesh_size ** -2
     return Smoother1D(
         **vars(b), fold=fold, L_solver=factor(sigma, "1D smoother matrix"),
-        L_eff_solver=factor(sigma / tau, "1D damped smoother matrix"))
+        L_eff_solver=factor(sigma / b.tau, "1D damped smoother matrix"))
 
 
 def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
@@ -180,7 +197,7 @@ def build_smoother_2d(op: Operator2D, tau: float) -> Smoother2D:
     LL = h^2 (L (x) L - C (x) C) is the Kronecker sum M (x) B + B (x) M with
     B = h^-2 M / 2 + C, inverted exactly by fast diagonalization.
     """
-    b = _boundary(op.disc, tau)
+    b = _boundary(op.disc, damping(2, tau))
     B = op.M / (2.0 * b.mesh_size**2) + b.correction()
     return Smoother2D(**vars(b), solver=KronSumSolver.build(
         op.M, B, "2D smoother matrix"))

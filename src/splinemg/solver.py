@@ -12,8 +12,8 @@ import numpy as np
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d
 from .linalg import BandedSymMatrix, BlockBandMatrix, CholeskyFactor, \
     KronSumSolver, cholesky
-from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
-    build_smoother_2d, smooth_1d, smooth_2d
+from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
+    build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
 from .splines import SplineSpace, build_space
 from .transfer import SparseEmbedding, build_prolongation, prolong, \
     prolong_2d, restrict, restrict_2d
@@ -31,10 +31,6 @@ __all__ = [
     "solve_mg",
     "solve_pcg",
 ]
-
-#: damping parameters used in the reference experiments, per dimension
-TAU_DEFAULT = {1: 0.14, 2: 0.08}
-
 
 def experiment_initial_guess(n: int) -> np.ndarray:
     """Deterministic pseudo-random start vector for iteration-count runs.
@@ -136,8 +132,7 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     its interior block is nonempty; the coarsest level itself only needs a
     direct solve and may be one step below that threshold.
     """
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    tau = damping(d, tau)
     if fine_level <= coarse_level:
         raise ValueError(
             f"fine level {fine_level} must exceed coarse level {coarse_level}")
@@ -147,8 +142,6 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             f"coarse level {coarse_level} too coarse for degree {p}: "
             f"level {coarse_level + 1} has {2**(coarse_level + 1)} < {p + 1} "
             f"intervals; minimal admissible coarse level is {min_admissible}")
-    if tau is None:
-        tau = TAU_DEFAULT[d]
 
     levels: list[Level] = []
     for lv in range(coarse_level, fine_level + 1):

@@ -16,18 +16,17 @@ import scipy.linalg
 
 from .assembly import assemble_1d, operator_2d
 from .linalg import generalized_eig_max
-from .smoother import build_smoother_1d, build_smoother_2d, \
+from .smoother import build_smoother_1d, build_smoother_2d, damping, \
     smoother_matrix_1d, smoother_matrix_2d
-from .solver import TAU_DEFAULT
 from .splines import SplineSpace, build_space, eval_basis_derivatives, \
     index_split
 from .transfer import build_prolongation
 
 __all__ = [
-    "ConstraintBasis",
     "InverseInequalityResult",
     "INVERSE_BOUND",
     "APPROX_BOUND",
+    "PROXY_LEVELS",
     "SmootherPencil",
     "dense_limit",
     "build_constraint_basis",
@@ -44,23 +43,13 @@ __all__ = [
 INVERSE_BOUND = 2.0 * np.sqrt(3.0)
 #: theoretical bound on the constrained-space L2 approximation constant
 APPROX_BOUND = 2.0 * np.sqrt(2.0)
+#: refinement levels of the proxy space behind the approximation constant
+PROXY_LEVELS = 4
 
 
-@dataclass
-class ConstraintBasis:
-    """Coefficient-space basis of the splines whose odd derivatives of order
-    below p vanish at both endpoints."""
-
-    space: SplineSpace
-    basis: np.ndarray          # m x dim, orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def build_constraint_basis(space: SplineSpace) -> ConstraintBasis:
-    """Nullspace of the odd-endpoint-derivative constraints.
+def build_constraint_basis(space: SplineSpace) -> np.ndarray:
+    """Orthonormal m x k basis of the nullspace of the odd-endpoint-derivative
+    constraints: the splines whose odd derivatives below order p vanish.
 
     Rows are normalized before the rank decision since derivative scales
     span many orders of magnitude; row scaling does not change the nullspace.
@@ -68,7 +57,7 @@ def build_constraint_basis(space: SplineSpace) -> ConstraintBasis:
     p, m = space.degree, space.dim
     orders = list(range(1, p, 2))
     if not orders:
-        return ConstraintBasis(space, np.eye(m))
+        return np.eye(m)
     rows = []
     for x in (0.0, 1.0):
         first, ders = eval_basis_derivatives(space, x, p - 1)
@@ -85,7 +74,7 @@ def build_constraint_basis(space: SplineSpace) -> ConstraintBasis:
     basis = Q[:, rank:]
     if basis.shape[1] == 0:
         raise ValueError("constrained spline space is empty")
-    return ConstraintBasis(space, basis)
+    return basis
 
 
 @dataclass
@@ -119,7 +108,7 @@ def verify_inverse_inequality(p: int, level: int,
     _check_dense(space)
     disc = assemble_1d(space)
     Kd, Md = disc.K.toarray(), disc.M.toarray()
-    N = build_constraint_basis(space).basis
+    N = build_constraint_basis(space)
     lam = generalized_eig_max(N.T @ Kd @ N, N.T @ Md @ N)
     constrained = space.mesh_size * np.sqrt(max(lam, 0.0))
 
@@ -146,7 +135,7 @@ def verify_counterexample(p: int, level: int) -> float:
 
 
 def verify_approximation_constant(p: int, level: int,
-                                  proxy_levels: int = 4) -> float:
+                                  proxy_levels: int = PROXY_LEVELS) -> float:
     """L2 approximation constant of the constrained space at one level.
 
     The supremum over H^1 is approximated from a ``proxy_levels``-times finer
@@ -160,7 +149,7 @@ def verify_approximation_constant(p: int, level: int,
     Af, Mf = disc.A.toarray(), disc.M.toarray()
 
     Z = build_prolongation(coarse, fine).toarray() @ \
-        build_constraint_basis(coarse).basis
+        build_constraint_basis(coarse)
     # A-orthogonal projector onto the embedded constrained space
     T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
     # ||M^(1/2) R A^(-1/2)||^2 with R = I - T is lambda_max(R^T M R, A)
@@ -189,9 +178,8 @@ class SmootherPencil:
 def smoother_pencil(p: int, level: int, d: int = 1,
                     tau: float | None = None) -> SmootherPencil:
     """Build the dense pencil between ``level`` and ``level - 1`` for the
-    ``d``-dim problem; ``tau`` defaults to the solver's choice for ``d``."""
-    if tau is None:
-        tau = TAU_DEFAULT[d]
+    ``d``-dim problem; ``tau`` defaults to the reference damping for ``d``."""
+    tau = damping(d, tau)
     fine = build_space(p, level)
     coarse = build_space(p, level - 1)
     _check_dense(fine, d)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from splinemg import cli
 from splinemg.cli import ExperimentConfig, run_table, run_verify, \
     write_table, format_verify_report, main, _cell_feasible, _parse_range
+from splinemg.linalg import NotSPDError
 from splinemg.verify import dense_limit, smoother_pencil
 
 
@@ -147,6 +149,40 @@ def test_main_table_writes_files(tmp_path):
         header, *rows = csv.reader(fh)
     assert header == ["level/degree", "1"] and [row[0] for row in rows] == ["7"]
     assert rows[0][1].isdigit()
+
+
+def test_unwritable_out_is_a_configuration_error_before_any_cell(
+        tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cell was solved before --out was checked")
+    monkeypatch.setattr(cli, "build_hierarchy", no_build)
+    code = main(["table", "--dim", "1", "--degrees", "1", "--levels", "7",
+                 "--coarse", "5", "--out", str(tmp_path / "missing" / "t.csv")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
+    # the output files are opened before the first cell, which then fails
+    # the preconditioner's symmetry check
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"level/degree,1\n7,9\n")
+    code = main(["table", "--dim", "1", "--degrees", "1", "--levels", "7",
+                 "--coarse", "5", "--solver", "cg-mg", "--pre", "1",
+                 "--post", "0", "--out", str(out)])
+    assert code == 2
+    assert "pre_smooth == post_smooth" in capsys.readouterr().err
+    assert out.read_bytes() == b"level/degree,1\n7,9\n"
+
+
+def test_run_verify_propagates_a_failing_reference_pencil(monkeypatch):
+    def pencil(p, level, d=1, tau=None):
+        if p == 1:
+            raise NotSPDError(0, "reference pencil")
+        return smoother_pencil(p, level, d=d, tau=tau)
+    monkeypatch.setattr(cli, "smoother_pencil", pencil)
+    with pytest.raises(NotSPDError, match="reference pencil"):
+        run_verify([2, 3], [4], d=1)
 
 
 def test_main_verify_exit_codes(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from splinemg import build_space, assemble_1d, operator_2d, index_split, \
     build_smoother_1d, build_smoother_2d, apply_Linv_1d, apply_Linv_2d, \
     smooth_step_1d, smooth_step_2d
-from splinemg.smoother import smooth_1d, smooth_2d, \
+from splinemg.smoother import TAU_DEFAULT, damping, smooth_1d, smooth_2d, \
     smoother_matrix_1d, smoother_matrix_2d
 from splinemg.linalg import cholesky
 
@@ -90,6 +90,26 @@ def test_build_smoother_rejects_bad_input():
     disc = assemble_1d(build_space(2, 3))
     with pytest.raises(ValueError):
         build_smoother_1d(disc, -1.0)
+
+
+def test_damping_defaults_per_dimension_and_rejects_dimension_3():
+    assert damping(1) == TAU_DEFAULT[1] == 0.14
+    assert damping(2) == TAU_DEFAULT[2] == 0.08
+    assert damping(2, 0.5) == 0.5
+    with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
+        damping(3)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+def test_damping_rejects_tau_with_one_message(tau):
+    disc = assemble_1d(build_space(2, 3))
+    builds = [lambda: damping(1, tau), lambda: damping(2, tau),
+              lambda: build_smoother_1d(disc, tau),
+              lambda: build_smoother_2d(operator_2d(disc), tau)]
+    for build in builds:
+        with pytest.raises(ValueError, match="^damping parameter tau must be "
+                           f"positive and finite, got {tau}$"):
+            build()
 
 
 # n = p + 1 is the tightest space (m = 2p + 1, the folded band is full);

@@ -316,7 +316,8 @@ def test_solver_rejects_bad_input_by_name(solve, d):
 @pytest.mark.parametrize("tau", [math.nan, math.inf])
 @pytest.mark.parametrize("d", [1, 2])
 def test_hierarchy_rejects_non_finite_tau(d, tau):
-    with pytest.raises(ValueError, match="damping parameter must be positive"):
+    with pytest.raises(ValueError, match="damping parameter tau must be "
+                       "positive and finite"):
         build_hierarchy(d, 3, 1, 4, tau)
 
 
@@ -328,6 +329,7 @@ def _overdamped_2d():
     return h, f, np.ones_like(f)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_solve_mg_stops_at_first_non_finite_residual():
     h, f, u0 = _overdamped_2d()
     u, rep = solve_mg(h, V11, f, u0)

@@ -33,7 +33,7 @@ def _approximation_oracle(p, level, proxy, constrained=True):
     Af, Mf = disc.A.toarray(), disc.M.toarray()
     Z = _product_of_steps(p, level, level + proxy)
     if constrained:
-        Z = Z @ build_constraint_basis(coarse).basis
+        Z = Z @ build_constraint_basis(coarse)
     T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
     X = _sym_sqrt(Mf) @ (np.eye(fine.dim) - T) @ _sym_sqrt(Af, -0.5)
     return np.linalg.svd(X, compute_uv=False)[0] / coarse.mesh_size
@@ -51,8 +51,8 @@ def _CA_oracle(pencil):
 def test_constraint_basis_p1_is_full_space():
     sp = build_space(1, 3)
     cb = build_constraint_basis(sp)
-    assert cb.dim == sp.dim
-    npt.assert_allclose(cb.basis, np.eye(sp.dim))
+    assert cb.shape[1] == sp.dim
+    npt.assert_allclose(cb, np.eye(sp.dim))
 
 
 @pytest.mark.parametrize("p,expected_codim", [
@@ -62,23 +62,23 @@ def test_constraint_basis_codimension(p, expected_codim):
     # dimensions differ by p for even degree, p-1 for odd degree
     sp = build_space(p, 1, p + 1)
     cb = build_constraint_basis(sp)
-    assert sp.dim - cb.dim == expected_codim
+    assert sp.dim - cb.shape[1] == expected_codim
 
 
 def test_constraint_basis_columns_independent():
     sp = build_space(4, 2)
     cb = build_constraint_basis(sp)
-    assert np.linalg.matrix_rank(cb.basis) == cb.dim
+    assert np.linalg.matrix_rank(cb) == cb.shape[1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_constraint_basis_columns_satisfy_constraints(p):
     sp = build_space(p, 2)
     cb = build_constraint_basis(sp)
-    for j in range(cb.dim):
+    for j in range(cb.shape[1]):
         for x in (0.0, 1.0):
             for q in range(1, p, 2):
-                val = eval_spline(sp, cb.basis[:, j], x, order=q)
+                val = eval_spline(sp, cb[:, j], x, order=q)
                 # scale by the derivative magnitude of the raw basis
                 assert abs(val) <= 1e-9 * sp.mesh_size**-q
 
@@ -86,7 +86,7 @@ def test_constraint_basis_columns_satisfy_constraints(p):
 def test_constraint_basis_empty_space_rejected():
     sp = build_space(4, 0, 2)  # m = 6, 4 constraints, dim 2 still fine
     cb = build_constraint_basis(sp)
-    assert cb.dim == 2
+    assert cb.shape[1] == 2
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -127,7 +127,7 @@ def test_approximation_projector_fixes_subspace():
     disc = assemble_1d(fine)
     Af = disc.A.toarray()
     Z = _product_of_steps(p, level, level + proxy) @ \
-        build_constraint_basis(coarse).basis
+        build_constraint_basis(coarse)
     T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
     rng = np.random.default_rng(0)
     c = rng.standard_normal(Z.shape[1])
