@@ -14,7 +14,7 @@ from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     smooth_step_2d, damping
 from .solver import MgHierarchy, CycleConfig, SolveReport, build_hierarchy, \
     min_smoother_level, mg_cycle, solve_mg, solve_pcg, \
-    experiment_initial_guess, TAU_DEFAULT
+    experiment_initial_guess, InadmissibleLevels, TAU_DEFAULT
 from .verify import InverseInequalityResult, INVERSE_BOUND, APPROX_BOUND, \
     PROXY_LEVELS, SmootherPencil, build_constraint_basis, smoother_pencil, \
     verify_inverse_inequality, verify_counterexample, \

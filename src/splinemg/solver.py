@@ -23,6 +23,7 @@ __all__ = [
     "MgHierarchy",
     "CycleConfig",
     "SolveReport",
+    "InadmissibleLevels",
     "TAU_DEFAULT",
     "experiment_initial_guess",
     "min_smoother_level",
@@ -99,6 +100,13 @@ class CycleConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
+    def require_symmetric(self) -> None:
+        """ValueError unless pre_smooth == post_smooth: CG needs an SPD cycle."""
+        if self.pre_smooth != self.post_smooth:
+            raise ValueError(
+                "preconditioner must be symmetric: pre_smooth == post_smooth "
+                f"(got {self.pre_smooth}, {self.post_smooth})")
+
 
 @dataclass
 class SolveReport:
@@ -116,12 +124,13 @@ class SolveReport:
         return self.stop_reason == "converged"
 
 
+class InadmissibleLevels(ValueError):
+    """Coarse/fine levels that admit no hierarchy; raised before any setup."""
+
+
 def min_smoother_level(p: int) -> int:
     """Smallest level whose space admits the smoother (n >= p + 1)."""
-    level = 0
-    while 2**level < p + 1:
-        level += 1
-    return level
+    return p.bit_length()
 
 
 def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
@@ -130,15 +139,16 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
 
     Every level above the coarsest must have at least p+1 intervals so that
     its interior block is nonempty; the coarsest level itself only needs a
-    direct solve and may be one step below that threshold.
+    direct solve and may be one step below that threshold. Any other pair of
+    levels raises :class:`InadmissibleLevels`.
     """
     tau = damping(d, tau)
     if fine_level <= coarse_level:
-        raise ValueError(
+        raise InadmissibleLevels(
             f"fine level {fine_level} must exceed coarse level {coarse_level}")
     min_admissible = min_smoother_level(p) - 1
     if coarse_level < min_admissible:
-        raise ValueError(
+        raise InadmissibleLevels(
             f"coarse level {coarse_level} too coarse for degree {p}: "
             f"level {coarse_level + 1} has {2**(coarse_level + 1)} < {p + 1} "
             f"intervals; minimal admissible coarse level is {min_admissible}")
@@ -248,16 +258,12 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
               u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients preconditioned by one multigrid cycle.
 
-    Requires a symmetric cycle (equal pre- and post-smoothing counts) so the
-    preconditioner is an SPD operator. The stopping rule (reduction of the
-    unpreconditioned residual) and the input checks match :func:`solve_mg`;
-    it also stops, with ``stop_reason`` "breakdown", at the first
-    r^T z <= 0 or p^T A p <= 0.
+    Requires a symmetric cycle (:meth:`CycleConfig.require_symmetric`). The
+    stopping rule (reduction of the unpreconditioned residual) and the input
+    checks match :func:`solve_mg`; it also stops, with ``stop_reason``
+    "breakdown", at the first r^T z <= 0 or p^T A p <= 0.
     """
-    if cfg.pre_smooth != cfg.post_smooth:
-        raise ValueError(
-            "preconditioner must be symmetric: pre_smooth == post_smooth "
-            f"(got {cfg.pre_smooth}, {cfg.post_smooth})")
+    cfg.require_symmetric()
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from splinemg import cli
-from splinemg.cli import ExperimentConfig, run_table, run_verify, \
-    write_table, format_verify_report, main, _cell_feasible, _parse_range
+from splinemg import InadmissibleLevels, build_hierarchy, cli, \
+    min_smoother_level
+from splinemg.cli import ExperimentConfig, TableResult, run_table, \
+    run_verify, write_table, format_verify_report, main, _parse_range
 from splinemg.linalg import NotSPDError
 from splinemg.verify import dense_limit, smoother_pencil
 
@@ -24,10 +25,15 @@ def test_parse_range():
     assert _parse_range("3") == [3]
     assert _parse_range("1-4") == [1, 2, 3, 4]
     assert _parse_range("1,5,7") == [1, 5, 7]
+    assert _parse_range("-1") == [-1]
     with pytest.raises(ValueError):
         _parse_range("7-2")
     with pytest.raises(ValueError):
         _parse_range("")
+    for bad in ("3-", "-", "1-x", "2,a"):
+        token = bad.split(",")[-1]
+        with pytest.raises(ValueError, match=f"malformed range token '{token}'"):
+            _parse_range(bad)
 
 
 def test_config_validation():
@@ -42,6 +48,9 @@ def test_config_validation():
         ExperimentConfig(dim=1, degrees=[1], levels=[2], tol=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig(dim=1, degrees=[1], levels=[2], solver="gauss")
+    with pytest.raises(ValueError, match="coarse must be 'auto'"):
+        ExperimentConfig(dim=1, degrees=[1], levels=[3], coarse=5,
+                         cycle="two-grid")
 
 
 def test_run_table_grid_shape_and_values():
@@ -66,6 +75,18 @@ def test_run_table_nonconvergence_marked():
     res = run_table(_small_config(max_iter=2))
     assert res.cells[0][0] == ">2"
     assert res.any_failure
+
+
+@pytest.mark.parametrize("cells, any_failure, early_stop", [
+    ([["12", "-"]], False, False),
+    ([["12", ">500"]], True, False),
+    ([["not-spd@0", "12"]], True, True),
+    ([[">500"], ["non-finite@16"]], True, True),
+])
+def test_table_outcomes_are_read_from_the_cells(cells, any_failure,
+                                                early_stop):
+    res = TableResult(degrees=[1], levels=[7], cells=cells, timings=[])
+    assert (res.any_failure, res.early_stop) == (any_failure, early_stop)
 
 
 def test_csv_round_trip():
@@ -96,6 +117,8 @@ def test_markdown_layout():
     assert lines[0].startswith("| level/degree |")
     assert set(lines[1].replace("|", "")) == {"-"}
     assert len(lines) == 2 + len(res.levels)
+    with pytest.raises(ValueError, match="unknown format 'html'"):
+        write_table(res, buf, fmt="html")
 
 
 def test_run_verify_all_pass():
@@ -163,8 +186,8 @@ def test_unwritable_out_is_a_configuration_error_before_any_cell(
 
 
 def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
-    # the output files are opened before the first cell, which then fails
-    # the preconditioner's symmetry check
+    # the preconditioner's symmetry check fails before the output files
+    # are opened
     out = tmp_path / "t.csv"
     out.write_bytes(b"level/degree,1\n7,9\n")
     code = main(["table", "--dim", "1", "--degrees", "1", "--levels", "7",
@@ -173,6 +196,25 @@ def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
     assert code == 2
     assert "pre_smooth == post_smooth" in capsys.readouterr().err
     assert out.read_bytes() == b"level/degree,1\n7,9\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau", "nan"],
+    ["--solver", "cg-mg", "--pre", "1", "--post", "0"],
+    ["--degrees", "0"],
+    ["--levels=-1"],
+    ["--cycle", "two-grid", "--coarse", "2"],
+], ids=["tau-nan", "cg-asymmetric", "degree-0", "level-neg", "two-grid-coarse"])
+def test_table_configuration_error_builds_nothing_and_writes_no_file(
+        tmp_path, capsys, monkeypatch, flags):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a hierarchy was built for a bad configuration")
+    monkeypatch.setattr(cli, "build_hierarchy", no_build)
+    argv = ["table", "--dim", "2", "--degrees", "8", "--levels", "5"]
+    code = main(argv + flags + ["--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_verify_propagates_a_failing_reference_pencil(monkeypatch):
@@ -196,6 +238,8 @@ def test_main_config_error_exit_code(capsys):
     assert main(["table", "--degrees", "5-3", "--levels", "8"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert main(["table", "--degrees", "3-", "--levels", "8"]) == 2
+    assert "malformed range token '3-'" in capsys.readouterr().err
 
 
 def test_levels_below_fixed_coarse_marked_infeasible(capsys):
@@ -246,22 +290,40 @@ def test_setup_breakdown_marks_its_cell_and_the_table_goes_on(capsys):
 
 
 @pytest.mark.parametrize("dim, degrees, levels, coarse", [
-    (1, [1, 2, 3, 4, 5, 8], [3, 4, 6], 2),
+    (1, [1, 2, 3, 4, 5, 8], [3, 4, 6], "auto"),
     (2, [1, 2, 3, 4], [2, 3, 4], "auto"),
 ])
 def test_two_grid_table_is_v_cycle_on_two_levels(dim, degrees, levels, coarse):
-    # --coarse decides which cells are feasible; each feasible cell solves
-    # on the two-level hierarchy from level - 1
+    # each cell solves, or reads "-", on the two-level hierarchy from
+    # level - 1, exactly as a V-cycle table with that coarse level does
     two_grid = run_table(ExperimentConfig(dim=dim, degrees=degrees,
                                           levels=levels, coarse=coarse,
                                           cycle="two-grid"))
-    assert "-" in two_grid.cells[0] + two_grid.cells[-1]
+    assert "-" in two_grid.cells[-1]
     for level, row in zip(two_grid.levels, two_grid.cells):
         v = run_table(ExperimentConfig(dim=dim, degrees=degrees,
                                        levels=[level], coarse=level - 1))
-        for p, cell, v_cell in zip(degrees, row, v.cells[0]):
-            assert cell == ("-" if not _cell_feasible(two_grid.config, p, level)
-                            else v_cell)
+        assert row == v.cells[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cycle, coarse", [("two-grid", "auto"), ("v", "auto"),
+                                           *(("v", c) for c in range(5))])
+def test_a_cell_reads_dash_exactly_when_its_levels_are_inadmissible(
+        dim, cycle, coarse):
+    degrees, levels = list(range(1, 9)), list(range(7))
+    res = run_table(ExperimentConfig(dim=dim, degrees=degrees, levels=levels,
+                                     coarse=coarse, cycle=cycle, max_iter=1))
+    for level, row in zip(res.levels, res.cells):
+        for p, cell in zip(res.degrees, row):
+            c = (level - 1 if cycle == "two-grid" else
+                 min_smoother_level(p) - 1 if coarse == "auto" else coarse)
+            try:
+                build_hierarchy(dim, p, c, level)
+            except InadmissibleLevels:
+                assert cell == "-", (p, level)
+            else:
+                assert cell != "-", (p, level)
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])

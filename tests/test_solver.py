@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import assemble_load, build_hierarchy, build_prolongation, \
-    min_smoother_level, mg_cycle, prolong_2d, restrict_2d, solve_mg, \
-    solve_pcg, CycleConfig
+from splinemg import InadmissibleLevels, assemble_load, build_hierarchy, \
+    build_prolongation, min_smoother_level, mg_cycle, prolong_2d, \
+    restrict_2d, solve_mg, solve_pcg, CycleConfig
 from splinemg.linalg import BLOCK_ROWS
 from splinemg.smoother import smoother_matrix_1d
 from splinemg.solver import experiment_initial_guess
@@ -44,14 +44,15 @@ def test_hierarchy_auto_coarse_rule_p4():
 
 
 def test_hierarchy_rejects_too_coarse():
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(InadmissibleLevels, match="too coarse"):
         build_hierarchy(1, 15, 2, 6)
-    with pytest.raises(ValueError, match="minimal admissible coarse level is 3"):
+    with pytest.raises(InadmissibleLevels,
+                       match="minimal admissible coarse level is 3"):
         build_hierarchy(1, 15, 1, 6)
 
 
 def test_hierarchy_rejects_bad_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(InadmissibleLevels, match="must exceed"):
         build_hierarchy(1, 2, 5, 5)
     with pytest.raises(ValueError):
         build_hierarchy(3, 2, 1, 3)
