@@ -1,20 +1,22 @@
 """Galerkin assembly on the unit interval and its tensor-product extension.
 
 Builds the 1D mass matrix M, stiffness matrix K and system matrix A = K + M
-with per-span Gauss-Legendre quadrature (exact for the polynomial integrands),
-plus load vectors for f(x) = d pi^2 prod_j sin(pi (x_j + 1/2)) and the
-2D operator K(x)M + M(x)K + M(x)M, applied factor-wise on block-banded 1D
-factors.
+with per-span Gauss-Legendre quadrature (exact for the polynomial integrands)
+or, on a dyadic space at or above the reference size, from one cached
+per-degree template, plus load vectors for
+f(x) = d pi^2 prod_j sin(pi (x_j + 1/2)) and the 2D operator
+K(x)M + M(x)K + M(x)M, applied factor-wise on block-banded 1D factors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .linalg import BandedSymMatrix, BlockBandMatrix, KronSumSolver, \
     kron_apply
-from .splines import SplineSpace, eval_basis_array
+from .splines import SplineSpace, build_space, eval_basis_array
 
 __all__ = [
     "Discretization1D",
@@ -76,9 +78,18 @@ class Operator2D:
         return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
 
 
+@cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _span_quadrature(space: SplineSpace, nodes_per_span: int):
     """Gauss-Legendre nodes/weights mapped to every knot span."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_span)
+    xg, wg = _gauss_legendre(nodes_per_span)
     h = space.mesh_size
     starts = np.arange(space.intervals) * h
     nodes = starts[:, None] + (xg[None, :] + 1.0) * (h / 2.0)
@@ -106,28 +117,62 @@ def _span_classes(space: SplineSpace, nodes_per_span: int, max_order: int):
         len(firsts), nodes_per_span, max_order + 1, p + 1)
 
 
+def _quadrature_bands(space: SplineSpace, q: int) -> np.ndarray:
+    """Lower bands of M and K, stacked, by the per-span q-node Gauss rule."""
+    p, m = space.degree, space.dim
+    _, weights, classes, vals = _span_classes(space, q, 1)
+    w, n = weights[0], space.intervals  # the same rule on every span
+    bands = np.zeros((2, p + 1, m))
+    for order in (0, 1):
+        v = vals[:, :, order, :]
+        loc = np.einsum("k,cka,ckb->cab", w, v, v)
+        for a in range(p + 1):
+            for b in range(a + 1):
+                bands[order, a - b, b:b + n] += loc[classes, a, b]
+    return bands
+
+
+@cache
+def _band_template(p: int, q: int) -> np.ndarray:
+    """Read-only bands of n M and K / n on the smallest dyadic space with
+    n >= 4p, the right corner replaced by the mirror of the left one.
+
+    On a dyadic space the nodes, knots and weights of the left corner and
+    of the interior are the template's times a power of two, so these
+    bands hold at every such level. The right corner's nodes round at
+    ulp(1), not at ulp(h); by B_i(x) = B_{m-1-i}(1 - x) the mirrored left
+    corner is as accurate as the left corner itself.
+    """
+    space = build_space(p, (4 * p - 1).bit_length())
+    n, m = space.intervals, space.dim
+    bands = _quadrature_bands(space, q) * np.array([[[n]], [[1.0 / n]]])
+    for k in range(p + 1):          # entry (k, j) mirrors (k, m - 1 - k - j)
+        bands[:, k, n - p:m - k] = bands[:, k, 2 * p - 1 - k::-1]
+    bands.setflags(write=False)
+    return bands
+
+
 def assemble_1d(space: SplineSpace, quad_nodes: int | None = None) -> Discretization1D:
     """Assemble M, K and A = K + M for ``space``.
 
     ``quad_nodes`` overrides the per-span Gauss rule (default p+1, exact for
     the degree-2p integrands). Interior spans share one local matrix since
-    the uniform-knot basis is translation invariant there.
+    the uniform-knot basis is translation invariant there. A dyadic space
+    with n >= 4p copies the degree's template: its first 2p columns, one
+    interior column repeated and its tail aligned with the last column,
+    scaled by h (a power of two, so exactly). Any other space runs the
+    quadrature loop.
     """
-    p, m = space.degree, space.dim
+    p, m, n = space.degree, space.dim, space.intervals
     q = quad_nodes if quad_nodes is not None else p + 1
-    _, weights, classes, vals = _span_classes(space, q, 1)
-    w, n = weights[0], space.intervals  # the same rule on every span
-
-    def assemble(order: int) -> BandedSymMatrix:
-        v = vals[:, :, order, :]
-        loc = np.einsum("k,cka,ckb->cab", w, v, v)
-        mat = BandedSymMatrix.zeros(m, p)
-        for a in range(p + 1):
-            for b in range(a + 1):
-                mat.bands[a - b, b:b + n] += loc[classes, a, b]
-        return mat
-
-    M, K = assemble(0), assemble(1)
+    if n & (n - 1) or n < 4 * p:
+        bands = _quadrature_bands(space, q)
+    else:
+        template, j = _band_template(p, q), np.arange(m)
+        tail = j - m + template.shape[2]
+        src = np.where(j < 2 * p, j, np.maximum(2 * p, tail))
+        bands = template[:, :, src] * np.array([[[1.0 / n]], [[n]]])
+    M, K = (BandedSymMatrix(m, p, b) for b in bands)
     A = BandedSymMatrix(m, p, M.bands + K.bands)
     return Discretization1D(space=space, M=M, K=K, A=A)
 

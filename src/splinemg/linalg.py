@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import cho_solve, cho_solve_banded, eigh, lapack
+from scipy.linalg import eigh, lapack
 
 __all__ = [
     "NotSPDError",
@@ -159,13 +159,16 @@ class CholeskyFactor:
     factor: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve with LAPACK pbtrs/potrs; the factor was checked finite
+        once, in :func:`cholesky`, so only ``rhs`` is checked here."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.order:
             raise ValueError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.order}")
-        if self.kind == "banded":
-            return cho_solve_banded((self.factor, True), rhs)
-        return cho_solve((self.factor, True), rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs must not contain infs or NaNs")
+        trs = lapack.dpbtrs if self.kind == "banded" else lapack.dpotrs
+        return trs(self.factor, rhs, lower=1)[0]
 
     def toarray(self) -> np.ndarray:
         """Dense lower-triangular factor (test sizes only)."""
@@ -176,23 +179,24 @@ class CholeskyFactor:
 
 
 def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> CholeskyFactor:
-    """Cholesky factorization; raises :class:`NotSPDError` on failure."""
+    """Cholesky factorization; raises :class:`NotSPDError` on failure and
+    ValueError for a factor with a non-finite entry."""
     if isinstance(matrix, BandedSymMatrix):
+        kind, order = "banded", matrix.order
         c, info = lapack.dpbtrf(matrix.bands, lower=1)
-        if info > 0:
-            raise NotSPDError(info, what)
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} to pbtrf")
-        return CholeskyFactor("banded", matrix.order, c)
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("dense input must be square")
-    c, info = lapack.dpotrf(a, lower=1)
+    else:
+        a = np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("dense input must be square")
+        kind, order = "dense", a.shape[0]
+        c, info = lapack.dpotrf(a, lower=1)
     if info > 0:
         raise NotSPDError(info, what)
     if info < 0:
-        raise ValueError(f"illegal argument {-info} to potrf")
-    return CholeskyFactor("dense", a.shape[0], c)
+        raise ValueError(f"illegal argument {-info} to {kind} Cholesky")
+    if not np.isfinite(c).all():
+        raise ValueError(f"{what}: Cholesky factor has infs or NaNs")
+    return CholeskyFactor(kind, order, c)
 
 
 def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:

@@ -162,6 +162,7 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             lvl.direct = (cholesky(lvl.op, "coarse system matrix") if d == 1
                           else lvl.op.direct_solver())
         elif d == 1:
+            disc.A.tocsr()          # in setup, not at the first apply
             lvl.smoother = build_smoother_1d(disc, tau)
             lvl.P = SparseEmbedding(build_prolongation(levels[-1].space, space))
         else:
@@ -207,6 +208,17 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
     return u
 
 
+# a residual norm or CG scalar overflows quietly: stop_reason reports it
+@np.errstate(over="ignore")
+def _norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
+
+
+@np.errstate(over="ignore")
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a @ b)
+
+
 def _residual_stop(res: float, target: float) -> str | None:
     """Stop reason after a residual norm, or None to go on."""
     if res <= target:
@@ -241,13 +253,13 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     A = h.finest.op
     f = _checked_vector("f", f, A.shape[0])
     u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
-    r0 = float(np.linalg.norm(f - A.apply(u)))
+    r0 = _norm(f - A.apply(u))
     history = [r0]
     stop = _residual_stop(r0, 0.0)
     iterations = 0
     while stop is None and iterations < cfg.max_iter:
         u = mg_cycle(h, cfg, top, u, f)
-        res = float(np.linalg.norm(f - A.apply(u)))
+        res = _norm(f - A.apply(u))
         history.append(res)
         iterations += 1
         stop = _residual_stop(res, cfg.tol * r0)
@@ -274,32 +286,32 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     f = _checked_vector("f", f, A.shape[0])
     u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
     r = f - A.apply(u)
-    r0 = float(np.linalg.norm(r))
+    r0 = _norm(r)
     history = [r0]
     stop = _residual_stop(r0, 0.0)
     iterations = 0
     if stop is None:
         z = precond(r)
         p = z.copy()
-        rho = float(r @ z)
+        rho = _dot(r, z)
         stop = _cg_scalar_stop(rho)
     while stop is None and iterations < cfg.max_iter:
         q = A.apply(p)
-        pq = float(p @ q)
+        pq = _dot(p, q)
         stop = _cg_scalar_stop(pq)
         if stop:
             break
         alpha = rho / pq
         u = u + alpha * p
         r = r - alpha * q
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         history.append(res)
         iterations += 1
         stop = _residual_stop(res, cfg.tol * r0)
         if stop:
             break
         z = precond(r)
-        rho_new = float(r @ z)
+        rho_new = _dot(r, z)
         stop = _cg_scalar_stop(rho_new)
         p = z + (rho_new / rho) * p
         rho = rho_new

@@ -1,22 +1,24 @@
 """Intergrid transfer for dyadically refined spline spaces.
 
 The prolongation is the canonical embedding of the coarse space into a fine
-space with 2^k times its intervals: the matrix of knot insertion, built with
-the Oslo algorithm (discrete B-splines) over all rows at once (k = 1 in the
-hierarchy, k = proxy_levels in verify). Restriction is the transpose, held
-once per hierarchy level with P (:class:`SparseEmbedding` in 1D,
-:class:`~splinemg.linalg.BlockBandMatrix` in 2D); 2D transfers are Kronecker
-squares applied factor-wise.
+space with 2^k times its intervals (k = 1 in the hierarchy, k = proxy_levels
+in verify): the matrix of knot insertion, built with the Oslo algorithm
+(discrete B-splines) over all rows at once, or copied from one cached
+template per degree and ratio on a large enough dyadic pair. Restriction is
+the transpose, held once per hierarchy level with P (:class:`SparseEmbedding`
+in 1D, :class:`~splinemg.linalg.BlockBandMatrix` in 2D); 2D transfers are
+Kronecker squares applied factor-wise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.sparse
 
 from .linalg import kron_apply
-from .splines import SplineSpace
+from .splines import SplineSpace, build_space
 
 __all__ = [
     "SparseEmbedding",
@@ -43,29 +45,20 @@ class SparseEmbedding:
         return self.matrix @ x
 
 
-def build_prolongation(coarse: SplineSpace,
-                       fine: SplineSpace) -> scipy.sparse.csr_matrix:
-    """Canonical embedding matrix (fine.dim x coarse.dim) for a fine space
-    with 2^k times the coarse intervals, k >= 1.
+def _coarse_spans(coarse: SplineSpace, fine: SplineSpace) -> np.ndarray:
+    """Coarse span mu of every fine row, counted in integers (with 3 * 2^l
+    intervals a rounded knot can fall below its breakpoint)."""
+    ratio = fine.intervals // coarse.intervals
+    return coarse.degree + np.minimum(
+        np.maximum(np.arange(fine.dim) - coarse.degree, 0) // ratio,
+        coarse.intervals - 1)
 
-    Row i holds the discrete B-splines b_{mu-p..mu, p}(i) of the coarse knots
-    t on the fine knots tau, where mu is the coarse span of tau[i], counted
-    in integers (with 3 * 2^l intervals a rounded knot can fall below its
-    breakpoint); the Oslo recurrence runs once over all rows.
-    """
-    if coarse.degree != fine.degree:
-        raise ValueError(
-            f"degree mismatch: coarse {coarse.degree}, fine {fine.degree}")
-    ratio, rest = divmod(fine.intervals, coarse.intervals)
-    if rest or ratio < 2 or ratio & (ratio - 1):
-        raise ValueError(
-            "refinement must be dyadic: fine intervals "
-            f"{fine.intervals} != 2^k * {coarse.intervals}, k >= 1")
-    p = coarse.degree
+
+def _oslo_rows(coarse: SplineSpace, fine: SplineSpace) -> np.ndarray:
+    """Discrete B-splines b_{mu-p..mu, p}(i) of every fine row i, shape
+    (fine.dim, p + 1), by the Oslo recurrence run once over all rows."""
+    p, mu = coarse.degree, _coarse_spans(coarse, fine)
     t, tau = coarse.knots, fine.knots
-    mu = p + np.minimum(np.maximum(np.arange(fine.dim) - p, 0) // ratio,
-                        coarse.intervals - 1)
-
     vals = np.zeros((p + 1, fine.dim))
     vals[0] = 1.0
     for r in range(1, p + 1):
@@ -78,10 +71,56 @@ def build_prolongation(coarse: SplineSpace,
             vals[s] = saved + (tr - x) * tmp
             saved = (x - tl) * tmp
         vals[r] = saved
+    return vals.T
 
-    vals = vals.T
+
+@cache
+def _row_template(p: int, ratio: int) -> np.ndarray:
+    """Read-only Oslo rows of the smallest dyadic pair with n_c >= 2p + 5.
+
+    With n_c a power of two every knot is an exact dyadic number, so each
+    row depends only on its offsets from the nearer end: the boundary rows
+    are the same bits at every level, and the interior rows, from coarse
+    span 2p - 1 on, repeat with period ``ratio``.
+    """
+    level = (2 * p + 4).bit_length()
+    rows = _oslo_rows(build_space(p, level),
+                      build_space(p, level + ratio.bit_length() - 1))
+    rows.setflags(write=False)
+    return rows
+
+
+def build_prolongation(coarse: SplineSpace,
+                       fine: SplineSpace) -> scipy.sparse.csr_matrix:
+    """Canonical embedding matrix (fine.dim x coarse.dim) for a fine space
+    with 2^k times the coarse intervals, k >= 1.
+
+    Row i holds the discrete B-splines b_{mu-p..mu, p}(i) of the coarse knots
+    t on the fine knots tau, where mu is the coarse span of tau[i]. A dyadic
+    pair with n_c >= 2p + 5 copies the rows of the template for its degree
+    and ratio (left rows, one interior period repeated, right rows); any
+    other pair runs the Oslo recurrence over all rows.
+    """
+    if coarse.degree != fine.degree:
+        raise ValueError(
+            f"degree mismatch: coarse {coarse.degree}, fine {fine.degree}")
+    ratio, rest = divmod(fine.intervals, coarse.intervals)
+    if rest or ratio < 2 or ratio & (ratio - 1):
+        raise ValueError(
+            "refinement must be dyadic: fine intervals "
+            f"{fine.intervals} != 2^k * {coarse.intervals}, k >= 1")
+    p, n_c, m = coarse.degree, coarse.intervals, fine.dim
+    if n_c & (n_c - 1) or n_c < 2 * p + 5:
+        vals = _oslo_rows(coarse, fine)
+    else:
+        ref = _row_template(p, ratio)
+        start = p + ratio * (p - 1)          # first row of coarse span 2p - 1
+        i, shift = np.arange(m), m - len(ref)    # shift: a multiple of ratio
+        src = np.where(i < start, i, start + (i - start) % ratio)
+        vals = ref[np.where(i - shift >= start + ratio, i - shift, src)]
+
     nonzero = vals != 0.0
-    cols = (mu - p)[:, None] + np.arange(p + 1)
+    cols = (_coarse_spans(coarse, fine) - p)[:, None] + np.arange(p + 1)
     indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
     return scipy.sparse.csr_matrix(
         (vals[nonzero], cols[nonzero], indptr), shape=(fine.dim, coarse.dim))

@@ -5,7 +5,7 @@ from scipy.interpolate import BSpline
 
 from splinemg import build_space, assemble_1d, operator_2d, \
     apply_operator_2d, assemble_load, eval_basis
-from splinemg.assembly import _span_quadrature
+from splinemg.assembly import _quadrature_bands, _span_quadrature
 
 
 def test_mass_p1_n2_analytic():
@@ -159,6 +159,22 @@ def test_assembly_and_load_match_scipy_bspline_oracle(p, level, n0):
     for got, ref in ((disc.M.toarray(), mass), (disc.K.toarray(), stiff),
                      (assemble_load(space, 1), load)):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p,level", [(1, 2), (3, 4), (8, 7), (15, 6),
+                                     (30, 9)])
+def test_dyadic_assembly_matches_the_quadrature_generator(p, level):
+    # a dyadic space at (n = 4, 16, 64) or above the reference size copies
+    # the degree's template: the left corner and the interior are the
+    # quadrature loop's bits, the right corner is the left one mirrored
+    space = build_space(p, level)
+    disc = assemble_1d(space)
+    n = space.intervals
+    for got, ref in zip((disc.M, disc.K), _quadrature_bands(space, p + 1)):
+        npt.assert_array_equal(got.bands[:, :n - p], ref[:, :n - p])
+        dense = got.toarray()
+        npt.assert_array_equal(dense, dense[::-1, ::-1])    # persymmetric
+        assert np.abs(got.bands - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_load_2d_is_tensor_of_1d_moments():

@@ -115,6 +115,19 @@ def test_solve_dimension_mismatch():
         f.solve(np.ones(4))
 
 
+@pytest.mark.parametrize("kind", ["banded", "dense"])
+def test_non_finite_factor_and_rhs_rejected(kind):
+    # the factor is checked once, in cholesky; each solve checks its rhs
+    good = BandedSymMatrix(3, 1, np.array([[2.0, 2.0, 2.0], [0.5, 0.5, 0.0]]))
+    bad = BandedSymMatrix(3, 1, good.bands * [[np.inf], [1.0]])
+    if kind == "dense":
+        good, bad = good.toarray(), bad.toarray()
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cholesky(bad, "probe")
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cholesky(good).solve(np.array([1.0, np.nan, 0.0]))
+
+
 def test_kron_apply_identity():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(25)

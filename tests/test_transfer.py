@@ -105,9 +105,14 @@ def _oslo_row(t, p, tau, i, mu):
     return row
 
 
-@pytest.mark.parametrize("p,level", [(1, 3), (2, 1), (4, 4), (9, 5), (15, 4)])
-def test_prolongation_equals_row_by_row_oslo(p, level):
-    co, fi = _pair(p, level)
+@pytest.mark.parametrize("p,level,k", [
+    pytest.param(p, level, 1, id=f"{p}-{level}") for p, level in [
+        (1, 3), (2, 1), (4, 4), (9, 5), (15, 4),
+        # at or above the reference size: rows copied from the template
+        (3, 8), (15, 7), (30, 8)]
+] + [pytest.param(5, 5, 3, id="5-5-ratio8")])
+def test_prolongation_equals_row_by_row_oslo(p, level, k):
+    co, fi = build_space(p, level), build_space(p, level + k)
     P = build_prolongation(co, fi)
     ref = np.zeros((fi.dim, co.dim))
     for i in range(fi.dim):
