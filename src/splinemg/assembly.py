@@ -5,7 +5,8 @@ with per-span Gauss-Legendre quadrature (exact for the polynomial integrands)
 or, on a dyadic space at or above the reference size, from one cached
 per-degree template, plus load vectors for
 f(x) = d pi^2 prod_j sin(pi (x_j + 1/2)) and the 2D operator
-K(x)M + M(x)K + M(x)M, applied factor-wise on block-banded 1D factors.
+K(x)M + M(x)K + M(x)M, applied as two batched products over the
+windows of the banded 1D factors.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import BandedSymMatrix, BlockBandMatrix, KronSumSolver, \
-    kron_apply
+from .linalg import BandedSymMatrix, KronSumSolver, WindowBandMatrix
 from .splines import SplineSpace, build_space, eval_basis_array
 
 __all__ = [
@@ -41,19 +41,26 @@ class Discretization1D:
 @dataclass
 class Operator2D:
     """v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors, applied as
-    K(x)M + M(x)A with A = K + M. The factors are held block-banded, so an
-    apply is four products that skip the zero blocks of each band; the dense
-    M serves the fast-diagonalization setups, and ``disc`` keeps the banded
-    forms."""
+    K(x)M + M(x)A with A = K + M. ``factors`` holds K, M and A as
+    :class:`~splinemg.linalg.WindowBandMatrix` bands, read from ``disc``'s
+    band storage; an apply is two batched products over their windows. The
+    dense M serves the fast-diagonalization setups."""
 
     disc: Discretization1D
     M: np.ndarray = field(init=False, repr=False)
-    factors: tuple[BlockBandMatrix, ...] = field(init=False, repr=False)
+    factors: tuple[WindowBandMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.M = self.disc.M.toarray()
-        self.factors = tuple(BlockBandMatrix.from_dense(a) for a in (
-            self.disc.K.toarray(), self.M, self.disc.A.toarray()))
+        d, m = self.disc, self.disc.space.dim
+        self.M = d.M.toarray()
+        self.factors = K, M, A = tuple(
+            WindowBandMatrix.from_band(a) for a in (d.K, d.M, d.A))
+        count, rows, width = K.blocks.shape
+        self._MA = np.stack([M.blocks, A.blocks], axis=1)
+        # [K M], m x 2m, with K's and M's columns interleaved
+        self._KM = WindowBandMatrix((m, 2 * m), 2 * K.lo, 2 * K.stride,
+                                    np.stack([K.blocks, M.blocks], axis=3)
+                                    .reshape(count, rows, 2 * width))
 
     @property
     def order(self) -> int:
@@ -64,8 +71,10 @@ class Operator2D:
         return (self.order, self.order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        K, M, A = self.factors
-        return kron_apply(K, M, v) + kron_apply(M, A, v)
+        """K U M + M U A for v = vec(U): two batched products, the first
+        with M's and A's blocks on the same windows of U^T, the second with
+        [K M] on the row pairs of U M and U A."""
+        return self._KM.kron(self.factors[1], v, self._MA)
 
     def direct_solver(self) -> KronSumSolver:
         """Fast-diagonalization inverse of M (x) B + B (x) M, B = K + M/2."""

@@ -15,7 +15,7 @@ from scipy.linalg import eigh, lapack
 __all__ = [
     "NotSPDError",
     "BandedSymMatrix",
-    "BlockBandMatrix",
+    "WindowBandMatrix",
     "CholeskyFactor",
     "cholesky",
     "kron_apply",
@@ -65,12 +65,25 @@ class BandedSymMatrix:
         a[j + k, j] = a[j, j + k] = self.bands[k, j]
         return a
 
+    def rows(self) -> np.ndarray:
+        """Row i of the band, entries (i, i - b) ... (i, i + b), as row i of
+        an (order, 2b + 1) array; entries outside the matrix are zero."""
+        m, b = self.order, self.bandwidth
+        out = np.zeros((m, 2 * b + 1))
+        for k in range(b + 1):          # entries (i, i + k) and (i + k, i)
+            out[:m - k, b + k] = out[k:, b - k] = self.bands[k, :m - k]
+        return out
+
     def tocsr(self) -> scipy.sparse.csr_array:
-        if self._csr is None:
-            offsets = np.arange(-self.bandwidth, self.bandwidth + 1)
-            diags = [self.bands[abs(k), :self.order - abs(k)] for k in offsets]
-            self._csr = scipy.sparse.diags_array(
-                diags, offsets=offsets, shape=self.shape).tocsr()
+        if self._csr is None:           # from :meth:`rows`, zeros dropped
+            vals, b = self.rows(), self.bandwidth
+            keep = vals != 0.0
+            cols = np.arange(-b, self.order - b, dtype=np.int32)[:, None] \
+                + np.arange(2 * b + 1, dtype=np.int32)
+            indptr = np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1),
+                                        dtype=np.int32)]
+            self._csr = scipy.sparse.csr_array(
+                (vals[keep], cols[keep], indptr), shape=self.shape)
         return self._csr
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -101,53 +114,104 @@ class BandedSymMatrix:
         return self.apply(x)
 
 
-#: rows per block of a :class:`BlockBandMatrix` (24-32 rows measured about
-#: equal for the 2D levels' bands at m = 132-271, one BLAS thread)
-BLOCK_ROWS = 32
+#: rows per block of a :class:`WindowBandMatrix`: per 2D V-cycle at l=7,
+#: p=4/8/15 and one BLAS thread, 4 to 12 rows measured within 7 % of 8 and
+#: 16 rows 3-11 % slower. Even, as a prolongation's windows step by half.
+BLOCK_ROWS = 8
 
 
 @dataclass
-class BlockBandMatrix:
-    """Dense matrix stored as row blocks, each cut to the column range its
-    nonzeros reach, with its transpose held in the same form (itself when
-    the matrix is symmetric).
-
-    A band of half-width p, or a prolongation's slanted band, keeps
-    (b + 2p)-wide slabs of b rows, so a product is one small GEMM per block
-    instead of one over all columns; a block with no nonzero has an empty
-    column range and contributes zeros.
-    """
+class WindowBandMatrix:
+    """Matrix held as blocks of BLOCK_ROWS rows, block j multiplying the
+    ``width`` operand rows from ``lo + j * stride`` on (a band of half-width
+    p: stride BLOCK_ROWS, width BLOCK_ROWS + 2p), with its transpose ``T``
+    in the same form. A product multiplies every block by its window of a
+    zero-padded copy of the operand in one batched ``np.matmul``."""
 
     shape: tuple[int, int]
-    #: (row slice, column slice, dense block) covering every row once
-    blocks: list[tuple[slice, slice, np.ndarray]]
-    T: "BlockBandMatrix" = field(init=False, repr=False)
+    lo: int
+    stride: int
+    blocks: np.ndarray          # (count, BLOCK_ROWS, width)
+    T: "WindowBandMatrix" = field(init=False, repr=False)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray) -> "BlockBandMatrix":
-        """Blocks of ``a`` and of its transpose, cut to their nonzeros."""
-        a = np.asarray(a, dtype=float)
-        out = cls._split(a)
-        out.T = out if np.array_equal(a, a.T) else cls._split(a.T)
-        out.T.T = out
+    def from_entries(cls, shape, rows, cols, vals, lo: int, stride: int,
+                     width: int) -> "WindowBandMatrix":
+        """The nonzeros (rows, cols, vals), without ``T``; ValueError for a
+        nonzero outside its window."""
+        block, row = np.divmod(rows, BLOCK_ROWS)
+        slot = cols - lo - block * stride
+        if ((slot < 0) | (slot >= width)).any():
+            raise ValueError(f"a nonzero of a {shape[0]}x{shape[1]} matrix "
+                             f"lies outside its window {lo, stride, width}")
+        blocks = np.zeros((-(-shape[0] // BLOCK_ROWS), BLOCK_ROWS, width))
+        blocks[block, row, slot] = vals
+        return cls(shape, lo, stride, blocks)
+
+    @classmethod
+    def from_band(cls, a: BandedSymMatrix) -> "WindowBandMatrix":
+        """The symmetric band ``a``: block row t holds row t's band from
+        window column t on, copied from :meth:`BandedSymMatrix.rows`."""
+        m, b, n = a.order, a.bandwidth, BLOCK_ROWS
+        rows = np.zeros((-(-m // n) * n, 2 * b + 1))
+        rows[:m] = a.rows()
+        blocks = np.zeros((len(rows) // n, n, n + 2 * b))
+        for t in range(n):
+            blocks[:, t, t:t + 2 * b + 1] = rows[t::n]
+        out = cls((m, m), -b, n, blocks)
+        out.T = out
         return out
 
-    @classmethod
-    def _split(cls, a: np.ndarray) -> "BlockBandMatrix":
-        blocks = []
-        for start in range(0, a.shape[0], BLOCK_ROWS):
-            rows = slice(start, min(start + BLOCK_ROWS, a.shape[0]))
-            nonzero = np.flatnonzero(a[rows].any(axis=0))
-            cols = (slice(int(nonzero[0]), int(nonzero[-1]) + 1)
-                    if nonzero.size else slice(0, 0))
-            blocks.append((rows, cols, np.ascontiguousarray(a[rows, cols])))
-        return cls(a.shape, blocks)
+    def buffer(self, tail: tuple, x: np.ndarray | None = None) -> np.ndarray:
+        """Operand buffer: ``x``, if given, in rows front ... front +
+        shape[1] - 1 (front = max(0, -lo)), zeros above and below."""
+        count, _, width = self.blocks.shape
+        front, n = max(0, -self.lo), self.shape[1]
+        out = np.empty((front + max(
+            n, self.lo + (count - 1) * self.stride + width),) + tail)
+        out[:front] = out[front + n:] = 0.0
+        if x is not None:
+            out[front:front + n] = x
+        return out
+
+    def windows(self, buffer: np.ndarray, tail: tuple = ()) -> np.ndarray:
+        """View (count, width, columns) of the windows of a C-contiguous 2D
+        ``buffer``, its columns cut to ``tail`` if given."""
+        count, _, width = self.blocks.shape
+        row = buffer.strides[0]
+        return np.ndarray(      # as_strided costs more than a small product
+            (count, width) + (tail or buffer.shape[1:]), float, buffer,
+            max(0, self.lo) * row, (self.stride * row, row, buffer.strides[1]))
+
+    def product(self, buffer: np.ndarray, tail: tuple = ()) -> np.ndarray:
+        """This matrix times the operand in ``buffer`` (see :meth:`windows`)."""
+        out = np.matmul(self.blocks, self.windows(buffer, tail))
+        return out.reshape(-1, out.shape[-1])[:self.shape[0]]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((self.shape[0],) + x.shape[1:])
-        for rows, cols, data in self.blocks:
-            np.matmul(data, x[cols], out=out[rows])
-        return out
+        x = np.asarray(x)
+        buffer = self.buffer(x.shape[1:2] or (1,), x.reshape(len(x), -1))
+        return self.product(buffer).reshape((-1,) + x.shape[1:])
+
+    def kron(self, right: "WindowBandMatrix", v: np.ndarray,
+             blocks: np.ndarray | None = None) -> np.ndarray:
+        """vec(L X R^T) for v = vec(X), L this matrix and R ``right``: R's
+        blocks times the windows of X^T write X R^T straight into the rows
+        of a buffer that L then multiplies. ``blocks`` (count, s,
+        BLOCK_ROWS, width) stacks s factors R_i on R's windows; row r of
+        X R_i^T goes to row s r + i, L holds its s factors' columns
+        interleaved, and the result is sum_i L_i X R_i^T."""
+        blocks = right.blocks[:, None] if blocks is None else blocks
+        count, slots, rows, _ = blocks.shape
+        n, a = right.shape[1], self.shape[1] // slots       # X is a x n
+        xt = right.buffer((a,), v.reshape(a, n).T)
+        y = self.buffer((count * rows,))
+        row, col = y.strides
+        out = np.ndarray((count, slots, rows, a), float, y,    # (j, i, t, r)
+                         max(0, -self.lo) * row,
+                         (rows * col, row, col, slots * row))
+        np.matmul(blocks, right.windows(xt)[:, None], out=out)
+        return self.product(y, (right.shape[0],)).reshape(-1)
 
 
 @dataclass
@@ -158,15 +222,19 @@ class CholeskyFactor:
     order: int
     factor: np.ndarray
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with LAPACK pbtrs/potrs; the factor was checked finite
-        once, in :func:`cholesky`, so only ``rhs`` is checked here."""
+    def solve(self, rhs: np.ndarray, forward: bool = False) -> np.ndarray:
+        """Solve with LAPACK pbtrs/potrs, or with ``forward`` apply L^-1
+        alone (tbtrs/trtrs); the factor was checked finite once, in
+        :func:`cholesky`, so only ``rhs`` is checked here."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.order:
             raise ValueError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.order}")
         if not np.isfinite(rhs).all():
             raise ValueError("rhs must not contain infs or NaNs")
+        if forward:
+            return (lapack.dtbtrs(self.factor, rhs, uplo="L") if self.kind ==
+                    "banded" else lapack.dtrtrs(self.factor, rhs, lower=1))[0]
         trs = lapack.dpbtrs if self.kind == "banded" else lapack.dpotrs
         return trs(self.factor, rhs, lower=1)[0]
 
@@ -204,7 +272,8 @@ def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
 
     Views v as a matrix with C-ordering, applies ``a_right`` across rows and
     ``a_left`` across columns. Operators are matrix-likes with ``shape`` and
-    ``@``; rectangular operators are allowed.
+    ``@``; rectangular operators are allowed. Two window bands go through
+    :meth:`WindowBandMatrix.kron`.
     """
     rl, cl = a_left.shape
     rr, cr = a_right.shape
@@ -212,6 +281,9 @@ def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
     if v.shape != (cl * cr,):
         raise ValueError(
             f"vector length {v.shape} inconsistent with operator columns {cl}x{cr}")
+    if isinstance(a_left, WindowBandMatrix) and isinstance(
+            a_right, WindowBandMatrix):
+        return a_left.kron(a_right, v)
     mat = v.reshape(cl, cr)
     # (A (x) B) vec_C(V) = vec_C(A V B^T)
     step = (a_right @ mat.T).T     # V B^T, shape (cl, rr)

@@ -118,8 +118,9 @@ def _boundary(disc: Discretization1D, tau: float) -> _Boundary:
     ig = disc.A.rectangular_block(split.interior, split.boundary)
     start, stop = split.interior[0], split.interior[-1] + 1
     interior = disc.A.principal_submatrix(int(start), int(stop))
-    X = cholesky(interior, "interior system block").solve(ig)
-    Q = gg - ig.T @ X
+    # ig^T A_II^-1 ig = Y^T Y with Y = L^-1 ig, A_II = L L^T
+    Y = cholesky(interior, "interior system block").solve(ig, forward=True)
+    Q = gg - Y.T @ Y
     return _Boundary(space.dim, space.mesh_size, tau, split, 0.5 * (Q + Q.T))
 
 

@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d
-from .linalg import BandedSymMatrix, BlockBandMatrix, CholeskyFactor, \
-    KronSumSolver, cholesky
+from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
+    WindowBandMatrix, cholesky
 from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
     build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
 from .splines import SplineSpace, build_space
 from .transfer import SparseEmbedding, build_prolongation, prolong, \
-    prolong_2d, restrict, restrict_2d
+    prolong_2d, restrict, restrict_2d, window_embedding
 
 __all__ = [
     "Level",
@@ -54,7 +54,7 @@ class Level:
     op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
     smoother: Smoother1D | Smoother2D | None = None
     # embedding from the next coarser level, held with its transpose
-    P: SparseEmbedding | BlockBandMatrix | None = None
+    P: SparseEmbedding | WindowBandMatrix | None = None
     direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
 
@@ -167,8 +167,7 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             lvl.P = SparseEmbedding(build_prolongation(levels[-1].space, space))
         else:
             lvl.smoother = build_smoother_2d(lvl.op, tau)
-            lvl.P = BlockBandMatrix.from_dense(
-                build_prolongation(levels[-1].space, space).toarray())
+            lvl.P = window_embedding(levels[-1].space, space)
         levels.append(lvl)
     return MgHierarchy(dim=d, degree=p, coarse_level=coarse_level,
                        fine_level=fine_level, levels=levels)

@@ -6,8 +6,8 @@ in verify): the matrix of knot insertion, built with the Oslo algorithm
 (discrete B-splines) over all rows at once, or copied from one cached
 template per degree and ratio on a large enough dyadic pair. Restriction is
 the transpose, held once per hierarchy level with P (:class:`SparseEmbedding`
-in 1D, :class:`~splinemg.linalg.BlockBandMatrix` in 2D); 2D transfers are
-Kronecker squares applied factor-wise.
+in 1D, a :class:`~splinemg.linalg.WindowBandMatrix` in 2D); 2D transfers are
+Kronecker squares applied factor-wise, one batched product per factor.
 """
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ from functools import cache
 import numpy as np
 import scipy.sparse
 
-from .linalg import kron_apply
+from .linalg import BLOCK_ROWS, WindowBandMatrix, kron_apply
 from .splines import SplineSpace, build_space
 
 __all__ = [
     "SparseEmbedding",
     "build_prolongation",
+    "window_embedding",
     "prolong",
     "restrict",
     "prolong_2d",
@@ -124,6 +125,21 @@ def build_prolongation(coarse: SplineSpace,
     indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
     return scipy.sparse.csr_matrix(
         (vals[nonzero], cols[nonzero], indptr), shape=(fine.dim, coarse.dim))
+
+
+def window_embedding(coarse: SplineSpace,
+                     fine: SplineSpace) -> WindowBandMatrix:
+    """P of a twice refined pair, with P^T, as window bands read from the
+    CSR arrays: row i of P has its nonzeros in columns ceil((i - 1) / 2) to
+    floor((i + p) / 2), column c in rows 2c - p to 2c + 1."""
+    P, p, b = build_prolongation(coarse, fine), coarse.degree, BLOCK_ROWS
+    rows = np.repeat(np.arange(fine.dim), np.diff(P.indptr))
+    out = WindowBandMatrix.from_entries(P.shape, rows, P.indices, P.data,
+                                        0, b // 2, (b + p + 1) // 2)
+    out.T = WindowBandMatrix.from_entries(P.shape[::-1], P.indices, rows,
+                                          P.data, -p, 2 * b, 2 * b + p)
+    out.T.T = out
+    return out
 
 
 def prolong(P, coarse_vec: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
 from splinemg import build_space, assemble_1d, operator_2d, \
@@ -70,6 +71,19 @@ def test_operator_2d_matches_dense_kron():
     v = rng.standard_normal(25)
     npt.assert_allclose(apply_operator_2d(op, v), dense @ v, atol=1e-12)
     npt.assert_array_equal(op.toarray(), dense)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_operator_2d_apply_matches_kron_property(p, seed):
+    rng = np.random.default_rng(seed)
+    for level in range(6):                  # every level with m <= 40
+        disc = assemble_1d(build_space(p, level))
+        K, M, A = disc.K.toarray(), disc.M.toarray(), disc.A.toarray()
+        v = rng.standard_normal(disc.space.dim ** 2)
+        ref = (np.kron(K, M) + np.kron(M, A)) @ v
+        got = operator_2d(disc).apply(v)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_operator_2d_constant_vector():

@@ -5,7 +5,8 @@ import pytest
 from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
     build_prolongation
-from splinemg.linalg import BLOCK_ROWS, BlockBandMatrix
+from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix
+from splinemg.transfer import window_embedding
 
 
 def _random_spd_banded(rng, m, b):
@@ -128,6 +129,19 @@ def test_non_finite_factor_and_rhs_rejected(kind):
         cholesky(good).solve(np.array([1.0, np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("kind", ["banded", "dense"])
+def test_forward_solve_applies_the_inverse_factor(kind):
+    rng = np.random.default_rng(9)
+    a = _random_spd_banded(rng, 30, 4)
+    L = np.linalg.cholesky(a.toarray())
+    rhs = rng.standard_normal((30, 3))
+    chol = cholesky(a if kind == "banded" else a.toarray())
+    npt.assert_allclose(chol.solve(rhs, forward=True), np.linalg.solve(L, rhs),
+                        rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        chol.solve(np.full(30, np.nan), forward=True)
+
+
 def test_kron_apply_identity():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(25)
@@ -235,23 +249,51 @@ def _random_band(m, p, seed):
     return np.where(np.abs(i - j) <= p, a, 0.0)
 
 
+def _symmetric_band(m, b, seed):
+    """A random symmetric band of half-width b as a window band."""
+    a = _random_band(m, b, seed)
+    band = BandedSymMatrix.from_dense(a + a.T, b)
+    return WindowBandMatrix.from_band(band), band.toarray()
+
+
 def _zero_row_block():
+    # a non-symmetric band whose second row block is all zero
     a = _random_band(3 * BLOCK_ROWS + 5, 3, 2)
     a[BLOCK_ROWS:2 * BLOCK_ROWS] = 0.0
-    return a
+    rows, cols = np.nonzero(a)
+    window = (-3, BLOCK_ROWS, BLOCK_ROWS + 6)
+    B = WindowBandMatrix.from_entries(a.shape, rows, cols, a[rows, cols],
+                                      *window)
+    B.T = WindowBandMatrix.from_entries(a.shape, cols, rows, a[rows, cols],
+                                        *window)
+    assert not B.blocks[1].any() and B.T.blocks[1].any()
+    return B, a
 
 
-@pytest.mark.parametrize("a", [
-    _random_band(2 * BLOCK_ROWS + 6, 3, 0),
-    _random_band(BLOCK_ROWS - 12, 2, 1),
-    _zero_row_block(),
-    build_prolongation(build_space(4, 5), build_space(4, 6)).toarray(),
-], ids=["not-a-multiple", "below-one-block", "zero-row-block", "prolongation"])
-def test_block_band_product_matches_dense(a):
-    B = BlockBandMatrix.from_dense(a)
-    assert B.T.T is B
-    if len(a) > 2 * BLOCK_ROWS and not a[BLOCK_ROWS:2 * BLOCK_ROWS].any():
-        assert B.blocks[1][2].size == 0     # an all-zero row block stores none
+def _embedding(p, coarse_level):
+    coarse, fine = build_space(p, coarse_level), build_space(p, coarse_level + 1)
+    return (window_embedding(coarse, fine),
+            build_prolongation(coarse, fine).toarray())
+
+
+CASES = {
+    "not-a-multiple": lambda: _symmetric_band(2 * BLOCK_ROWS + 6, 3, 0),
+    "below-one-block": lambda: _symmetric_band(BLOCK_ROWS - 3, 2, 1),
+    "zero-row-block": _zero_row_block,
+    "prolongation": lambda: _embedding(4, 5),
+    **{f"half-width-{b}": (lambda b=b: _symmetric_band(3 * BLOCK_ROWS + 1, b, b))
+       for b in range(4)},
+    "p1": lambda: _embedding(1, 4),
+    "p15": lambda: _embedding(15, 5),
+    # the fine space is tight, n = p + 1
+    "tight-p1": lambda: _embedding(1, 0),
+    "tight-p15": lambda: _embedding(15, 3),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_block_band_product_matches_dense(case):
+    B, a = CASES[case]()
     rng = np.random.default_rng(3)
     for op, dense in ((B, a), (B.T, a.T)):
         n = dense.shape[1]
@@ -260,12 +302,24 @@ def test_block_band_product_matches_dense(a):
                     rng.standard_normal(n))
         for x in operands:
             ref = dense @ x
-            assert np.linalg.norm(op @ x - ref) <= 1e-14 * np.linalg.norm(ref)
+            got = op @ x
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_block_band_symmetric_matrix_is_its_own_transpose():
-    a = _random_band(40, 2, 4)
-    B = BlockBandMatrix.from_dense(a + a.T)
+    B, _ = _symmetric_band(40, 2, 4)
     assert B.T is B
-    C = BlockBandMatrix.from_dense(a)
-    assert C.T is not C and C.T.T is C
+    P, _ = _embedding(3, 3)
+    assert P.T is not P and P.T.T is P
+
+
+def test_window_band_rejects_a_nonzero_outside_its_window():
+    a = _random_band(20, 2, 5)
+    rows, cols = np.nonzero(a)
+    with pytest.raises(ValueError, match="outside its window"):
+        # the window of a half-width-1 band
+        WindowBandMatrix.from_entries(a.shape, rows, cols, a[rows, cols],
+                                      -1, BLOCK_ROWS, BLOCK_ROWS + 2)
+    with pytest.raises(ValueError, match="outside its window"):
+        window_embedding(build_space(3, 3), build_space(3, 5))   # ratio 4

@@ -350,10 +350,15 @@ def test_solve_pcg_stops_on_indefinite_preconditioner():
 
 
 def _expand(B):
-    """Dense array from a BlockBandMatrix's stored blocks alone."""
+    """Dense array from a WindowBandMatrix's stored blocks alone; a stored
+    entry outside the matrix must be zero."""
+    j, t, w = np.indices(B.blocks.shape)
+    rows = j * B.blocks.shape[1] + t
+    cols = B.lo + j * B.stride + w
+    inside = (rows < B.shape[0]) & (cols >= 0) & (cols < B.shape[1])
+    assert not B.blocks[~inside].any()
     out = np.zeros(B.shape)
-    for rows, cols, data in B.blocks:
-        out[rows, cols] = data
+    out[rows[inside], cols[inside]] = B.blocks[inside]
     return out
 
 
@@ -361,7 +366,7 @@ def _expand(B):
 @pytest.mark.parametrize("p, level", [(1, 1), (1, 4), (3, 2), (3, 4), (7, 3),
                                       (8, 5)])
 def test_block_band_2d_level_matches_kron_oracles(p, level):
-    # every 2D level holds block-banded factors and a block-banded P with
+    # every 2D level holds window-banded factors and a window-banded P with
     # its transpose; check their stored entries against the banded and CSR
     # forms, and the operator apply and both transfers against np.kron
     h = build_hierarchy(2, p, min_smoother_level(p) - 1, level)
@@ -396,9 +401,31 @@ def test_block_band_2d_level_matches_kron_oracles(p, level):
 
 @pytest.mark.parametrize("p", [1, 4, 15])
 def test_2d_levels_store_only_their_bands(p):
-    # a silent return to dense m x m storage breaks this bound once m > 2p + 33
+    # one block per BLOCK_ROWS rows, each at most 2 BLOCK_ROWS + 2p wide
+    # (32 + 2p + 1 before): dense m x m storage breaks this once m > 16 + 2p
     h = build_hierarchy(2, p, min_smoother_level(p) - 1, 7)
     for lvl in h.levels[1:]:
         for B in (*lvl.op.factors, lvl.P, lvl.P.T):
-            stored = sum(data.size for _, _, data in B.blocks)
-            assert stored <= max(B.shape) * (BLOCK_ROWS + 2 * p + 1)
+            count, rows, width = B.blocks.shape
+            assert count == -(-B.shape[0] // BLOCK_ROWS) and rows == BLOCK_ROWS
+            assert width <= 2 * BLOCK_ROWS + 2 * p
+
+
+def test_2d_apply_and_transfers_leave_earlier_results_alone():
+    # the products reuse no buffer between calls: a second call on the same
+    # level changes neither the first result nor the input
+    h = build_hierarchy(2, 3, 1, 4)
+    lvl, rng = h.finest, np.random.default_rng(8)
+    coarse_size, fine_size = lvl.P.shape[1] ** 2, lvl.op.order
+    for call, size in ((lvl.op.apply, fine_size),
+                       (lambda x: prolong_2d(lvl.P, x), coarse_size),
+                       (lambda x: restrict_2d(lvl.P, x), fine_size)):
+        x, y = rng.standard_normal(size), rng.standard_normal(size)
+        x0 = x.copy()
+        first = call(x)
+        kept = first.copy()
+        second = call(y)
+        npt.assert_array_equal(first, kept)
+        npt.assert_array_equal(x, x0)
+        assert not np.shares_memory(first, second)
+        npt.assert_array_equal(call(x), kept)
