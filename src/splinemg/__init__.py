@@ -1,8 +1,8 @@
 """Degree-robust geometric multigrid for maximum-smoothness B-spline
 discretizations of -div(grad u) + u = f with Neumann conditions on (0,1)^d."""
 
-from .splines import SplineSpace, IndexSplit, build_space, eval_basis, \
-    eval_basis_derivatives, eval_spline, index_split
+from .splines import SplineSpace, IndexSplit, SpaceSizeError, build_space, \
+    eval_basis, eval_basis_derivatives, eval_spline, index_split
 from .linalg import BandedSymMatrix, CholeskyFactor, NotSPDError, cholesky, \
     kron_apply, KronSumSolver, generalized_eig_max, operator_norm
 from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d, \

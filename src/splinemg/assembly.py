@@ -204,8 +204,10 @@ def _cosine_moments(space: SplineSpace) -> np.ndarray:
     p, n, q = space.degree, space.intervals, space.degree + 3
     nodes, weights, classes, vals = _span_classes(space, q, 0)
     wcos = weights * np.cos(np.pi * nodes)          # (spans, nodes)
-    # summed node by node, so no (spans, nodes, p + 1) array is formed
-    contrib = sum(wcos[:, k, None] * vals[classes, k, 0] for k in range(q))
+    contrib = np.empty((n, p + 1))
+    for c, v in enumerate(vals[:, :, 0]):           # one product per class
+        spans = classes == c
+        contrib[spans] = wcos[spans] @ v
 
     g = np.zeros(space.dim)
     for b in range(p + 1):

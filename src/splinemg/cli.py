@@ -30,10 +30,10 @@ from .linalg import NotSPDError
 from .smoother import damping
 from .solver import CycleConfig, InadmissibleLevels, build_hierarchy, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
-from .splines import build_space
-from .verify import APPROX_BOUND, INVERSE_BOUND, PROXY_LEVELS, dense_limit, \
-    measure_CA, measure_smoothing_constant, smoother_energy_norm, \
-    smoother_pencil, verify_approximation_constant, verify_counterexample, \
+from .splines import SpaceSizeError, build_space
+from .verify import APPROX_BOUND, INVERSE_BOUND, dense_space, measure_CA, \
+    measure_smoothing_constant, smoother_energy_norm, smoother_pencil, \
+    verify_approximation_constant, verify_counterexample, \
     verify_inverse_inequality
 
 __all__ = [
@@ -207,49 +207,51 @@ def _check(name, p, level, value, bound, kind) -> CheckResult:
 
 def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                tau: float | None = None) -> list[CheckResult]:
-    """Run the spectral verification suite over ranges of (p, level)."""
+    """Run the spectral verification suite over ranges of (p, level); a
+    check the library refuses with :class:`SpaceSizeError` reads SKIP."""
     tau = damping(d, tau)
     if not degrees or not levels:
         raise ValueError("degree and level ranges must be non-empty")
     results: list[CheckResult] = []
     for level in sorted(set(levels)):
-        n = 2**level
         ca_values: dict[int, float] = {}
         for p in sorted(set(degrees)):
-            m = n + p
-            if m > dense_limit(d):
+            try:
+                dense_space(p, level, d)
+            except SpaceSizeError:
                 results.append(_skip("verification-suite", p, level,
                                      "size beyond dense limit"))
                 continue
             if d == 1:
-                if n > p:
+                try:
                     res = verify_inverse_inequality(p, level)
+                except SpaceSizeError:
+                    results.append(_skip("inverse-inequality", p, level,
+                                         "interior block empty"))
+                else:
                     results.append(_check("inverse-inequality-constrained",
                                           p, level, res.constrained,
                                           INVERSE_BOUND + 1e-8, "upper"))
                     results.append(_check("inverse-inequality-interior",
                                           p, level, res.interior,
                                           INVERSE_BOUND + 1e-8, "upper"))
-                else:
-                    results.append(_skip("inverse-inequality", p, level,
-                                         "interior block empty"))
                 results.append(_check("counterexample-growth", p, level,
                                       verify_counterexample(p, level),
                                       float(p), "lower"))
-                proxy_dim = n * 2**PROXY_LEVELS + p
-                if proxy_dim <= dense_limit():
+                try:
                     results.append(_check(
                         "approximation-constant", p, level,
                         verify_approximation_constant(p, level),
                         APPROX_BOUND + 0.01, "upper"))
-                else:
+                except SpaceSizeError:
                     results.append(_skip("approximation-constant", p, level,
                                          "proxy space beyond dense limit"))
-            if n <= p:
+            try:
+                pencil = smoother_pencil(p, level, d=d, tau=tau)
+            except SpaceSizeError:
                 results.append(_skip("smoothing-constant", p, level,
                                      "no valid coarse/fine smoother pair"))
                 continue
-            pencil = smoother_pencil(p, level, d=d, tau=tau)
             worst = max(measure_smoothing_constant(pencil, nu)
                         for nu in range(1, 9))
             results.append(_check("smoothing-constant", p, level, worst,

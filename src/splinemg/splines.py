@@ -20,7 +20,13 @@ __all__ = [
     "eval_basis_derivatives",
     "eval_spline",
     "index_split",
+    "SpaceSizeError",
 ]
+
+
+class SpaceSizeError(ValueError):
+    """A space too small or too large for the routine it was passed to: an
+    empty interior block, or a dimension beyond a dense limit."""
 
 
 @dataclass(frozen=True)
@@ -189,11 +195,12 @@ def eval_spline(space: SplineSpace, coefficients: np.ndarray, x: float,
 def index_split(space: SplineSpace) -> IndexSplit:
     """Boundary (first p and last p) / interior index partition.
 
-    Raises ValueError when the interior block would be empty (m <= 2p).
+    Raises :class:`SpaceSizeError` when the interior block would be empty
+    (m <= 2p).
     """
     p, m = space.degree, space.dim
     if m <= 2 * p:
-        raise ValueError(
+        raise SpaceSizeError(
             "interior space empty -- refine or lower degree "
             f"(dim {m} <= 2*degree {2 * p})")
     boundary = np.concatenate([np.arange(p), np.arange(m - p, m)])

@@ -16,10 +16,10 @@ import scipy.linalg
 
 from .assembly import assemble_1d, operator_2d
 from .linalg import generalized_eig_max
-from .smoother import build_smoother_1d, build_smoother_2d, damping, \
-    smoother_matrix_1d, smoother_matrix_2d
-from .splines import SplineSpace, build_space, eval_basis_derivatives, \
-    index_split
+from .smoother import build_boundary, damping, smoother_matrix_1d, \
+    smoother_matrix_2d
+from .splines import SpaceSizeError, SplineSpace, build_space, \
+    eval_basis_derivatives, index_split
 from .transfer import build_prolongation
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "PROXY_LEVELS",
     "SmootherPencil",
     "dense_limit",
+    "dense_space",
     "build_constraint_basis",
     "verify_inverse_inequality",
     "verify_counterexample",
@@ -90,11 +91,15 @@ def dense_limit(d: int = 1) -> int:
     return 300 if d == 1 else 30
 
 
-def _check_dense(space: SplineSpace, d: int = 1):
+def dense_space(p: int, level: int, d: int = 1, n0: int = 1) -> SplineSpace:
+    """``build_space(p, level, n0)`` for a dense ``d``-dim check; raises
+    :class:`SpaceSizeError` when its dimension exceeds ``dense_limit(d)``."""
+    space = build_space(p, level, n0)
     if space.dim > dense_limit(d):
-        raise ValueError(
+        raise SpaceSizeError(
             f"dimension {space.dim} exceeds dense verification limit "
             f"{dense_limit(d)}")
+    return space
 
 
 def verify_inverse_inequality(p: int, level: int,
@@ -103,16 +108,17 @@ def verify_inverse_inequality(p: int, level: int,
 
     Returns h * sqrt(lambda_max) for the constrained space and for the
     interior block; each is expected not to exceed INVERSE_BOUND.
+    Raises :class:`SpaceSizeError` beyond the dense limit or for an empty
+    interior block.
     """
-    space = build_space(p, level, n0)
-    _check_dense(space)
+    space = dense_space(p, level, n0=n0)
+    s = index_split(space)
     disc = assemble_1d(space)
     Kd, Md = disc.K.toarray(), disc.M.toarray()
     N = build_constraint_basis(space)
     lam = generalized_eig_max(N.T @ Kd @ N, N.T @ Md @ N)
     constrained = space.mesh_size * np.sqrt(max(lam, 0.0))
 
-    s = index_split(space)
     KI = Kd[np.ix_(s.interior, s.interior)]
     MI = Md[np.ix_(s.interior, s.interior)]
     lam_i = generalized_eig_max(KI, MI)
@@ -127,8 +133,7 @@ def verify_counterexample(p: int, level: int) -> float:
     This grows at least like p, which is why the uncorrected mass smoother
     needs a damping parameter shrinking like p^-2.
     """
-    space = build_space(p, level)
-    _check_dense(space)
+    space = dense_space(p, level)
     disc = assemble_1d(space)
     lam = generalized_eig_max(disc.K.toarray(), disc.M.toarray())
     return float(space.mesh_size * np.sqrt(max(lam, 0.0)))
@@ -140,21 +145,24 @@ def verify_approximation_constant(p: int, level: int,
 
     The supremum over H^1 is approximated from a ``proxy_levels``-times finer
     spline space, which can only underestimate it, so the measured value must
-    stay below APPROX_BOUND.
+    stay below APPROX_BOUND. Raises :class:`SpaceSizeError` when the proxy
+    space exceeds the dense limit.
     """
     coarse = build_space(p, level)
-    fine = build_space(p, level + proxy_levels)
-    _check_dense(fine)
+    fine = dense_space(p, level + proxy_levels)
     disc = assemble_1d(fine)
     Af, Mf = disc.A.toarray(), disc.M.toarray()
 
     Z = build_prolongation(coarse, fine).toarray() @ \
         build_constraint_basis(coarse)
-    # A-orthogonal projector onto the embedded constrained space
-    T = Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
-    # ||M^(1/2) R A^(-1/2)||^2 with R = I - T is lambda_max(R^T M R, A)
-    R = np.eye(fine.dim) - T
-    lam = generalized_eig_max(R.T @ Mf @ R, Af)
+    # A-orthogonal projector T = Z X onto the embedded constrained space
+    ZA = Z.T @ Af
+    X = np.linalg.solve(ZA @ Z, ZA)
+    # ||M^(1/2) R A^(-1/2)||^2 with R = I - T is lambda_max(R^T M R, A);
+    # R^T M R = M - G - G^T + X^T (Z^T M Z) X with G = M Z X, all rank k
+    MZ = Mf @ Z
+    G = MZ @ X
+    lam = generalized_eig_max(Mf - G - G.T + X.T @ (Z.T @ MZ) @ X, Af)
     return float(np.sqrt(max(lam, 0.0)) / coarse.mesh_size)
 
 
@@ -178,21 +186,25 @@ class SmootherPencil:
 def smoother_pencil(p: int, level: int, d: int = 1,
                     tau: float | None = None) -> SmootherPencil:
     """Build the dense pencil between ``level`` and ``level - 1`` for the
-    ``d``-dim problem; ``tau`` defaults to the reference damping for ``d``."""
+    ``d``-dim problem; ``tau`` defaults to the reference damping for ``d``.
+
+    The smoother matrix comes from the boundary data alone, with no factor.
+    Raises :class:`SpaceSizeError` beyond the dense limit or when ``level``
+    has no smoother (n <= p), before the coarse level is built.
+    """
     tau = damping(d, tau)
-    fine = build_space(p, level)
+    fine = dense_space(p, level, d)
+    df = assemble_1d(fine)
+    b = build_boundary(df, tau)
     coarse = build_space(p, level - 1)
-    _check_dense(fine, d)
-    df, dc = assemble_1d(fine), assemble_1d(coarse)
+    dc = assemble_1d(coarse)
     P1 = build_prolongation(coarse, fine).toarray()
     if d == 1:
-        sm = build_smoother_1d(df, tau)
         return SmootherPencil(df.A.toarray(), dc.A.toarray(), P1,
-                              smoother_matrix_1d(sm, df, damped=True))
-    op = operator_2d(df)
-    s2 = build_smoother_2d(op, tau)
-    return SmootherPencil(op.toarray(), operator_2d(dc).toarray(),
-                          np.kron(P1, P1), smoother_matrix_2d(s2, df) / tau)
+                              smoother_matrix_1d(b, df, damped=True))
+    return SmootherPencil(operator_2d(df).toarray(),
+                          operator_2d(dc).toarray(), np.kron(P1, P1),
+                          smoother_matrix_2d(b, df) / tau)
 
 
 def measure_CA(pencil: SmootherPencil) -> float:

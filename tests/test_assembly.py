@@ -6,7 +6,8 @@ from scipy.interpolate import BSpline
 
 from splinemg import build_space, assemble_1d, operator_2d, \
     apply_operator_2d, assemble_load, eval_basis
-from splinemg.assembly import _quadrature_bands, _span_quadrature
+from splinemg.assembly import _cosine_moments, _quadrature_bands, \
+    _span_classes, _span_quadrature
 
 
 def test_mass_p1_n2_analytic():
@@ -144,6 +145,29 @@ def test_load_matches_high_order_quadrature_oracle():
             first, vals = eval_basis(sp, float(x))
             ref[first:first + 3] += w * np.pi**2 * np.cos(np.pi * x) * vals
     npt.assert_allclose(load, ref, atol=1e-10)
+
+
+def _node_by_node_moments(space):
+    """Cosine moments summed node by node over every span's basis values."""
+    p, n, q = space.degree, space.intervals, space.degree + 3
+    nodes, weights, classes, vals = _span_classes(space, q, 0)
+    wcos = weights * np.cos(np.pi * nodes)
+    contrib = sum(wcos[:, k, None] * vals[classes, k, 0] for k in range(q))
+    g = np.zeros(space.dim)
+    for b in range(p + 1):
+        g[b:b + n] += contrib[:, b]
+    return g
+
+
+# n < 2p: every span its own class; n >= 2p: interior spans share one
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 15])
+def test_cosine_moments_match_node_by_node_quadrature(p):
+    spaces = [build_space(p, 0, n) for n in range(1, 2 * p + 2)] + \
+        [build_space(p, level) for level in (4, 9)]
+    for space in spaces:
+        ref = _node_by_node_moments(space)
+        got = _cosine_moments(space)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def _bspline_oracle(space):

@@ -12,7 +12,10 @@ from splinemg import InadmissibleLevels, build_hierarchy, cli, \
 from splinemg.cli import ExperimentConfig, TableResult, run_table, \
     run_verify, write_table, format_verify_report, main, _parse_range
 from splinemg.linalg import NotSPDError
+from splinemg.splines import SpaceSizeError
 from splinemg.verify import dense_limit, smoother_pencil
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _small_config(**kw):
@@ -143,6 +146,42 @@ def test_run_verify_skips_oversize():
         assert run_verify([p], [level], d=d)[0].note == "size beyond dense limit"
         with pytest.raises(ValueError, match="dense verification limit"):
             smoother_pencil(p, level, d=d)
+
+
+def test_run_verify_skips_what_the_library_refuses_by_size():
+    notes = {(r.name, r.degree, r.level): r.note
+             for r in run_verify([2, 4], [2, 5], d=1) if r.status == "SKIP"}
+    assert notes == {
+        ("inverse-inequality", 4, 2): "interior block empty",
+        ("smoothing-constant", 4, 2): "no valid coarse/fine smoother pair",
+        ("approximation-constant", 2, 5): "proxy space beyond dense limit",
+        ("approximation-constant", 4, 5): "proxy space beyond dense limit"}
+
+
+@pytest.mark.parametrize("error, skipped", [
+    (SpaceSizeError("too small"), True), (ValueError("other"), False)])
+def test_run_verify_maps_only_the_size_error_to_skip(monkeypatch, error,
+                                                     skipped):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "smoother_pencil", refuse)
+    if skipped:
+        result = run_verify([2], [2], d=2)
+        assert [(r.name, r.status, r.note) for r in result] == [
+            ("smoothing-constant", "SKIP",
+             "no valid coarse/fine smoother pair")]
+    else:
+        with pytest.raises(ValueError, match="other"):
+            run_verify([2], [2], d=2)
+
+
+@pytest.mark.parametrize("args, golden", [
+    ("--dim 1 --degrees 1-8 --levels 4", "verify_d1_p1-8_l4.txt"),
+    ("--dim 2 --degrees 1-4 --levels 3", "verify_d2_p1-4_l3.txt")])
+def test_verify_report_matches_committed_output(capsys, args, golden):
+    assert main(["verify", *args.split()]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_format_verify_report():

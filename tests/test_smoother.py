@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from splinemg import build_space, assemble_1d, operator_2d, index_split, \
     build_smoother_1d, build_smoother_2d, apply_Linv_1d, apply_Linv_2d, \
-    smooth_step_1d, smooth_step_2d
+    smooth_step_1d, smooth_step_2d, build_hierarchy, solve_mg, \
+    assemble_load, CycleConfig, experiment_initial_guess
+from splinemg import smoother
 from splinemg.smoother import TAU_DEFAULT, damping, smooth_1d, smooth_2d, \
-    smoother_matrix_1d, smoother_matrix_2d
+    smoother_matrix_1d, smoother_matrix_2d, build_boundary, _boundary_images
 from splinemg.linalg import cholesky
 
 
@@ -81,6 +83,71 @@ def test_energy_minimization_bound():
         C[np.ix_(s.boundary, s.boundary)] = sm.Q
         lam = scipy.linalg.eigh(C, disc.A.toarray(), eigvals_only=True)[-1]
         assert lam <= 1 + 1e-10
+
+
+def _full_gather_oracle(disc):
+    """Y and Q from every interior row and a full-length forward solve."""
+    s = index_split(disc.space)
+    bnd, itr = s.boundary, s.interior
+    ig = disc.A.rectangular_block(itr, bnd)
+    interior = disc.A.principal_submatrix(int(itr[0]), int(itr[-1]) + 1)
+    Y = cholesky(interior).solve(ig, forward=True)
+    Q = disc.A.rectangular_block(bnd, bnd) - Y.T @ Y
+    return Y, 0.5 * (Q + Q.T)
+
+
+# every admissible l <= 12 for p <= 15, the p = 30/38 edge at l = 9, and
+# the spaces n = p + 1 ... 3p, where the first and last p interior rows
+# overlap
+@pytest.mark.parametrize("p,spaces", [
+    (p, [(lv, 1) for lv in range(1, 13) if 2**lv > p]
+     + [(0, n) for n in range(p + 1, 3 * p + 1)]) for p in range(1, 16)]
+    + [(30, [(9, 1), (0, 31)]), (38, [(9, 1), (0, 39)])])
+def test_boundary_data_bitwise_equals_full_gather(p, spaces):
+    for level, n0 in spaces:
+        disc = assemble_1d(build_space(p, level, n0))
+        Y, Q = _full_gather_oracle(disc)
+        npt.assert_array_equal(
+            _boundary_images(disc.A, index_split(disc.space)), Y)
+        npt.assert_array_equal(build_boundary(disc, 0.14).Q, Q)
+
+
+def test_1d_solve_factors_only_the_damped_smoother(monkeypatch):
+    built = []
+
+    def counting(matrix, what="matrix"):
+        built.append(what)
+        return cholesky(matrix, what)
+
+    monkeypatch.setattr(smoother, "cholesky", counting)
+    hier = build_hierarchy(1, 3, 2, 7)
+    f = assemble_load(hier.finest.space, 1)
+    _, report = solve_mg(hier, CycleConfig(), f,
+                         experiment_initial_guess(len(f)))
+    assert report.converged
+    # one interior factor for Q and one damped factor per smoothed level
+    assert built == ["interior system block", "1D damped smoother matrix"] * 5
+    s = hier.finest.smoother
+    assert "L_solver" not in vars(s)
+    r = np.random.default_rng(7).standard_normal(s.space_dim)
+    x = apply_Linv_1d(s, r)
+    assert built[-1] == "1D smoother matrix"
+    ref = np.linalg.solve(smoother_matrix_1d(s, hier.finest.disc), r)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    apply_Linv_1d(s, r)
+    assert built.count("1D smoother matrix") == 1   # built once
+
+
+def test_smoother_matrices_need_only_the_boundary_data():
+    disc = assemble_1d(build_space(3, 3))
+    b, s1 = build_boundary(disc, 0.14), build_smoother_1d(disc, 0.14)
+    s2 = build_smoother_2d(operator_2d(disc), 0.08)
+    for damped in (False, True):
+        npt.assert_array_equal(smoother_matrix_1d(b, disc, damped),
+                               smoother_matrix_1d(s1, disc, damped))
+    npt.assert_array_equal(
+        smoother_matrix_2d(build_boundary(disc, 0.08), disc),
+        smoother_matrix_2d(s2, disc))
 
 
 def test_build_smoother_rejects_bad_input():

@@ -6,7 +6,9 @@ from splinemg import build_space, assemble_1d, eval_spline, \
     build_constraint_basis, verify_inverse_inequality, verify_counterexample, \
     verify_approximation_constant, measure_CA, measure_smoothing_constant, \
     smoother_energy_norm, smoother_pencil, INVERSE_BOUND, APPROX_BOUND
-from splinemg import build_prolongation, cli
+from splinemg import build_prolongation, cli, SpaceSizeError
+from splinemg.linalg import generalized_eig_max
+from splinemg.verify import dense_space
 
 
 def _product_of_steps(p, coarse_level, fine_level):
@@ -148,6 +150,42 @@ def test_approximation_constant_matches_square_root_oracle(p, level):
     value = verify_approximation_constant(p, level)
     ref = _approximation_oracle(p, level, 4)
     assert abs(value - ref) <= 1e-12 * ref
+
+
+def _projector_form(p, level, proxy=4):
+    """The approximation constant from R = I - T and two dense products."""
+    coarse, fine = build_space(p, level), build_space(p, level + proxy)
+    disc = assemble_1d(fine)
+    Af, Mf = disc.A.toarray(), disc.M.toarray()
+    Z = build_prolongation(coarse, fine).toarray() @ \
+        build_constraint_basis(coarse)
+    R = np.eye(fine.dim) - Z @ np.linalg.solve(Z.T @ Af @ Z, Z.T @ Af)
+    lam = generalized_eig_max(R.T @ Mf @ R, Af)
+    return np.sqrt(max(lam, 0.0)) / coarse.mesh_size
+
+
+@pytest.mark.parametrize("level", [0, 2, 4])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_approximation_constant_rank_k_form_matches_projector(p, level):
+    ref = _projector_form(p, level)
+    assert abs(verify_approximation_constant(p, level) - ref) <= 1e-13 * ref
+
+
+def test_size_checks_raise_one_named_error():
+    with pytest.raises(SpaceSizeError, match="dense verification limit"):
+        dense_space(1, 9)
+    assert dense_space(2, 4, d=2).dim == 18
+    with pytest.raises(SpaceSizeError, match="dense verification limit"):
+        dense_space(15, 4, d=2)
+    with pytest.raises(SpaceSizeError, match="dense verification limit"):
+        verify_approximation_constant(2, 5)     # proxy n = 512
+    with pytest.raises(SpaceSizeError, match="interior space empty"):
+        verify_inverse_inequality(4, 2)         # n = p
+    # a level without a smoother fails before its coarse level is built,
+    # so level 0 raises the size error, not build_space's level error
+    for level in (0, 2):
+        with pytest.raises(SpaceSizeError, match="interior space empty"):
+            smoother_pencil(4, level)
 
 
 @pytest.mark.parametrize("d,level,degrees", [(1, 5, range(1, 9)),
