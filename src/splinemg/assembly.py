@@ -41,23 +41,24 @@ class Discretization1D:
 @dataclass
 class Operator2D:
     """v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors, applied as
-    K(x)M + M(x)A with A = K + M. ``factors`` holds K, M and A as
-    :class:`~splinemg.linalg.WindowBandMatrix` bands, read from ``disc``'s
-    band storage; an apply is two batched products over their windows. The
-    dense M serves the fast-diagonalization setups."""
+    K(x)M + M(x)A with A = K + M. It holds only what an apply reads, read
+    from ``disc``'s band storage as
+    :class:`~splinemg.linalg.WindowBandMatrix` windows: M's window
+    ``M_window``, M's and A's blocks stacked on it (``_MA``) and [K M] with
+    K's and M's columns interleaved (``_KM``). The dense M serves the
+    fast-diagonalization setups."""
 
     disc: Discretization1D
     M: np.ndarray = field(init=False, repr=False)
-    factors: tuple[WindowBandMatrix, ...] = field(init=False, repr=False)
+    M_window: WindowBandMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         d, m = self.disc, self.disc.space.dim
         self.M = d.M.toarray()
-        self.factors = K, M, A = tuple(
-            WindowBandMatrix.from_band(a) for a in (d.K, d.M, d.A))
+        K, M, A = (WindowBandMatrix.from_band(a) for a in (d.K, d.M, d.A))
         count, rows, width = K.blocks.shape
+        self.M_window = M
         self._MA = np.stack([M.blocks, A.blocks], axis=1)
-        # [K M], m x 2m, with K's and M's columns interleaved
         self._KM = WindowBandMatrix((m, 2 * m), 2 * K.lo, 2 * K.stride,
                                     np.stack([K.blocks, M.blocks], axis=3)
                                     .reshape(count, rows, 2 * width))
@@ -74,7 +75,7 @@ class Operator2D:
         """K U M + M U A for v = vec(U): two batched products, the first
         with M's and A's blocks on the same windows of U^T, the second with
         [K M] on the row pairs of U M and U A."""
-        return self._KM.kron(self.factors[1], v, self._MA)
+        return self._KM.kron(self.M_window, v, self._MA)
 
     def direct_solver(self) -> KronSumSolver:
         """Fast-diagonalization inverse of M (x) B + B (x) M, B = K + M/2."""
@@ -142,7 +143,7 @@ def _quadrature_bands(space: SplineSpace, q: int) -> np.ndarray:
 
 
 @cache
-def _band_template(p: int, q: int) -> np.ndarray:
+def _band_template(p: int) -> np.ndarray:
     """Read-only bands of n M and K / n on the smallest dyadic space with
     n >= 4p, the right corner replaced by the mirror of the left one.
 
@@ -154,30 +155,29 @@ def _band_template(p: int, q: int) -> np.ndarray:
     """
     space = build_space(p, (4 * p - 1).bit_length())
     n, m = space.intervals, space.dim
-    bands = _quadrature_bands(space, q) * np.array([[[n]], [[1.0 / n]]])
+    bands = _quadrature_bands(space, p + 1) * np.array([[[n]], [[1.0 / n]]])
     for k in range(p + 1):          # entry (k, j) mirrors (k, m - 1 - k - j)
         bands[:, k, n - p:m - k] = bands[:, k, 2 * p - 1 - k::-1]
     bands.setflags(write=False)
     return bands
 
 
-def assemble_1d(space: SplineSpace, quad_nodes: int | None = None) -> Discretization1D:
+def assemble_1d(space: SplineSpace) -> Discretization1D:
     """Assemble M, K and A = K + M for ``space``.
 
-    ``quad_nodes`` overrides the per-span Gauss rule (default p+1, exact for
-    the degree-2p integrands). Interior spans share one local matrix since
-    the uniform-knot basis is translation invariant there. A dyadic space
+    The per-span Gauss rule has p+1 nodes, exact for the degree-2p
+    integrands. Interior spans share one local matrix since the
+    uniform-knot basis is translation invariant there. A dyadic space
     with n >= 4p copies the degree's template: its first 2p columns, one
     interior column repeated and its tail aligned with the last column,
     scaled by h (a power of two, so exactly). Any other space runs the
     quadrature loop.
     """
     p, m, n = space.degree, space.dim, space.intervals
-    q = quad_nodes if quad_nodes is not None else p + 1
     if n & (n - 1) or n < 4 * p:
-        bands = _quadrature_bands(space, q)
+        bands = _quadrature_bands(space, p + 1)
     else:
-        template, j = _band_template(p, q), np.arange(m)
+        template, j = _band_template(p), np.arange(m)
         tail = j - m + template.shape[2]
         src = np.where(j < 2 * p, j, np.maximum(2 * p, tail))
         bands = template[:, :, src] * np.array([[[1.0 / n]], [[n]]])

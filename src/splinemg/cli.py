@@ -31,10 +31,10 @@ from .smoother import damping
 from .solver import CycleConfig, InadmissibleLevels, build_hierarchy, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
 from .splines import SpaceSizeError, build_space
-from .verify import APPROX_BOUND, INVERSE_BOUND, dense_space, measure_CA, \
-    measure_smoothing_constant, smoother_energy_norm, smoother_pencil, \
-    verify_approximation_constant, verify_counterexample, \
-    verify_inverse_inequality
+from .verify import APPROX_BOUND, INVERSE_BOUND, ConstraintRankError, \
+    dense_space, measure_CA, measure_smoothing_constant, \
+    smoother_energy_norm, smoother_pencil, verify_approximation_constant, \
+    verify_counterexample, verify_inverse_inequality
 
 __all__ = [
     "ExperimentConfig",
@@ -208,7 +208,8 @@ def _check(name, p, level, value, bound, kind) -> CheckResult:
 def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                tau: float | None = None) -> list[CheckResult]:
     """Run the spectral verification suite over ranges of (p, level); a
-    check the library refuses with :class:`SpaceSizeError` reads SKIP."""
+    check the library refuses with :class:`SpaceSizeError` or whose
+    constraint basis loses rank (:class:`ConstraintRankError`) reads SKIP."""
     tau = damping(d, tau)
     if not degrees or not levels:
         raise ValueError("degree and level ranges must be non-empty")
@@ -228,6 +229,9 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                 except SpaceSizeError:
                     results.append(_skip("inverse-inequality", p, level,
                                          "interior block empty"))
+                except ConstraintRankError as exc:
+                    results.append(_skip("inverse-inequality", p, level,
+                                         str(exc)))
                 else:
                     results.append(_check("inverse-inequality-constrained",
                                           p, level, res.constrained,
@@ -246,6 +250,9 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                 except SpaceSizeError:
                     results.append(_skip("approximation-constant", p, level,
                                          "proxy space beyond dense limit"))
+                except ConstraintRankError as exc:
+                    results.append(_skip("approximation-constant", p, level,
+                                         str(exc)))
             try:
                 pencil = smoother_pencil(p, level, d=d, tau=tau)
             except SpaceSizeError:

@@ -238,13 +238,6 @@ class CholeskyFactor:
         trs = lapack.dpbtrs if self.kind == "banded" else lapack.dpotrs
         return trs(self.factor, rhs, lower=1)[0]
 
-    def toarray(self) -> np.ndarray:
-        """Dense lower-triangular factor (test sizes only)."""
-        if self.kind == "dense":
-            return np.tril(self.factor)
-        return np.tril(BandedSymMatrix(self.order, self.factor.shape[0] - 1,
-                                       self.factor).toarray())
-
 
 def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> CholeskyFactor:
     """Cholesky factorization; raises :class:`NotSPDError` on failure and

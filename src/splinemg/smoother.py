@@ -22,6 +22,9 @@ M (x) B + B (x) M with B = h^-2 M / 2 + C, so one dense generalized
 eigenproblem B V = M V diag(lam) per level inverts it exactly (fast
 diagonalization): a sweep is four dense m x m products, O(m^3) per m^2
 unknowns, with no capacitance matrix to lose definiteness by cancellation.
+
+Both smoothers offer one step, ``step_direction(r)``, the damped update d
+of u += d, and one loop runs every smoothing function's steps.
 """
 from __future__ import annotations
 
@@ -146,7 +149,7 @@ class Smoother1D(Boundary):
         return out
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
-        """Update direction for one smoothing step applied to ``residual``."""
+        """Damped update (tau^-1 h^-2 M + C)^-1 r of one smoothing step."""
         return self.solve(self.L_eff_solver, residual)
 
 
@@ -155,6 +158,10 @@ class Smoother2D(Boundary):
     """Fast-diagonalization inverse of the 2D tensor-corrected smoother."""
 
     solver: KronSumSolver              # LL = M (x) B + B (x) M
+
+    def step_direction(self, residual: np.ndarray) -> np.ndarray:
+        """Damped update tau LL^-1 r of one smoothing step."""
+        return self.tau * apply_Linv_2d(self, residual)
 
 
 def _boundary_images(A: BandedSymMatrix, split: IndexSplit) -> np.ndarray:
@@ -200,10 +207,8 @@ def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
     return s.solve(s.L_solver, np.asarray(r, dtype=float))
 
 
-def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray,
-              r: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``steps`` smoothing iterations for the operator ``A``, carrying
-    the residual along."""
+def _smooth(s, A, u, r, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``steps`` steps u += d, r -= A d with d = s.step_direction(r)."""
     u = np.array(u, dtype=float)
     r = np.array(r, dtype=float)
     for _ in range(steps):
@@ -213,12 +218,17 @@ def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray,
     return u, r
 
 
+def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray,
+              r: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``steps`` smoothing iterations, carrying the residual along."""
+    return _smooth(s, A, u, r, steps)
+
+
 def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
                    f: np.ndarray, steps: int = 1) -> np.ndarray:
     """Apply smoothing steps to the system A u = f, returning the new iterate."""
-    r = f - disc.A.apply(u)
-    u, _ = smooth_1d(s, disc.A, u, r, steps)
-    return u
+    u = np.asarray(u, dtype=float)
+    return _smooth(s, disc.A, u, f - disc.A.apply(u), steps)[0]
 
 
 def build_smoother_2d(op: Operator2D, tau: float) -> Smoother2D:
@@ -241,23 +251,15 @@ def apply_Linv_2d(s: Smoother2D, r: np.ndarray) -> np.ndarray:
 
 def smooth_2d(s: Smoother2D, op: Operator2D, u: np.ndarray, r: np.ndarray,
               steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``steps`` damped smoothing iterations, updating the residual
-    incrementally from the factored operator apply."""
-    u = np.array(u, dtype=float)
-    r = np.array(r, dtype=float)
-    for _ in range(steps):
-        d = apply_Linv_2d(s, r)
-        u += s.tau * d
-        r -= s.tau * op.apply(d)
-    return u, r
+    """Run ``steps`` smoothing iterations, carrying the residual along."""
+    return _smooth(s, op, u, r, steps)
 
 
 def smooth_step_2d(s: Smoother2D, op: Operator2D, u: np.ndarray,
                    f: np.ndarray, steps: int = 1) -> np.ndarray:
     """Apply smoothing steps to the 2D system, returning the new iterate."""
-    r = f - op.apply(np.asarray(u, dtype=float))
-    u, _ = smooth_2d(s, op, u, r, steps)
-    return u
+    u = np.asarray(u, dtype=float)
+    return _smooth(s, op, u, f - op.apply(u), steps)[0]
 
 
 def smoother_matrix_1d(s: Boundary, disc: Discretization1D,

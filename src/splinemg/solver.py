@@ -1,6 +1,7 @@
 """Multigrid hierarchy, V/W cycles (one recursion for d = 1 and d = 2; the
 two-grid method is a V-cycle on a two-level hierarchy), and V-cycle
-preconditioned CG."""
+preconditioned CG. Both solvers share one start (the checked f and u0, the
+first residual, the history and the first stop reason) and one report."""
 from __future__ import annotations
 
 import math
@@ -173,17 +174,6 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
                        fine_level=fine_level, levels=levels)
 
 
-def _checked_vector(name: str, v, n: int) -> np.ndarray:
-    """Copy of ``v`` as a float vector; ValueError naming ``name`` unless it
-    has length ``n`` and finite entries."""
-    v = np.array(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return v
-
-
 def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
              f: np.ndarray) -> np.ndarray:
     """One multigrid cycle at level index ``idx`` (0 = coarsest) for A u = f."""
@@ -209,13 +199,12 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
 
 # a residual norm or CG scalar overflows quietly: stop_reason reports it
 @np.errstate(over="ignore")
-def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
-@np.errstate(over="ignore")
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b)
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(_dot(v, v))
 
 
 def _residual_stop(res: float, target: float) -> str | None:
@@ -233,10 +222,29 @@ def _cg_scalar_stop(value: float) -> str | None:
     return "breakdown" if math.isfinite(value) else "non-finite"
 
 
-def _report(iterations: int, history: list[float], stop: str | None,
-            start: float) -> SolveReport:
-    return SolveReport(iterations, history, stop or "max_iter",
+def _report(history: list[float], stop: str | None,
+            start: float) -> SolveReport:   # an iteration per later residual
+    return SolveReport(len(history) - 1, history, stop or "max_iter",
                        time.perf_counter() - start)
+
+
+def _start(A, f, u0) -> tuple:
+    """Copies of ``f`` and ``u0`` (zero when None) as float vectors, the
+    first residual, a history holding its norm, and the first stop reason.
+    ValueError naming ``f`` or ``u0`` unless it has A's order and finite
+    entries."""
+    n, checked = A.shape[0], []
+    for name, v in (("f", f), ("u0", np.zeros(n) if u0 is None else u0)):
+        v = np.array(v, dtype=float)
+        if v.shape != (n,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has non-finite entries")
+        checked.append(v)
+    f, u = checked
+    r = f - A.apply(u)
+    history = [_norm(r)]
+    return f, u, r, history, _residual_stop(history[0], 0.0)
 
 
 def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
@@ -250,19 +258,12 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
-    f = _checked_vector("f", f, A.shape[0])
-    u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
-    r0 = _norm(f - A.apply(u))
-    history = [r0]
-    stop = _residual_stop(r0, 0.0)
-    iterations = 0
-    while stop is None and iterations < cfg.max_iter:
+    f, u, _, history, stop = _start(A, f, u0)
+    while stop is None and len(history) <= cfg.max_iter:
         u = mg_cycle(h, cfg, top, u, f)
-        res = _norm(f - A.apply(u))
-        history.append(res)
-        iterations += 1
-        stop = _residual_stop(res, cfg.tol * r0)
-    return u, _report(iterations, history, stop, start)
+        history.append(_norm(f - A.apply(u)))
+        stop = _residual_stop(history[-1], cfg.tol * history[0])
+    return u, _report(history, stop, start)
 
 
 def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
@@ -282,19 +283,13 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     def precond(res: np.ndarray) -> np.ndarray:
         return mg_cycle(h, cfg, top, np.zeros_like(res), res)
 
-    f = _checked_vector("f", f, A.shape[0])
-    u = np.zeros_like(f) if u0 is None else _checked_vector("u0", u0, len(f))
-    r = f - A.apply(u)
-    r0 = _norm(r)
-    history = [r0]
-    stop = _residual_stop(r0, 0.0)
-    iterations = 0
+    f, u, r, history, stop = _start(A, f, u0)
     if stop is None:
         z = precond(r)
         p = z.copy()
         rho = _dot(r, z)
         stop = _cg_scalar_stop(rho)
-    while stop is None and iterations < cfg.max_iter:
+    while stop is None and len(history) <= cfg.max_iter:
         q = A.apply(p)
         pq = _dot(p, q)
         stop = _cg_scalar_stop(pq)
@@ -303,10 +298,8 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         alpha = rho / pq
         u = u + alpha * p
         r = r - alpha * q
-        res = _norm(r)
-        history.append(res)
-        iterations += 1
-        stop = _residual_stop(res, cfg.tol * r0)
+        history.append(_norm(r))
+        stop = _residual_stop(history[-1], cfg.tol * history[0])
         if stop:
             break
         z = precond(r)
@@ -314,4 +307,4 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         stop = _cg_scalar_stop(rho_new)
         p = z + (rho_new / rho) * p
         rho = rho_new
-    return u, _report(iterations, history, stop, start)
+    return u, _report(history, stop, start)

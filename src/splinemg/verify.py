@@ -28,6 +28,7 @@ __all__ = [
     "APPROX_BOUND",
     "PROXY_LEVELS",
     "SmootherPencil",
+    "ConstraintRankError",
     "dense_limit",
     "dense_space",
     "build_constraint_basis",
@@ -48,12 +49,17 @@ APPROX_BOUND = 2.0 * np.sqrt(2.0)
 PROXY_LEVELS = 4
 
 
+class ConstraintRankError(ValueError):
+    """The constraint rows lost numerical rank; no constrained space."""
+
+
 def build_constraint_basis(space: SplineSpace) -> np.ndarray:
     """Orthonormal m x k basis of the nullspace of the odd-endpoint-derivative
     constraints: the splines whose odd derivatives below order p vanish.
 
     Rows are normalized before the rank decision since derivative scales
     span many orders of magnitude; row scaling does not change the nullspace.
+    Raises :class:`ConstraintRankError` when their rank falls short.
     """
     p, m = space.degree, space.dim
     orders = list(range(1, p, 2))
@@ -70,12 +76,9 @@ def build_constraint_basis(space: SplineSpace) -> np.ndarray:
     Q, R, _ = scipy.linalg.qr(G.T, pivoting=True)
     rank = int((np.abs(np.diag(R)) > 1e-10).sum())
     if rank != len(rows):
-        raise ValueError(
+        raise ConstraintRankError(
             f"constraint matrix rank {rank} below expected {len(rows)}")
-    basis = Q[:, rank:]
-    if basis.shape[1] == 0:
-        raise ValueError("constrained spline space is empty")
-    return basis
+    return Q[:, rank:]      # rank = 2 floor(p / 2) < m: never empty
 
 
 @dataclass

@@ -352,6 +352,28 @@ def test_incremental_residual_consistency_2d():
     assert np.linalg.norm(r10 - recomputed) <= 1e-11 * np.linalg.norm(f)
 
 
+# one step of the shared loop against the dense damped update in each
+# dimension: 1D inverts tau^-1 h^-2 M + C, 2D scales LL^-1 r by tau
+@pytest.mark.parametrize("dim, p, n", [(1, 2, 8), (1, 3, 16), (1, 7, 8),
+                                       (2, 1, 4), (2, 2, 8), (2, 3, 8)])
+def test_one_smoothing_step_is_the_dense_damped_update(dim, p, n):
+    if dim == 1:
+        disc, s = _setup(p, n)
+        A, smooth = disc.A, smooth_1d
+        d_ref = lambda r: np.linalg.solve(
+            smoother_matrix_1d(s, disc, damped=True), r)
+    else:
+        disc, s = _setup_2d(p, n)
+        A, smooth = operator_2d(disc), smooth_2d
+        d_ref = lambda r: s.tau * np.linalg.solve(smoother_matrix_2d(s, disc), r)
+    rng = np.random.default_rng(10 * dim + p)
+    u, r = rng.standard_normal((2, A.shape[0]))
+    d, Ad = d_ref(r), A.toarray() @ d_ref(r)
+    u1, r1 = smooth(s, A, u, r, 1)
+    assert np.linalg.norm(u1 - (u + d)) <= 1e-12 * np.linalg.norm(d)
+    assert np.linalg.norm(r1 - (r - Ad)) <= 1e-12 * np.linalg.norm(Ad)
+
+
 def test_spectral_equivalence_bounded_in_p_1d():
     # lambda_max(A, L) at n = 2(p+1) stays within 2x of its p=1 value
     values = []

@@ -7,7 +7,7 @@ import pytest
 from splinemg import InadmissibleLevels, assemble_load, build_hierarchy, \
     build_prolongation, min_smoother_level, mg_cycle, prolong_2d, \
     restrict_2d, solve_mg, solve_pcg, CycleConfig
-from splinemg.linalg import BLOCK_ROWS
+from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix
 from splinemg.smoother import smoother_matrix_1d
 from splinemg.solver import experiment_initial_guess
 
@@ -381,9 +381,18 @@ def test_block_band_2d_level_matches_kron_oracles(p, level):
         assert B.T.T is B
 
     for lvl in h.levels:
-        disc = lvl.disc
-        for B, banded in zip(lvl.op.factors, (disc.K, disc.M, disc.A)):
-            check_storage(B, banded.toarray())
+        op, disc = lvl.op, lvl.disc
+        K, M, A = disc.K.toarray(), disc.M.toarray(), disc.A.toarray()
+        check_storage(op.M_window, M)
+        # M's and A's blocks stacked on M's windows
+        for i, dense in enumerate((M, A)):
+            npt.assert_array_equal(_expand(WindowBandMatrix(
+                M.shape, op.M_window.lo, op.M_window.stride, op._MA[:, i])),
+                dense)
+        # [K M] with K's and M's columns interleaved
+        KM = _expand(op._KM)
+        npt.assert_array_equal(KM[:, 0::2], K)
+        npt.assert_array_equal(KM[:, 1::2], M)
     disc = h.finest.disc
     K, M, A = disc.K.toarray(), disc.M.toarray(), disc.A.toarray()
     v = rng.standard_normal(h.finest.op.order)
@@ -405,10 +414,15 @@ def test_2d_levels_store_only_their_bands(p):
     # (32 + 2p + 1 before): dense m x m storage breaks this once m > 16 + 2p
     h = build_hierarchy(2, p, min_smoother_level(p) - 1, 7)
     for lvl in h.levels[1:]:
-        for B in (*lvl.op.factors, lvl.P, lvl.P.T):
+        op = lvl.op
+        for B in (op.M_window, lvl.P, lvl.P.T):
             count, rows, width = B.blocks.shape
             assert count == -(-B.shape[0] // BLOCK_ROWS) and rows == BLOCK_ROWS
             assert width <= 2 * BLOCK_ROWS + 2 * p
+        # an apply's stacked blocks: two factors on each of M's windows
+        count, rows, width = op.M_window.blocks.shape
+        assert op._MA.shape == (count, 2, rows, width)
+        assert op._KM.blocks.shape == (count, rows, 2 * width)
 
 
 def test_2d_apply_and_transfers_leave_earlier_results_alone():
