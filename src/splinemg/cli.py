@@ -79,7 +79,11 @@ class ExperimentConfig:
             if self.cycle == "two-grid":
                 raise ValueError("the two-grid method coarsens each cell to "
                                  "level - 1; coarse must be 'auto'")
-            self.coarse = int(self.coarse)
+            try:
+                self.coarse = int(self.coarse)
+            except ValueError:
+                raise ValueError("coarse level must be an integer or 'auto', "
+                                 f"got {self.coarse!r}") from None
 
     def cycle_config(self) -> CycleConfig:
         cycle = "v" if self.cycle == "two-grid" else self.cycle
@@ -194,11 +198,6 @@ def write_timings(result: TableResult, stream) -> None:
 # ------------------------------------------------------------------ verify
 
 
-def _skip(name, p, level, note) -> CheckResult:
-    return CheckResult(name, p, level, float("nan"), float("nan"),
-                       "upper", "SKIP", note)
-
-
 def _check(name, p, level, value, bound, kind) -> CheckResult:
     ok = value <= bound if kind == "upper" else value >= bound
     return CheckResult(name, p, level, float(value), float(bound), kind,
@@ -214,50 +213,48 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
     if not degrees or not levels:
         raise ValueError("degree and level ranges must be non-empty")
     results: list[CheckResult] = []
+
+    def measured(name, note, check, p, level, *args):
+        """``check(p, level, *args)``, or None after one SKIP line when the
+        library refuses it: ``note`` for a size refusal, the rank message
+        for a constraint basis that lost rank. Other errors propagate."""
+        try:
+            return check(p, level, *args)
+        except SpaceSizeError:
+            pass
+        except ConstraintRankError as exc:
+            note = str(exc)
+        results.append(CheckResult(name, p, level, float("nan"),
+                                   float("nan"), "upper", "SKIP", note))
+        return None
+
     for level in sorted(set(levels)):
         ca_values: dict[int, float] = {}
         for p in sorted(set(degrees)):
-            try:
-                dense_space(p, level, d)
-            except SpaceSizeError:
-                results.append(_skip("verification-suite", p, level,
-                                     "size beyond dense limit"))
+            if measured("verification-suite", "size beyond dense limit",
+                        dense_space, p, level, d) is None:
                 continue
             if d == 1:
-                try:
-                    res = verify_inverse_inequality(p, level)
-                except SpaceSizeError:
-                    results.append(_skip("inverse-inequality", p, level,
-                                         "interior block empty"))
-                except ConstraintRankError as exc:
-                    results.append(_skip("inverse-inequality", p, level,
-                                         str(exc)))
-                else:
-                    results.append(_check("inverse-inequality-constrained",
-                                          p, level, res.constrained,
-                                          INVERSE_BOUND + 1e-8, "upper"))
-                    results.append(_check("inverse-inequality-interior",
-                                          p, level, res.interior,
-                                          INVERSE_BOUND + 1e-8, "upper"))
+                res = measured("inverse-inequality", "interior block empty",
+                               verify_inverse_inequality, p, level)
+                if res is not None:
+                    results += [_check(f"inverse-inequality-{part}", p, level,
+                                       getattr(res, part),
+                                       INVERSE_BOUND + 1e-8, "upper")
+                                for part in ("constrained", "interior")]
                 results.append(_check("counterexample-growth", p, level,
                                       verify_counterexample(p, level),
                                       float(p), "lower"))
-                try:
-                    results.append(_check(
-                        "approximation-constant", p, level,
-                        verify_approximation_constant(p, level),
-                        APPROX_BOUND + 0.01, "upper"))
-                except SpaceSizeError:
-                    results.append(_skip("approximation-constant", p, level,
-                                         "proxy space beyond dense limit"))
-                except ConstraintRankError as exc:
-                    results.append(_skip("approximation-constant", p, level,
-                                         str(exc)))
-            try:
-                pencil = smoother_pencil(p, level, d=d, tau=tau)
-            except SpaceSizeError:
-                results.append(_skip("smoothing-constant", p, level,
-                                     "no valid coarse/fine smoother pair"))
+                ca = measured("approximation-constant",
+                              "proxy space beyond dense limit",
+                              verify_approximation_constant, p, level)
+                if ca is not None:
+                    results.append(_check("approximation-constant", p, level,
+                                          ca, APPROX_BOUND + 0.01, "upper"))
+            pencil = measured("smoothing-constant",
+                              "no valid coarse/fine smoother pair",
+                              smoother_pencil, p, level, d, tau)
+            if pencil is None:
                 continue
             worst = max(measure_smoothing_constant(pencil, nu)
                         for nu in range(1, 9))
@@ -279,18 +276,16 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
 def format_verify_report(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
+        head = f"{r.name:<34} p={r.degree:<3} l={r.level:<3} "
         if r.status == "SKIP":
-            lines.append(f"{r.name:<34} p={r.degree:<3} l={r.level:<3} "
-                         f"SKIP ({r.note})")
+            lines.append(f"{head}SKIP ({r.note})")
         else:
             rel = "<=" if r.kind == "upper" else ">="
-            lines.append(f"{r.name:<34} p={r.degree:<3} l={r.level:<3} "
-                         f"value={r.value:12.6f} {rel} {r.bound:10.6f}  "
-                         f"{r.status}")
-    npass = sum(r.status == "PASS" for r in results)
-    nfail = sum(r.status == "FAIL" for r in results)
-    nskip = sum(r.status == "SKIP" for r in results)
-    lines.append(f"{npass} passed, {nfail} failed, {nskip} skipped")
+            lines.append(f"{head}value={r.value:12.6f} {rel} "
+                         f"{r.bound:10.6f}  {r.status}")
+    counts = [sum(r.status == status for r in results)
+              for status in ("PASS", "FAIL", "SKIP")]
+    lines.append("{} passed, {} failed, {} skipped".format(*counts))
     return "\n".join(lines) + "\n"
 
 

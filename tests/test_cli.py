@@ -271,22 +271,26 @@ def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
     assert out.read_bytes() == b"level/degree,1\n7,9\n"
 
 
-@pytest.mark.parametrize("flags", [
-    ["--tau", "nan"],
-    ["--solver", "cg-mg", "--pre", "1", "--post", "0"],
-    ["--degrees", "0"],
-    ["--levels=-1"],
-    ["--cycle", "two-grid", "--coarse", "2"],
-], ids=["tau-nan", "cg-asymmetric", "degree-0", "level-neg", "two-grid-coarse"])
+@pytest.mark.parametrize("flags, message", [
+    (["--tau", "nan"], "tau must be positive and finite, got nan"),
+    (["--solver", "cg-mg", "--pre", "1", "--post", "0"],
+     "pre_smooth == post_smooth"),
+    (["--degrees", "0"], "degree must be >= 1, got 0"),
+    (["--levels=-1"], "level must be >= 0, got -1"),
+    (["--cycle", "two-grid", "--coarse", "2"], "coarse must be 'auto'"),
+    (["--coarse", "x"], "coarse level must be an integer or 'auto', got 'x'"),
+], ids=["tau-nan", "cg-asymmetric", "degree-0", "level-neg", "two-grid-coarse",
+        "coarse-not-int"])
 def test_table_configuration_error_builds_nothing_and_writes_no_file(
-        tmp_path, capsys, monkeypatch, flags):
+        tmp_path, capsys, monkeypatch, flags, message):
     def no_build(*args, **kwargs):
         raise AssertionError("a hierarchy was built for a bad configuration")
     monkeypatch.setattr(cli, "build_hierarchy", no_build)
     argv = ["table", "--dim", "2", "--degrees", "8", "--levels", "5"]
     code = main(argv + flags + ["--out", str(tmp_path / "t.csv")])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
     assert list(tmp_path.iterdir()) == []
 
 

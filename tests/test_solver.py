@@ -6,9 +6,8 @@ import pytest
 
 from splinemg import InadmissibleLevels, assemble_load, build_hierarchy, \
     build_prolongation, min_smoother_level, mg_cycle, prolong_2d, \
-    restrict_2d, solve_mg, solve_pcg, CycleConfig
+    restrict_2d, smoother_pencil, solve_mg, solve_pcg, CycleConfig
 from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix
-from splinemg.smoother import smoother_matrix_1d
 from splinemg.solver import experiment_initial_guess
 
 
@@ -110,27 +109,28 @@ def test_coarse_solves_per_cycle_on_four_levels(d, cycle, solves):
     assert calls == [(h.levels[0].space.dim ** d,)] * solves
 
 
-def test_two_grid_error_propagation_matches_dense_oracle():
-    # (I - T) S^nu with nu post = 0, p=2, 1D, n_fine = 16: the V-cycle on
-    # a two-level hierarchy is the two-grid method
-    p = 2
-    h = build_hierarchy(1, p, 3, 4)
-    cfg = CycleConfig(cycle="v", pre_smooth=1, post_smooth=0)
-    fine, coarse = h.levels[1], h.levels[0]
-    m = fine.space.dim
-    Af = fine.disc.A.toarray()
-    Ac = coarse.disc.A.toarray()
-    P = fine.P.matrix.toarray()
-    Ltau = smoother_matrix_1d(fine.smoother, fine.disc, damped=True)
-    S = np.eye(m) - np.linalg.solve(Ltau, Af)
-    T = P @ np.linalg.solve(Ac, P.T @ Af)
-    E_ref = (np.eye(m) - T) @ S
+@pytest.mark.parametrize("d, level", [(1, 4), (2, 3)], ids=["d1-l4", "d2-l3"])
+@pytest.mark.parametrize("p", [1, 2, 3], ids=lambda p: f"p{p}")
+@pytest.mark.parametrize("pre, post", [(1, 0), (0, 1), (1, 1), (2, 2)],
+                         ids=["v10", "v01", "v11", "v22"])
+def test_two_grid_error_propagation_matches_dense_oracle(d, level, p, pre,
+                                                         post):
+    # the V-cycle on a two-level hierarchy is the two-grid method, whose error
+    # propagation the verify pencil spells out densely:
+    # E = S^post (I - P A_c^-1 P^T A) S^pre with S = I - L_eff^-1 A
+    h = build_hierarchy(d, p, level - 1, level)
+    cfg = CycleConfig(cycle="v", pre_smooth=pre, post_smooth=post)
+    pencil = smoother_pencil(p, level, d)
+    A, P = pencil.A, pencil.P
+    eye = np.eye(len(A))
+    S = eye - np.linalg.solve(pencil.L_eff, A)
+    T = P @ np.linalg.solve(pencil.A_c, P.T @ A)
+    E_ref = (np.linalg.matrix_power(S, post) @ (eye - T)
+             @ np.linalg.matrix_power(S, pre))
 
-    E = np.empty((m, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        E[:, j] = e - mg_cycle(h, cfg, 1, np.zeros(m), Af @ e)
+    # column j: the error left by one cycle from u = 0 towards u* = e_j
+    E = eye - np.column_stack([mg_cycle(h, cfg, 1, np.zeros(len(A)), a)
+                               for a in A.T])
     npt.assert_allclose(E, E_ref, atol=1e-10)
 
 

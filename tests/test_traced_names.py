@@ -1,15 +1,24 @@
-"""The names the benchmark's tracer wraps all exist in the library.
+"""The names the benchmark's tracer wraps all exist in the library, and the
+ones only the tracer and the tests reach stay unused inside it.
 
 ``bench/tracing.py`` wraps every ``(module, qualname)`` of its ``TRACED``
 table by name. A library change that deletes one of those names, or binds
 two of them to the same object (which the tracer would then wrap twice),
 fails here with the name in the message, not only inside a bench run.
 """
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+SOURCES = sorted((ROOT / "src" / "splinemg").glob("*.py"))
+#: reached only from ``TRACED`` and the tests; deleting one of them must stay
+#: a deletion of its definition, its ``__all__`` entry and its re-export
+#: (``from_dense`` is the classmethod ``BandedSymMatrix.from_dense``)
+UNUSED_IN_LIBRARY = {"apply_operator_2d", "smooth_step_1d", "smooth_step_2d",
+                     "operator_norm", "from_dense"}
 
 
 def _traced():
@@ -39,3 +48,36 @@ def test_every_traced_name_resolves_to_its_own_object():
         assert id(obj) not in seen, f"{name} is the same object as {seen[id(obj)]}"
         seen[id(obj)] = name
     assert len(seen) == len(traced)
+
+
+def _uses(tree: ast.Module, is_init: bool):
+    """(line, name) of every read, import or string of an unused-in-library
+    name, outside ``__all__`` and, in ``__init__``, the re-exports."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exempt.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and not is_init:
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        yield from ((node.lineno, n) for n in names if n in UNUSED_IN_LIBRARY)
+
+
+def test_names_only_the_tracer_reaches_are_unused_in_the_library():
+    assert SOURCES
+    uses = [f"{path.name}:{line} uses {name}" for path in SOURCES
+            for line, name in _uses(ast.parse(path.read_text()),
+                                    path.name == "__init__.py")]
+    assert uses == []

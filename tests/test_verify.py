@@ -6,7 +6,8 @@ from splinemg import build_space, assemble_1d, eval_spline, \
     build_constraint_basis, verify_inverse_inequality, verify_counterexample, \
     verify_approximation_constant, measure_CA, measure_smoothing_constant, \
     smoother_energy_norm, smoother_pencil, INVERSE_BOUND, APPROX_BOUND
-from splinemg import build_prolongation, cli, SpaceSizeError
+from splinemg import build_prolongation, cli, NotSPDError, SmootherPencil, \
+    SpaceSizeError
 from splinemg.linalg import generalized_eig_max
 from splinemg.verify import dense_space
 
@@ -251,6 +252,14 @@ def test_smoother_energy_norm_at_most_one():
     for p in [1, 3, 6]:
         assert smoother_energy_norm(smoother_pencil(p, 5, d=1)) <= 1.0
     assert smoother_energy_norm(smoother_pencil(2, 3, d=2)) <= 1.0
+
+
+def test_pencil_spectrum_names_a_non_spd_smoother_matrix():
+    eye = np.eye(3)
+    pencil = SmootherPencil(A=eye, A_c=eye[:1, :1], P=eye[:, :1], L_eff=-eye)
+    with pytest.raises(NotSPDError,
+                       match="effective smoother matrix L_eff not SPD"):
+        measure_smoothing_constant(pencil, 1)
 
 
 def test_corrupted_tau_violates_smoothing_bound():
