@@ -5,13 +5,15 @@ multigrid-preconditioned CG over ranges of degrees and levels) and writes
 them as CSV or markdown; ``splinemg verify`` runs the spectral checks and
 reports one PASS/FAIL/SKIP line per check.
 
-Exit codes: 0 on success, 1 when any verification check fails or any
-requested table cell runs out of its iterations, 2 on configuration errors
-(a degree < 1, a level < 0, a malformed range token, cg-mg with pre != post,
---coarse with two-grid, an unwritable --out; all found before any setup or
-output file), 3 when any table cell's setup or solve stopped early (not-spd,
-non-finite or breakdown). A table cell reads ``-`` exactly when
-``build_hierarchy`` rejects its levels (for two-grid: level - 1 and level).
+Exit codes: 0 on success, 1 when any verification check fails (a numerical
+breakdown is its check's FAIL line, with the cause) or any requested table
+cell runs out of its iterations, 2 only on configuration errors (a degree <
+1, a level < 0, a malformed range token, cg-mg with pre != post, --coarse
+with two-grid, an unwritable --out; all found before any setup or output
+file), 3 when any table cell's setup broke down (``not-spd@0``) or its solve
+stopped early (``non-finite@k``, ``breakdown@k``). A table cell reads ``-``
+exactly when ``build_hierarchy`` rejects its levels (for two-grid: level - 1
+and level).
 With the defaults the 1D table converges at l=9 up to p=38 (``not-spd@0``
 from p=39), the 2D table at l=6 up to p=30 and at p=32/33.
 """
@@ -198,78 +200,76 @@ def write_timings(result: TableResult, stream) -> None:
 # ------------------------------------------------------------------ verify
 
 
-def _check(name, p, level, value, bound, kind) -> CheckResult:
-    ok = value <= bound if kind == "upper" else value >= bound
-    return CheckResult(name, p, level, float(value), float(bound), kind,
-                       "PASS" if ok else "FAIL")
-
-
 def run_verify(degrees: list[int], levels: list[int], d: int = 1,
                tau: float | None = None) -> list[CheckResult]:
-    """Run the spectral verification suite over ranges of (p, level); a
+    """Run the spectral verification suite over ranges of (p, level). A
     check the library refuses with :class:`SpaceSizeError` or whose
-    constraint basis loses rank (:class:`ConstraintRankError`) reads SKIP."""
+    constraint basis loses rank (:class:`ConstraintRankError`) reads SKIP;
+    one whose matrix loses definiteness (:class:`NotSPDError`) reads FAIL
+    with the error's message. Other errors propagate."""
     tau = damping(d, tau)
     if not degrees or not levels:
         raise ValueError("degree and level ranges must be non-empty")
     results: list[CheckResult] = []
 
-    def measured(name, note, check, p, level, *args):
-        """``check(p, level, *args)``, or None after one SKIP line when the
-        library refuses it: ``note`` for a size refusal, the rank message
-        for a constraint basis that lost rank. Other errors propagate."""
+    def check(name, p, level, measure, bound=None, kind="upper", note=""):
+        """``measure()``, and its PASS/FAIL line unless ``bound`` is None;
+        or None after one SKIP line (``note`` on a size refusal, else the
+        rank message) or FAIL line (the :class:`NotSPDError` message)."""
         try:
-            return check(p, level, *args)
-        except SpaceSizeError:
-            pass
-        except ConstraintRankError as exc:
-            note = str(exc)
-        results.append(CheckResult(name, p, level, float("nan"),
-                                   float("nan"), "upper", "SKIP", note))
-        return None
+            value = measure()
+        except (SpaceSizeError, ConstraintRankError, NotSPDError) as exc:
+            results.append(CheckResult(
+                name, p, level, float("nan"), float("nan"), kind,
+                "FAIL" if isinstance(exc, NotSPDError) else "SKIP",
+                note if isinstance(exc, SpaceSizeError) else str(exc)))
+            return None
+        if bound is not None:
+            ok = value <= bound if kind == "upper" else value >= bound
+            results.append(CheckResult(name, p, level, float(value), bound,
+                                       kind, "PASS" if ok else "FAIL"))
+        return value
 
     for level in sorted(set(levels)):
         ca_values: dict[int, float] = {}
         for p in sorted(set(degrees)):
-            if measured("verification-suite", "size beyond dense limit",
-                        dense_space, p, level, d) is None:
+            if check("verification-suite", p, level,
+                     lambda: dense_space(p, level, d),
+                     note="size beyond dense limit") is None:
                 continue
             if d == 1:
-                res = measured("inverse-inequality", "interior block empty",
-                               verify_inverse_inequality, p, level)
-                if res is not None:
-                    results += [_check(f"inverse-inequality-{part}", p, level,
-                                       getattr(res, part),
-                                       INVERSE_BOUND + 1e-8, "upper")
-                                for part in ("constrained", "interior")]
-                results.append(_check("counterexample-growth", p, level,
-                                      verify_counterexample(p, level),
-                                      float(p), "lower"))
-                ca = measured("approximation-constant",
-                              "proxy space beyond dense limit",
-                              verify_approximation_constant, p, level)
-                if ca is not None:
-                    results.append(_check("approximation-constant", p, level,
-                                          ca, APPROX_BOUND + 0.01, "upper"))
-            pencil = measured("smoothing-constant",
-                              "no valid coarse/fine smoother pair",
-                              smoother_pencil, p, level, d, tau)
+                res = check("inverse-inequality", p, level,
+                            lambda: verify_inverse_inequality(p, level),
+                            note="interior block empty")
+                for part in ("constrained", "interior") if res else ():
+                    check(f"inverse-inequality-{part}", p, level,
+                          lambda: getattr(res, part), INVERSE_BOUND + 1e-8)
+                check("counterexample-growth", p, level,
+                      lambda: verify_counterexample(p, level), float(p),
+                      "lower")
+                check("approximation-constant", p, level,
+                      lambda: verify_approximation_constant(p, level),
+                      APPROX_BOUND + 0.01,
+                      note="proxy space beyond dense limit")
+            pencil = check("smoothing-constant", p, level,
+                           lambda: smoother_pencil(p, level, d, tau),
+                           note="no valid coarse/fine smoother pair")
             if pencil is None:
                 continue
-            worst = max(measure_smoothing_constant(pencil, nu)
-                        for nu in range(1, 9))
-            results.append(_check("smoothing-constant", p, level, worst,
-                                  1.0 / tau + 1e-8, "upper"))
-            results.append(_check("smoother-energy-norm", p, level,
-                                  smoother_energy_norm(pencil), 1.0, "upper"))
-            ca_values[p] = measure_CA(pencil)
+            check("smoothing-constant", p, level,
+                  lambda: max(measure_smoothing_constant(pencil, nu)
+                              for nu in range(1, 9)), 1.0 / tau + 1e-8)
+            check("smoother-energy-norm", p, level,
+                  lambda: smoother_energy_norm(pencil), 1.0)
+            if (ca := check("approximation-property-ratio", p, level,
+                            lambda: measure_CA(pencil))) is not None:
+                ca_values[p] = ca
         if ca_values:
-            # any p that fits here makes p = 1 fit too
+            # any p that fits here makes p = 1 fit too; its errors propagate
             ref = ca_values[1] if 1 in ca_values else measure_CA(
                 smoother_pencil(1, level, d=d, tau=tau))
-            results.append(_check("approximation-property-ratio",
-                                  max(ca_values), level,
-                                  max(ca_values.values()) / ref, 3.0, "upper"))
+            check("approximation-property-ratio", max(ca_values), level,
+                  lambda: max(ca_values.values()) / ref, 3.0)
     return results
 
 
@@ -277,8 +277,8 @@ def format_verify_report(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
         head = f"{r.name:<34} p={r.degree:<3} l={r.level:<3} "
-        if r.status == "SKIP":
-            lines.append(f"{head}SKIP ({r.note})")
+        if r.note:
+            lines.append(f"{head}{r.status} ({r.note})")
         else:
             rel = "<=" if r.kind == "upper" else ">="
             lines.append(f"{head}value={r.value:12.6f} {rel} "
@@ -321,9 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
                "--max-iter (>N), 2 configuration error (degree < 1, level < "
                "0, malformed range token, cg-mg with --pre != --post, --coarse "
                "with two-grid, unwritable --out; found before any setup or "
-               "output file), 3 a cell's setup lost definiteness (not-spd@0) "
-               "or its solve stopped early (non-finite@k, breakdown@k); 3 wins "
-               "over 1. A cell reads - when build_hierarchy rejects its "
+               "output file; only these exit 2), 3 a cell's setup lost "
+               "definiteness (not-spd@0) or its solve stopped early "
+               "(non-finite@k, breakdown@k); 3 wins over 1. A cell reads - "
+               "when build_hierarchy rejects its "
                "levels (two-grid: level - 1 and level). Degrees: 1D converges "
                "up to p=38 at l=9, 2D up to p=30 and at p=32/33 at l=6.")
     t.add_argument("--dim", type=int, default=1, choices=(1, 2))
@@ -346,7 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("csv", "markdown"))
     t.add_argument("--out", default=None, help="output path (default stdout)")
 
-    v = sub.add_parser("verify", help="run the spectral verification suite")
+    v = sub.add_parser("verify", help="run the spectral verification suite",
+                       epilog="exit codes: 0 no check failed, 1 a check "
+                       "failed (a breakdown reads FAIL with its cause, such as "
+                       "'B not SPD'), 2 configuration error only.")
     v.add_argument("--dim", type=int, default=1, choices=(1, 2))
     v.add_argument("--degrees", default="1-8")
     v.add_argument("--levels", default="4")

@@ -20,6 +20,7 @@ __all__ = [
     "cholesky",
     "kron_apply",
     "KronSumSolver",
+    "generalized_eigh",
     "generalized_eig_max",
     "operator_norm",
 ]
@@ -224,14 +225,12 @@ class CholeskyFactor:
 
     def solve(self, rhs: np.ndarray, forward: bool = False) -> np.ndarray:
         """Solve with LAPACK pbtrs/potrs, or with ``forward`` apply L^-1
-        alone (tbtrs/trtrs); the factor was checked finite once, in
-        :func:`cholesky`, so only ``rhs`` is checked here."""
+        alone (tbtrs/trtrs). Only the factor was checked finite, once, in
+        :func:`cholesky`; a solver reports a non-finite result as its stop."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.order:
             raise ValueError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.order}")
-        if not np.isfinite(rhs).all():
-            raise ValueError("rhs must not contain infs or NaNs")
         if forward:
             return (lapack.dtbtrs(self.factor, rhs, uplo="L") if self.kind ==
                     "banded" else lapack.dtrtrs(self.factor, rhs, lower=1))[0]
@@ -240,8 +239,8 @@ class CholeskyFactor:
 
 
 def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> CholeskyFactor:
-    """Cholesky factorization; raises :class:`NotSPDError` on failure and
-    ValueError for a factor with a non-finite entry."""
+    """Cholesky factorization; raises :class:`NotSPDError` naming ``what``
+    at a failed pivot or for a factor with a non-finite entry."""
     if isinstance(matrix, BandedSymMatrix):
         kind, order = "banded", matrix.order
         c, info = lapack.dpbtrf(matrix.bands, lower=1)
@@ -251,12 +250,11 @@ def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> Chol
             raise ValueError("dense input must be square")
         kind, order = "dense", a.shape[0]
         c, info = lapack.dpotrf(a, lower=1)
-    if info > 0:
-        raise NotSPDError(info, what)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to {kind} Cholesky")
-    if not np.isfinite(c).all():
-        raise ValueError(f"{what}: Cholesky factor has infs or NaNs")
+    if info > 0 or not np.isfinite(c).all():
+        raise NotSPDError(info, what if info else
+                          f"{what} (non-finite Cholesky factor)")
     return CholeskyFactor(kind, order, c)
 
 
@@ -298,10 +296,7 @@ class KronSumSolver:
     def build(cls, M: np.ndarray, B: np.ndarray, what: str) -> "KronSumSolver":
         """Dense M and symmetric B (lower triangles read); :class:`NotSPDError`
         naming ``what`` unless M is SPD and every lam_i + lam_j > 0."""
-        try:
-            lam, V = eigh(B, M)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(0, f"{what} (mass factor)") from exc
+        lam, V = generalized_eigh(B, M, f"{what} (mass factor)")
         sums = lam[:, None] + lam[None, :]
         if not sums.min() > 0.0:
             raise NotSPDError(0, what)
@@ -312,14 +307,19 @@ class KronSumSolver:
         return kron_apply(self.V, self.V, y)
 
 
+def generalized_eigh(A: np.ndarray, B: np.ndarray, what: str = "B", **kw):
+    """The package's one generalized eigensolve, ``eigh(A, B, **kw)`` for
+    dense symmetric A and SPD B; :class:`NotSPDError` naming ``what`` if not."""
+    try:
+        return eigh(A, B, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError(0, what) from exc
+
+
 def generalized_eig_max(A: np.ndarray, B: np.ndarray) -> float:
     """Largest lambda with A x = lambda B x (A symmetric, B SPD), dense."""
-    n = A.shape[0]
-    try:
-        vals = eigh(A, B, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError(0, "B") from exc
-    return float(vals[-1])
+    return float(generalized_eigh(A, B, eigvals_only=True,
+                                  subset_by_index=[len(A) - 1] * 2)[-1])
 
 
 def operator_norm(op: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import assemble_1d, operator_2d
-from .linalg import NotSPDError, generalized_eig_max
+from .linalg import generalized_eig_max, generalized_eigh
 from .smoother import build_boundary, damping, smoother_matrix_1d, \
     smoother_matrix_2d
 from .splines import SpaceSizeError, SplineSpace, build_space, \
@@ -183,10 +183,8 @@ class SmootherPencil:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the pencil (A, L_eff), ascending, computed once."""
-        try:
-            return scipy.linalg.eigh(self.A, self.L_eff, eigvals_only=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(0, "effective smoother matrix L_eff") from exc
+        return generalized_eigh(self.A, self.L_eff, "effective smoother "
+                                "matrix L_eff", eigvals_only=True)
 
 
 def smoother_pencil(p: int, level: int, d: int = 1,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splinemg import InadmissibleLevels, build_hierarchy, cli, \
@@ -14,8 +15,8 @@ from splinemg.cli import ExperimentConfig, TableResult, run_table, \
     run_verify, write_table, format_verify_report, main, _parse_range
 from splinemg.linalg import NotSPDError
 from splinemg.splines import SpaceSizeError
-from splinemg.verify import ConstraintRankError, dense_limit, \
-    smoother_pencil
+from splinemg.verify import ConstraintRankError, SmootherPencil, \
+    dense_limit, smoother_pencil
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -304,6 +305,46 @@ def test_run_verify_propagates_a_failing_reference_pencil(monkeypatch):
         run_verify([2, 3], [4], d=1)
 
 
+def test_verify_reports_a_breakdown_as_its_checks_fail_line(capsys):
+    # at p = 29 on one interval the mass matrix M loses definiteness in
+    # double precision; counterexample-growth reads FAIL with that cause and
+    # the rest of the report is still printed
+    code = main(["verify", "--dim", "1", "--degrees", "29", "--levels", "0"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and captured.err == ""
+    assert [line.split() for line in lines[:2]] == [
+        ["inverse-inequality", "p=29", "l=0", "SKIP", "(interior", "block",
+         "empty)"],
+        ["counterexample-growth", "p=29", "l=0", "FAIL", "(B", "not", "SPD)"]]
+    assert lines[-1] == "0 passed, 1 failed, 3 skipped"
+
+
+def test_run_verify_reports_a_non_spd_smoother_matrix_as_fail_lines(
+        monkeypatch):
+    # a pencil whose L_eff is -I: each check that reads its spectrum is one
+    # FAIL line naming L_eff, C_A's (L_eff is the B of its eigenproblem) one
+    # naming B, and the report goes on to the next p
+    def pencil(p, level, d=1, tau=None):
+        good = smoother_pencil(p, level, d=d, tau=tau)
+        return SmootherPencil(good.A, good.A_c, good.P,
+                              -np.eye(len(good.A)) if p == 2 else good.L_eff)
+    monkeypatch.setattr(cli, "smoother_pencil", pencil)
+    results = run_verify([1, 2, 3], [4], d=1)
+    failed = {(r.name, r.degree): r.note for r in results
+              if r.status == "FAIL"}
+    note = "effective smoother matrix L_eff not SPD"
+    assert failed == {("smoothing-constant", 2): note,
+                      ("smoother-energy-norm", 2): note,
+                      ("approximation-property-ratio", 2): "B not SPD"}
+    report = format_verify_report(results)
+    assert report.count(f"FAIL ({note})") == 2
+    assert report.count("FAIL (B not SPD)") == 1
+    ratio = [r for r in results if r.name == "approximation-property-ratio"
+             and r.status != "FAIL"]
+    assert [(r.degree, r.status) for r in ratio] == [(3, "PASS")]
+
+
 def test_main_verify_exit_codes(capsys):
     assert main(["verify", "--degrees", "2", "--levels", "4"]) == 0
     assert main(["verify", "--degrees", "2", "--levels", "5",
@@ -341,7 +382,6 @@ def test_nonconvergent_cell_sets_exit_code(capsys):
     assert ">2" in out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("solver,cell", [("mg", "non-finite@16"),
                                          ("cg-mg", "breakdown@0")])
 def test_early_stop_cell_shows_reason_and_iteration(capsys, solver, cell):
@@ -353,6 +393,21 @@ def test_early_stop_cell_shows_reason_and_iteration(capsys, solver, cell):
     out = capsys.readouterr().out
     assert code == 3
     assert out == f"level/degree,3\n4,{cell}\n"
+
+
+@pytest.mark.parametrize("dim, tau, cell", [
+    (1, "1e300", "non-finite@1"), (1, "1e-310", "not-spd@0"),
+    (2, "1e300", "non-finite@1")])
+def test_a_blow_up_is_a_table_cell_not_a_warning_or_an_error(
+        capsys, dim, tau, cell):
+    # an extreme tau overflows in the 1D level solves or the 2D cycle, or in
+    # the 1D smoother factor; each is its cell's stop reason, printed
+    # without a numpy warning (the suite turns warnings into errors)
+    code = main(["table", "--dim", str(dim), "--degrees", "2", "--levels",
+                 "4", "--tau", tau])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, f"level/degree,2\n4,{cell}\n", "")
 
 
 def test_setup_breakdown_marks_its_cell_and_the_table_goes_on(capsys):

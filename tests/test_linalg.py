@@ -126,16 +126,23 @@ def test_solve_dimension_mismatch():
 
 
 @pytest.mark.parametrize("kind", ["banded", "dense"])
-def test_non_finite_factor_and_rhs_rejected(kind):
-    # the factor is checked once, in cholesky; each solve checks its rhs
+def test_non_finite_factor_is_not_spd_and_a_solve_passes_its_rhs_through(kind):
+    # the factor is checked once, in cholesky, and a non-finite one is a
+    # breakdown like a failed pivot; a solve scans no rhs: a NaN stays in
+    # its entry's solution column, for the solvers' non-finite stop
     good = BandedSymMatrix(3, 1, np.array([[2.0, 2.0, 2.0], [0.5, 0.5, 0.0]]))
     bad = BandedSymMatrix(3, 1, good.bands * [[np.inf], [1.0]])
     if kind == "dense":
         good, bad = good.toarray(), bad.toarray()
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(NotSPDError, match=r"^probe \(non-finite Cholesky "
+                       r"factor\) not SPD$") as exc:
         cholesky(bad, "probe")
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        cholesky(good).solve(np.array([1.0, np.nan, 0.0]))
+    assert exc.value.pivot == 0
+    rhs = np.array([[1.0, np.nan], [0.0, 0.0], [2.0, 0.0]])
+    x = cholesky(good).solve(rhs)
+    assert np.isfinite(x[:, 0]).all() and np.isnan(x[:, 1]).all()
+    with pytest.raises(ValueError, match="leading dimension 2, expected 3"):
+        cholesky(good).solve(rhs[:2])
 
 
 @pytest.mark.parametrize("kind", ["banded", "dense"])
@@ -147,8 +154,10 @@ def test_forward_solve_applies_the_inverse_factor(kind):
     chol = cholesky(a if kind == "banded" else a.toarray())
     npt.assert_allclose(chol.solve(rhs, forward=True), np.linalg.solve(L, rhs),
                         rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        chol.solve(np.full(30, np.nan), forward=True)
+    # no rhs scan: a non-finite rhs gives a non-finite result, no error
+    assert np.isnan(chol.solve(np.full(30, np.nan), forward=True)).all()
+    with pytest.raises(ValueError, match="leading dimension 29, expected 30"):
+        chol.solve(rhs[1:], forward=True)
 
 
 def test_kron_apply_identity():

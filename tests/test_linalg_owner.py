@@ -1,0 +1,55 @@
+"""``linalg`` is the one owner of the factorizations that can break down.
+
+Every generalized symmetric eigensolve goes through
+``linalg.generalized_eigh`` and every Cholesky factorization through
+``linalg.cholesky``, so each breakdown is raised as ``NotSPDError`` naming its
+matrix in one place. A module that calls ``eigh`` or a LAPACK Cholesky itself
+fails here, with the file, line and name in the message.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "splinemg").glob("*.py"))
+#: scipy/numpy names of a symmetric eigensolve or a Cholesky factorization
+OWNED = {"eigh", "eigvalsh", "dpbtrf", "dpotrf", "cho_factor",
+         "cholesky_banded"}
+FOREIGN = {"numpy.linalg", "scipy.linalg", "scipy.linalg.lapack"}
+
+
+def _owned_uses(tree: ast.Module):
+    """(line, name) of every read or import of an owned name, and of
+    ``cholesky`` read from or imported out of numpy's or scipy's linalg."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in OWNED:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and (node.attr in OWNED or (
+                node.attr == "cholesky"
+                and ast.unparse(node.value).endswith("linalg")
+                and ast.unparse(node.value) != "linalg")):
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, f"{node.module}.{alias.name}")
+                        for alias in node.names if alias.name in OWNED or (
+                            alias.name == "cholesky"
+                            and node.module in FOREIGN))
+
+
+def test_only_linalg_calls_eigh_or_a_lapack_cholesky():
+    assert any(path.name == "linalg.py" for path in SOURCES)
+    uses = [f"{path.name}:{line} uses {name}" for path in SOURCES
+            if path.name != "linalg.py"
+            for line, name in _owned_uses(ast.parse(path.read_text()))]
+    assert uses == []
+
+
+def test_the_rule_sees_every_form_of_a_call():
+    source = ("import scipy.linalg\nimport numpy as np\n"
+              "from scipy.linalg import eigh, cholesky\n"
+              "from .linalg import cholesky as own\n"
+              "scipy.linalg.eigh(a, b)\nnp.linalg.cholesky(a)\n"
+              "lapack.dpbtrf(a)\nlinalg.cholesky(a)\n")
+    assert list(_owned_uses(ast.parse(source))) == [
+        (3, "scipy.linalg.eigh"), (3, "scipy.linalg.cholesky"),
+        (5, "scipy.linalg.eigh"), (6, "np.linalg.cholesky"),
+        (7, "lapack.dpbtrf")]

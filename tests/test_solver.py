@@ -7,7 +7,7 @@ import pytest
 from splinemg import InadmissibleLevels, assemble_load, build_hierarchy, \
     build_prolongation, min_smoother_level, mg_cycle, prolong_2d, \
     restrict_2d, smoother_pencil, solve_mg, solve_pcg, CycleConfig
-from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix
+from splinemg.linalg import BLOCK_ROWS, NotSPDError, WindowBandMatrix
 from splinemg.solver import experiment_initial_guess
 
 
@@ -339,6 +339,24 @@ def test_solve_mg_stops_at_first_non_finite_residual():
     assert len(rep.residual_history) == rep.iterations + 1
     assert not math.isfinite(rep.residual_history[-1])
     assert all(math.isfinite(r) for r in rep.residual_history[:-1])
+
+
+def test_1d_blow_up_inside_a_level_solve_is_a_non_finite_stop():
+    # tau = 1e300 leaves the damped 1D smoother matrix nearly singular: the
+    # first smoothing step overflows inside the banded solves, and the solve
+    # stops with its reason (under the suite's warnings-as-errors)
+    h = build_hierarchy(1, 2, 1, 4, tau=1e300)
+    f = assemble_load(h.finest.space, 1)
+    u, rep = solve_mg(h, V11, f, experiment_initial_guess(len(f)))
+    assert rep.stop_reason == "non-finite" and rep.iterations == 1
+
+
+def test_1d_smoother_factor_overflow_is_not_spd():
+    # tau = 1e-310 scales the mass part of the smoother matrix past the
+    # largest double; the factor is not finite, a breakdown of its setup
+    with pytest.raises(NotSPDError, match=r"^1D damped smoother matrix "
+                       r"\(non-finite Cholesky factor\) not SPD$"):
+        build_hierarchy(1, 2, 1, 4, tau=1e-310)
 
 
 def test_solve_pcg_stops_on_indefinite_preconditioner():
