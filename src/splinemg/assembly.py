@@ -136,9 +136,10 @@ def _quadrature_bands(space: SplineSpace, q: int) -> np.ndarray:
     for order in (0, 1):
         v = vals[:, :, order, :]
         loc = np.einsum("k,cka,ckb->cab", w, v, v)
-        for a in range(p + 1):
-            for b in range(a + 1):
-                bands[order, a - b, b:b + n] += loc[classes, a, b]
+        # entry (a - b, b + span) gathers its terms in increasing b, the
+        # order of a scalar loop over a, then b <= a
+        for b in range(p + 1):
+            bands[order, :p + 1 - b, b:b + n] += loc[classes, b:, b].T
     return bands
 
 
@@ -205,9 +206,10 @@ def _cosine_moments(space: SplineSpace) -> np.ndarray:
     nodes, weights, classes, vals = _span_classes(space, q, 0)
     wcos = weights * np.cos(np.pi * nodes)          # (spans, nodes)
     contrib = np.empty((n, p + 1))
-    for c, v in enumerate(vals[:, :, 0]):           # one product per class
-        spans = classes == c
-        contrib[spans] = wcos[spans] @ v
+    # classes ascend with the span, so each is one run of spans
+    bounds = np.searchsorted(classes, np.arange(len(vals) + 1))
+    for v, lo, hi in zip(vals[:, :, 0], bounds[:-1], bounds[1:]):
+        contrib[lo:hi] = wcos[lo:hi] @ v            # one product per class
 
     g = np.zeros(space.dim)
     for b in range(p + 1):

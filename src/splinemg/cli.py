@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import numbers
 import os
 import re
 import sys
@@ -82,6 +83,10 @@ class ExperimentConfig:
                 raise ValueError("the two-grid method coarsens each cell to "
                                  "level - 1; coarse must be 'auto'")
             try:
+                # an integer or its text; int() would truncate 2.7 or True
+                if isinstance(self.coarse, bool) or not isinstance(
+                        self.coarse, (str, numbers.Integral)):
+                    raise ValueError
                 self.coarse = int(self.coarse)
             except ValueError:
                 raise ValueError("coarse level must be an integer or 'auto', "
@@ -350,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the spectral verification suite",
                        epilog="exit codes: 0 no check failed, 1 a check "
                        "failed (a breakdown reads FAIL with its cause, such as "
-                       "'B not SPD'), 2 configuration error only.")
+                       "'mass matrix M not SPD'), 2 configuration error "
+                       "only.")
     v.add_argument("--dim", type=int, default=1, choices=(1, 2))
     v.add_argument("--degrees", default="1-8")
     v.add_argument("--levels", default="4")

@@ -316,9 +316,11 @@ def generalized_eigh(A: np.ndarray, B: np.ndarray, what: str = "B", **kw):
         raise NotSPDError(0, what) from exc
 
 
-def generalized_eig_max(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest lambda with A x = lambda B x (A symmetric, B SPD), dense."""
-    return float(generalized_eigh(A, B, eigvals_only=True,
+def generalized_eig_max(A: np.ndarray, B: np.ndarray,
+                        what: str = "B") -> float:
+    """Largest lambda with A x = lambda B x (A symmetric, B SPD), dense;
+    :class:`NotSPDError` naming ``what`` if B is not SPD."""
+    return float(generalized_eigh(A, B, what, eigvals_only=True,
                                   subset_by_index=[len(A) - 1] * 2)[-1])
 
 

@@ -96,7 +96,9 @@ def find_span(space: SplineSpace, x: float | np.ndarray) -> int | np.ndarray:
 def eval_basis_array(space: SplineSpace, x: np.ndarray,
                      max_order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Basis functions and derivatives up to ``max_order`` at every point of
-    the 1D array ``x`` (Piegl-Tiller A2.3, run once over all points).
+    the 1D array ``x`` (Piegl-Tiller A2.3, run once over all points, one
+    array step per degree over every basis index, bit-identical to the
+    scalar recurrence).
 
     Returns ``(first, ders)`` with ``ders[i, k, j]`` the k-th derivative at
     ``x[i]`` of basis function ``first[i] + j``. Raises ValueError for a point
@@ -116,41 +118,40 @@ def eval_basis_array(space: SplineSpace, x: np.ndarray,
     right = t[mu + offsets] - x             # right[j] = t[mu+j] - x
 
     # ndu holds the basis-value triangle (upper part) and knot differences;
-    # the trailing axis runs over the points
+    # the trailing axis runs over the points. Column j is one array step:
+    # A2.3's running ``saved`` is the shifted product left * tmp.
     ndu = np.empty((p + 1, p + 1, x.size))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            tmp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        ndu[j, j] = saved
+        ndu[j, :j] = right[1:j + 1] + left[j:0:-1]
+        tmp = ndu[:j, j - 1] / ndu[j, :j]
+        rt = right[1:j + 1] * tmp
+        ndu[0, j] = 0.0 + rt[0]
+        ndu[1:j, j] = left[j:1:-1] * tmp[:-1] + rt[1:]
+        ndu[j, j] = left[1] * tmp[-1]
 
+    # a[j, r] is A2.3's a_{k,j} of basis function r. Step (k, j) updates
+    # r = k-j..p-j, whose knot differences are ndu[p-k+1, :p-k+1] and
+    # values ndu[:p-k+1, p-k], updating j downwards so a[j - 1] is still
+    # step k-1's. d adds each r's terms in increasing j, as A2.3 does,
+    # from 0.0 where A2.3 starts from 0.0 (r < k).
     ders = np.empty((max_order + 1, p + 1, x.size))
     ders[0] = ndu[:, p]
-    a = np.zeros((2, p + 1, x.size))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, max_order + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
+    a = np.zeros((max_order + 1, p + 1, x.size))
+    a[0] = 1.0
+    for k in range(1, max_order + 1):
+        pk = p - k
+        den, val = ndu[pk + 1, :pk + 1], ndu[:pk + 1, pk]
+        a[k, :pk + 1] = -a[k - 1, :pk + 1] / den
+        for j in range(k - 1, 0, -1):
+            a[j, k - j:p - j + 1] = (a[j, k - j:p - j + 1]
+                                     - a[j - 1, k - j:p - j + 1]) / den
+        a[0, k:] = a[0, k:] / den
+        d = ders[k]
+        d[:k] = 0.0
+        d[k:] = a[0, k:] * val
+        for j in range(1, k + 1):
+            d[k - j:p - j + 1] += a[j, k - j:p - j + 1] * val
 
     fac = float(p)
     for k in range(1, max_order + 1):

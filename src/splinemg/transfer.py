@@ -57,21 +57,23 @@ def _coarse_spans(coarse: SplineSpace, fine: SplineSpace) -> np.ndarray:
 
 def _oslo_rows(coarse: SplineSpace, fine: SplineSpace) -> np.ndarray:
     """Discrete B-splines b_{mu-p..mu, p}(i) of every fine row i, shape
-    (fine.dim, p + 1), by the Oslo recurrence run once over all rows."""
+    (fine.dim, p + 1), by the Oslo recurrence: one array step per degree r
+    over all rows and all s, bit-identical to the scalar recurrence (its
+    running ``saved`` is the shifted product (x - t_l) * tmp)."""
     p, mu = coarse.degree, _coarse_spans(coarse, fine)
-    t, tau = coarse.knots, fine.knots
+    # knots[p - 1 + o] = t[mu + o] for o = 1-p..p
+    knots = coarse.knots[mu + np.arange(1 - p, p + 1)[:, None]]
     vals = np.zeros((p + 1, fine.dim))
     vals[0] = 1.0
     for r in range(1, p + 1):
-        x = tau[r:r + fine.dim]
-        saved = 0.0
-        for s in range(r):
-            tl = t[mu - r + 1 + s]
-            tr = t[mu + 1 + s]
-            tmp = vals[s] / (tr - tl)
-            vals[s] = saved + (tr - x) * tmp
-            saved = (x - tl) * tmp
-        vals[r] = saved
+        x = fine.knots[r:r + fine.dim]
+        tl, tr = knots[p - r:p], knots[p:p + r]
+        tmp = vals[:r] / (tr - tl)
+        rt = (tr - x) * tmp
+        saved = (x - tl) * tmp
+        vals[0] = 0.0 + rt[0]
+        vals[1:r] = saved[:-1] + rt[1:]
+        vals[r] = saved[-1]
     return vals.T
 
 

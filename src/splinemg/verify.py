@@ -119,12 +119,13 @@ def verify_inverse_inequality(p: int, level: int,
     disc = assemble_1d(space)
     Kd, Md = disc.K.toarray(), disc.M.toarray()
     N = build_constraint_basis(space)
-    lam = generalized_eig_max(N.T @ Kd @ N, N.T @ Md @ N)
+    lam = generalized_eig_max(N.T @ Kd @ N, N.T @ Md @ N,
+                              "constrained mass matrix")
     constrained = space.mesh_size * np.sqrt(max(lam, 0.0))
 
     KI = Kd[np.ix_(s.interior, s.interior)]
     MI = Md[np.ix_(s.interior, s.interior)]
-    lam_i = generalized_eig_max(KI, MI)
+    lam_i = generalized_eig_max(KI, MI, "interior mass block")
     interior = space.mesh_size * np.sqrt(max(lam_i, 0.0))
     return InverseInequalityResult(constrained=float(constrained),
                                    interior=float(interior))
@@ -138,7 +139,8 @@ def verify_counterexample(p: int, level: int) -> float:
     """
     space = dense_space(p, level)
     disc = assemble_1d(space)
-    lam = generalized_eig_max(disc.K.toarray(), disc.M.toarray())
+    lam = generalized_eig_max(disc.K.toarray(), disc.M.toarray(),
+                              "mass matrix M")
     return float(space.mesh_size * np.sqrt(max(lam, 0.0)))
 
 
@@ -165,7 +167,8 @@ def verify_approximation_constant(p: int, level: int,
     # R^T M R = M - G - G^T + X^T (Z^T M Z) X with G = M Z X, all rank k
     MZ = Mf @ Z
     G = MZ @ X
-    lam = generalized_eig_max(Mf - G - G.T + X.T @ (Z.T @ MZ) @ X, Af)
+    lam = generalized_eig_max(Mf - G - G.T + X.T @ (Z.T @ MZ) @ X, Af,
+                              "proxy system matrix A")
     return float(np.sqrt(max(lam, 0.0)) / coarse.mesh_size)
 
 
@@ -223,7 +226,8 @@ def measure_CA(pencil: SmootherPencil) -> float:
     A, P, L = pencil.A, pencil.P, pencil.L_eff
     W = np.linalg.inv(A) - P @ np.linalg.solve(pencil.A_c, P.T)
     G = L @ W @ L
-    return generalized_eig_max(0.5 * (G + G.T), L)
+    return generalized_eig_max(0.5 * (G + G.T), L,
+                               "effective smoother matrix L_eff")
 
 
 def measure_smoothing_constant(pencil: SmootherPencil, nu: int) -> float:

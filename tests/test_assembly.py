@@ -170,6 +170,48 @@ def test_cosine_moments_match_node_by_node_quadrature(p):
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def _scalar_bands(space, q):
+    """_quadrature_bands with its scalar loop over the entries (a, b) of the
+    local matrix: the bit-for-bit oracle of the sliced band sums."""
+    p, m, n = space.degree, space.dim, space.intervals
+    _, weights, classes, vals = _span_classes(space, q, 1)
+    bands = np.zeros((2, p + 1, m))
+    for order in (0, 1):
+        v = vals[:, :, order, :]
+        loc = np.einsum("k,cka,ckb->cab", weights[0], v, v)
+        for a in range(p + 1):
+            for b in range(a + 1):
+                bands[order, a - b, b:b + n] += loc[classes, a, b]
+    return bands
+
+
+def _masked_moments(space):
+    """_cosine_moments with one boolean mask per span class: the
+    bit-for-bit oracle of the run-by-run class products."""
+    p, n, q = space.degree, space.intervals, space.degree + 3
+    nodes, weights, classes, vals = _span_classes(space, q, 0)
+    wcos = weights * np.cos(np.pi * nodes)
+    contrib = np.empty((n, p + 1))
+    for c, v in enumerate(vals[:, :, 0]):
+        spans = classes == c
+        contrib[spans] = wcos[spans] @ v
+    g = np.zeros(space.dim)
+    for b in range(p + 1):
+        g[b:b + n] += contrib[:, b]
+    return g
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 15, 16, 25, 31, 40])
+def test_band_sums_and_moments_are_bitwise_the_scalar_loops(p):
+    # n = 3 * 2^l spaces take the quadrature loop at every size
+    for level in (0, 1, 2, 3, 5):
+        for space in (build_space(p, level), build_space(p, level, 3)):
+            assert _quadrature_bands(space, p + 1).tobytes() == \
+                _scalar_bands(space, p + 1).tobytes(), (level, "bands")
+            assert _cosine_moments(space).tobytes() == \
+                _masked_moments(space).tobytes(), (level, "moments")
+
+
 def _bspline_oracle(space):
     """M, K and load moments by dense Gauss quadrature on scipy B-splines,
     with the knot vector rebuilt from the degree and interval count."""

@@ -216,6 +216,69 @@ def test_array_evaluation_equals_pointwise():
         eval_basis_array(sp, np.array([0.5, 1.5]))
 
 
+def _scalar_a23(space, x, max_order):
+    """Piegl-Tiller A2.3 with its scalar loops over the basis index, run
+    over all points at once: the bit-for-bit oracle of eval_basis_array."""
+    p, t = space.degree, space.knots
+    mu = find_span(space, x)
+    offsets = np.arange(p + 1)[:, None]
+    left = x - t[mu + 1 - offsets]
+    right = t[mu + offsets] - x
+    ndu = np.empty((p + 1, p + 1, x.size))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            tmp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        ndu[j, j] = saved
+    ders = np.empty((max_order + 1, p + 1, x.size))
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1, x.size))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, max_order + 1):
+            d = 0.0
+            rk, pk = r - k, p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, max_order + 1):
+        ders[k] *= fac
+        fac *= p - k
+    return mu - p, ders.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 15, 16, 25, 31, 40])
+def test_array_evaluation_is_bitwise_the_scalar_recurrence(p):
+    # derivative k of the scalar loop does not depend on max_order, so one
+    # oracle call at max_order = p serves every order
+    rng = np.random.default_rng(p)
+    for level in (0, 1, 2, 3, 5):
+        sp = build_space(p, level)
+        x = np.concatenate([rng.uniform(0, 1, 200), sp.knots, [0.0, 1.0]])
+        first_ref, ref = _scalar_a23(sp, x, p)
+        for order in sorted({0, 1, min(2, p), p - 1, p}):
+            first, ders = eval_basis_array(sp, x, order)
+            npt.assert_array_equal(first, first_ref)
+            assert ders.tobytes() == ref[:, :order + 1].tobytes(), \
+                (level, order)
+
+
 def test_eval_basis_derivatives_rejects_large_order():
     sp = build_space(2, 1)
     with pytest.raises(ValueError):

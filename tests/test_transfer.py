@@ -109,8 +109,10 @@ def _oslo_row(t, p, tau, i, mu):
     pytest.param(p, level, 1, id=f"{p}-{level}") for p, level in [
         (1, 3), (2, 1), (4, 4), (9, 5), (15, 4),
         # at or above the reference size: rows copied from the template
-        (3, 8), (15, 7), (30, 8)]
-] + [pytest.param(5, 5, 3, id="5-5-ratio8")])
+        (3, 8), (15, 7), (30, 8),
+        (40, 6)]                     # n_c = 64 < 2p + 5: the recurrence
+] + [pytest.param(5, 5, 3, id="5-5-ratio8"),
+     pytest.param(8, 4, 4, id="8-4-ratio16")])    # the verify proxy pair
 def test_prolongation_equals_row_by_row_oslo(p, level, k):
     co, fi = build_space(p, level), build_space(p, level + k)
     P = build_prolongation(co, fi)
