@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import BandedSymMatrix, KronSumSolver, WindowBandMatrix
+from .linalg import BandedSymMatrix, WindowBandMatrix
 from .splines import SplineSpace, build_space, eval_basis_array
 
 __all__ = [
@@ -45,16 +45,13 @@ class Operator2D:
     from ``disc``'s band storage as
     :class:`~splinemg.linalg.WindowBandMatrix` windows: M's window
     ``M_window``, M's and A's blocks stacked on it (``_MA``) and [K M] with
-    K's and M's columns interleaved (``_KM``). The dense M serves the
-    fast-diagonalization setups."""
+    K's and M's columns interleaved (``_KM``)."""
 
     disc: Discretization1D
-    M: np.ndarray = field(init=False, repr=False)
     M_window: WindowBandMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         d, m = self.disc, self.disc.space.dim
-        self.M = d.M.toarray()
         K, M, A = (WindowBandMatrix.from_band(a) for a in (d.K, d.M, d.A))
         count, rows, width = K.blocks.shape
         self.M_window = M
@@ -77,14 +74,9 @@ class Operator2D:
         [K M] on the row pairs of U M and U A."""
         return self._KM.kron(self.M_window, v, self._MA)
 
-    def direct_solver(self) -> KronSumSolver:
-        """Fast-diagonalization inverse of M (x) B + B (x) M, B = K + M/2."""
-        B = self.disc.K.toarray() + self.M / 2.0
-        return KronSumSolver.build(self.M, B, "2D system matrix")
-
     def toarray(self) -> np.ndarray:
         """Dense matrix (verification sizes only)."""
-        K, M = self.disc.K.toarray(), self.M
+        K, M = self.disc.K.toarray(), self.disc.M.toarray()
         return np.kron(K, M) + np.kron(M, K) + np.kron(M, M)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import numbers
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ from .linalg import NotSPDError
 from .smoother import damping
 from .solver import CycleConfig, InadmissibleLevels, build_hierarchy, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
-from .splines import SpaceSizeError, build_space
+from .splines import SpaceSizeError, as_integer, build_space
 from .verify import APPROX_BOUND, INVERSE_BOUND, ConstraintRankError, \
     dense_space, measure_CA, measure_smoothing_constant, \
     smoother_energy_norm, smoother_pencil, verify_approximation_constant, \
@@ -82,12 +81,10 @@ class ExperimentConfig:
             if self.cycle == "two-grid":
                 raise ValueError("the two-grid method coarsens each cell to "
                                  "level - 1; coarse must be 'auto'")
-            try:
-                # an integer or its text; int() would truncate 2.7 or True
-                if isinstance(self.coarse, bool) or not isinstance(
-                        self.coarse, (str, numbers.Integral)):
-                    raise ValueError
-                self.coarse = int(self.coarse)
+            try:                        # an integer or its text
+                self.coarse = as_integer("coarse", int(self.coarse) if
+                                         isinstance(self.coarse, str)
+                                         else self.coarse)
             except ValueError:
                 raise ValueError("coarse level must be an integer or 'auto', "
                                  f"got {self.coarse!r}") from None
@@ -347,7 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{damping(2)} in 2D)")
     t.add_argument("--solver", default="mg", choices=("mg", "cg-mg"))
     t.add_argument("--tol", type=float, default=1e-8)
-    t.add_argument("--max-iter", type=int, default=500)
+    t.add_argument("--max-iter", type=int, default=500,
+                   help="iteration budget, which also bounds the V-cycles; "
+                        "a >N cg-mg cell can hide a breakdown that only an "
+                        "iteration after N would meet")
     t.add_argument("--format", dest="fmt", default="csv",
                    choices=("csv", "markdown"))
     t.add_argument("--out", default=None, help="output path (default stdout)")

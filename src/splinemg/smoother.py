@@ -36,7 +36,7 @@ import numpy as np
 from .assembly import Discretization1D, Operator2D
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
     cholesky
-from .splines import IndexSplit, index_split
+from .splines import IndexSplit, as_integer, index_split
 
 __all__ = [
     "Boundary",
@@ -65,9 +65,10 @@ def damping(d: int, tau: float | None = None) -> float:
     """The damping parameter of a ``d``-dim smoother: ``tau``, or the
     reference experiments' value for ``d`` when it is None.
 
-    Raises ValueError unless d is 1 or 2 and tau is positive and finite.
+    Raises ValueError unless d is the integer 1 or 2 and tau is positive and
+    finite.
     """
-    if d not in (1, 2):
+    if as_integer("dimension", d) not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
     tau = TAU_DEFAULT[d] if tau is None else tau
     if not 0.0 < tau < np.inf:
@@ -233,15 +234,16 @@ def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
 
 def build_smoother_2d(op: Operator2D, tau: float) -> Smoother2D:
     """Set up the 2D smoother (plain damping u += tau * LL^-1 r) for the
-    operator ``op``, sharing its dense mass matrix.
+    operator ``op``.
 
     LL = h^2 (L (x) L - C (x) C) is the Kronecker sum M (x) B + B (x) M with
     B = h^-2 M / 2 + C, inverted exactly by fast diagonalization.
     """
     b = build_boundary(op.disc, damping(2, tau))
-    B = op.M / (2.0 * b.mesh_size**2) + b.correction()
+    M = op.disc.M.toarray()
+    B = M / (2.0 * b.mesh_size**2) + b.correction()
     return Smoother2D(**vars(b), solver=KronSumSolver.build(
-        op.M, B, "2D smoother matrix"))
+        M, B, "2D smoother matrix"))
 
 
 def apply_Linv_2d(s: Smoother2D, r: np.ndarray) -> np.ndarray:

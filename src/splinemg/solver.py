@@ -15,7 +15,7 @@ from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
     WindowBandMatrix, cholesky
 from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
     build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
-from .splines import SplineSpace, build_space
+from .splines import SplineSpace, as_integer, build_space
 from .transfer import SparseEmbedding, build_prolongation, prolong, \
     prolong_2d, restrict, restrict_2d, window_embedding
 
@@ -92,6 +92,8 @@ class CycleConfig:
                 "(coarse_level = fine_level - 1)")
         if self.cycle not in ("v", "w"):
             raise ValueError(f"unknown cycle type {self.cycle!r}")
+        for name in ("pre_smooth", "post_smooth", "max_iter"):
+            setattr(self, name, as_integer(name, getattr(self, name)))
         if self.pre_smooth < 0 or self.post_smooth < 0:
             raise ValueError("smoothing step counts must be non-negative")
         if self.pre_smooth + self.post_smooth < 1:
@@ -111,7 +113,12 @@ class CycleConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of an iterative solve."""
+    """Outcome of an iterative solve.
+
+    ``max_iter`` bounds the iterations and the top-level cycles alike: a
+    stop at ``max_iter`` has run ``max_iter`` of each, so in CG it can hide
+    a breakdown that only a later iteration would meet.
+    """
 
     iterations: int
     residual_history: list[float]
@@ -141,9 +148,13 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     Every level above the coarsest must have at least p+1 intervals so that
     its interior block is nonempty; the coarsest level itself only needs a
     direct solve and may be one step below that threshold. Any other pair of
-    levels raises :class:`InadmissibleLevels`.
+    levels raises :class:`InadmissibleLevels`, and a non-integer d, p or
+    level a ValueError naming it.
     """
     tau = damping(d, tau)
+    p, coarse_level, fine_level = (as_integer(name, v) for name, v in (
+        ("degree", p), ("coarse_level", coarse_level),
+        ("fine_level", fine_level)))
     if fine_level <= coarse_level:
         raise InadmissibleLevels(
             f"fine level {fine_level} must exceed coarse level {coarse_level}")
@@ -159,9 +170,12 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
         space = build_space(p, lv)
         disc = assemble_1d(space)
         lvl = Level(space, disc, disc.A if d == 1 else operator_2d(disc))
-        if not levels:                  # the coarsest level: a direct solver
-            lvl.direct = (cholesky(lvl.op, "coarse system matrix") if d == 1
-                          else lvl.op.direct_solver())
+        if not levels and d == 1:       # the coarsest level: a direct solver
+            lvl.direct = cholesky(lvl.op, "coarse system matrix")
+        elif not levels:                # of M (x) B + B (x) M, B = K + M/2
+            M = disc.M.toarray()
+            lvl.direct = KronSumSolver.build(M, disc.K.toarray() + M / 2.0,
+                                             "2D system matrix")
         elif d == 1:
             disc.A.tocsr()          # in setup, not at the first apply
             lvl.smoother = build_smoother_1d(disc, tau)
@@ -265,28 +279,28 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
 @np.errstate(over="ignore", invalid="ignore")
 def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
               u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients preconditioned by one multigrid cycle.
+    """Conjugate gradients preconditioned by one multigrid cycle z = B r per
+    iteration (Saad, *Iterative Methods for Sparse Linear Systems*, Alg. 9.1).
 
     Requires a symmetric cycle (:meth:`CycleConfig.require_symmetric`). The
-    stopping rule (reduction of the unpreconditioned residual) and the input
-    checks match :func:`solve_mg`; it also stops, with ``stop_reason``
-    "breakdown", at the first r^T z <= 0 or p^T A p <= 0.
+    stopping rule (reduction of the unpreconditioned residual), the input
+    checks and the bound on the cycles match :func:`solve_mg`; it also
+    stops, with ``stop_reason`` "breakdown", at the first r^T z <= 0 or
+    p^T A p <= 0.
     """
     cfg.require_symmetric()
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
-
-    def precond(res: np.ndarray) -> np.ndarray:
-        return mg_cycle(h, cfg, top, np.zeros_like(res), res)
-
     f, u, r, history, stop = _start(A, f, u0)
-    if stop is None:
-        z = precond(r)
-        p = z.copy()
+    p, rho_old = np.zeros_like(u), 1.0      # the first direction is z + 0
+    while stop is None and len(history) <= cfg.max_iter:
+        z = mg_cycle(h, cfg, top, np.zeros_like(r), r)
         rho = float(r @ z)
         stop = _cg_scalar_stop(rho)
-    while stop is None and len(history) <= cfg.max_iter:
+        if stop:
+            break
+        p = z + (rho / rho_old) * p
         q = A.apply(p)
         pq = float(p @ q)
         stop = _cg_scalar_stop(pq)
@@ -297,11 +311,5 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         r = r - alpha * q
         history.append(_norm(r))
         stop = _residual_stop(history[-1], cfg.tol * history[0])
-        if stop:
-            break
-        z = precond(r)
-        rho_new = float(r @ z)
-        stop = _cg_scalar_stop(rho_new)
-        p = z + (rho_new / rho) * p
-        rho = rho_new
+        rho_old = rho
     return u, _report(history, stop, start)

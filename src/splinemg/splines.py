@@ -6,6 +6,7 @@ used by the boundary-corrected smoother.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,21 @@ __all__ = [
     "eval_spline",
     "index_split",
     "SpaceSizeError",
+    "as_integer",
 ]
 
 
 class SpaceSizeError(ValueError):
     """A space too small or too large for the routine it was passed to: an
     empty interior block, or a dimension beyond a dense limit."""
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer (a numpy integer is, a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -65,8 +75,10 @@ class IndexSplit:
 def build_space(p: int, level: int, n0: int = 1) -> SplineSpace:
     """Build the spline space of degree ``p`` on n0 * 2**level intervals.
 
-    Raises ValueError for p < 1 or n0 < 1 or level < 0.
+    Raises ValueError for a non-integer argument, p < 1, n0 < 1 or level < 0.
     """
+    p, level, n0 = (as_integer(name, v) for name, v in
+                    (("degree", p), ("level", level), ("n0", n0)))
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     if n0 < 1:

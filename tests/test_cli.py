@@ -415,6 +415,17 @@ def test_early_stop_cell_shows_reason_and_iteration(capsys, solver, cell):
     assert out == f"level/degree,3\n4,{cell}\n"
 
 
+@pytest.mark.parametrize("max_iter, code, cell", [
+    ("2", 1, ">2"), ("3", 3, "breakdown@2")])
+def test_cg_cell_budget_bounds_the_cycles(capsys, max_iter, code, cell):
+    # at tau = 0.15 the cycle after the second CG iteration meets r^T z <= 0;
+    # a budget of 2 iterations stops before running it
+    assert main(["table", "--dim", "2", "--degrees", "3", "--levels", "4",
+                 "--tau", "0.15", "--solver", "cg-mg",
+                 "--max-iter", max_iter]) == code
+    assert capsys.readouterr().out == f"level/degree,3\n4,{cell}\n"
+
+
 @pytest.mark.parametrize("dim, tau, cell", [
     (1, "1e300", "non-finite@1"), (1, "1e-310", "not-spd@0"),
     (2, "1e300", "non-finite@1")])

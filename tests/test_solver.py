@@ -1,14 +1,19 @@
 import math
+import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splinemg import InadmissibleLevels, assemble_load, build_hierarchy, \
-    build_prolongation, min_smoother_level, mg_cycle, prolong_2d, \
-    restrict_2d, smoother_pencil, solve_mg, solve_pcg, CycleConfig
+from splinemg import InadmissibleLevels, TAU_DEFAULT, assemble_load, \
+    build_hierarchy, build_prolongation, min_smoother_level, mg_cycle, \
+    prolong_2d, restrict_2d, smoother_pencil, solve_mg, solve_pcg, \
+    CycleConfig, solver
+from splinemg.cli import ExperimentConfig
 from splinemg.linalg import BLOCK_ROWS, NotSPDError, WindowBandMatrix
-from splinemg.solver import experiment_initial_guess
+from splinemg.solver import experiment_initial_guess, _cg_scalar_stop, \
+    _norm, _report, _residual_stop, _start
 
 
 V11 = CycleConfig(cycle="v", pre_smooth=1, post_smooth=1)
@@ -365,6 +370,159 @@ def test_solve_pcg_stops_on_indefinite_preconditioner():
     assert rep.stop_reason == "breakdown" and not rep.converged
     assert rep.iterations == 0
     npt.assert_array_equal(u, u0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pcg_first_iteration_by_hand(h, cfg, f, u0=None):
+    """The CG loop that ran its first iteration before the loop and its
+    preconditioner after the residual check: an oracle for the iterates,
+    residuals and stop reasons of :func:`solve_pcg`, which runs one cycle
+    less when it stops at max_iter."""
+    cfg.require_symmetric()
+    start = time.perf_counter()
+    top = len(h.levels) - 1
+    A = h.finest.op
+
+    def precond(res):
+        return mg_cycle(h, cfg, top, np.zeros_like(res), res)
+
+    f, u, r, history, stop = _start(A, f, u0)
+    if stop is None:
+        z = precond(r)
+        p = z.copy()
+        rho = float(r @ z)
+        stop = _cg_scalar_stop(rho)
+    while stop is None and len(history) <= cfg.max_iter:
+        q = A.apply(p)
+        pq = float(p @ q)
+        stop = _cg_scalar_stop(pq)
+        if stop:
+            break
+        alpha = rho / pq
+        u = u + alpha * p
+        r = r - alpha * q
+        history.append(_norm(r))
+        stop = _residual_stop(history[-1], cfg.tol * history[0])
+        if stop:
+            break
+        z = precond(r)
+        rho_new = float(r @ z)
+        stop = _cg_scalar_stop(rho_new)
+        p = z + (rho_new / rho) * p
+        rho = rho_new
+    return u, _report(history, stop, start)
+
+
+@pytest.mark.parametrize("d, p, coarse, fine, tau, ones, max_iter, stop", [
+    (1, 3, 2, 6, None, False, 500, "converged"),
+    (2, 3, 1, 4, None, False, 500, "converged"),
+    (1, 3, 2, 6, None, False, 5, "max_iter"),
+    (2, 3, 1, 4, None, False, 5, "max_iter"),
+    (1, 2, 1, 4, 20.0, True, 500, "breakdown"),
+    (2, 3, 1, 4, 20.0, True, 500, "breakdown"),     # _overdamped_2d
+    (2, 3, 1, 4, 0.15, True, 500, "breakdown"),     # after 4 iterations
+    (1, 2, 1, 4, 1e300, False, 500, "non-finite"),
+    (2, 2, 1, 4, 1e300, False, 500, "non-finite"),
+])
+def test_solve_pcg_matches_the_first_iteration_by_hand_loop(
+        d, p, coarse, fine, tau, ones, max_iter, stop):
+    # bit for bit: the same arithmetic, only the loop is arranged differently
+    h = build_hierarchy(d, p, coarse, fine, tau)
+    f = assemble_load(h.finest.space, d)
+    u0 = np.ones_like(f) if ones else experiment_initial_guess(len(f))
+    cfg = CycleConfig(max_iter=max_iter)
+    u, rep = solve_pcg(h, cfg, f, u0)
+    u_ref, ref = _pcg_first_iteration_by_hand(h, cfg, f, u0)
+    assert rep.stop_reason == ref.stop_reason == stop
+    assert (np.array(rep.residual_history).tobytes()
+            == np.array(ref.residual_history).tobytes())
+    assert u.tobytes() == u_ref.tobytes()
+
+
+def _count_top_cycles(monkeypatch, h):
+    """A list that gets one entry per cycle started on the finest level."""
+    calls, cycle, top = [], solver.mg_cycle, len(h.levels) - 1
+
+    def counting(h, cfg, idx, u, f):
+        if idx == top:
+            calls.append(idx)
+        return cycle(h, cfg, idx, u, f)
+
+    monkeypatch.setattr(solver, "mg_cycle", counting)
+    return calls
+
+
+def test_solve_pcg_runs_at_most_max_iter_cycles(monkeypatch):
+    # the 5th cycle would meet r^T z <= 0 (a breakdown); a budget of 4
+    # iterations never runs it
+    h = build_hierarchy(2, 3, 1, 4, tau=0.15)
+    f = assemble_load(h.finest.space, 2)
+    calls = _count_top_cycles(monkeypatch, h)
+    u, rep = solve_pcg(h, CycleConfig(max_iter=4), f, np.ones_like(f))
+    assert rep.stop_reason == "max_iter" and rep.iterations == 4
+    assert len(calls) == 4
+
+
+STOP_REASONS = {"converged", "max_iter", "non-finite", "breakdown"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 2]), p=st.integers(1, 4),
+       levels_above=st.integers(1, 5), tau_scale=st.floats(1.0, 20.0),
+       max_iter=st.integers(1, 8))
+def test_stop_rules_bound_iterations_and_cycles(d, p, levels_above,
+                                                tau_scale, max_iter):
+    # tau from the default to 20x it (over-damped); fine level <= 5
+    coarse = min_smoother_level(p) - 1
+    fine = min(coarse + levels_above, 5)
+    h = build_hierarchy(d, p, coarse, fine, tau_scale * TAU_DEFAULT[d])
+    f = assemble_load(h.finest.space, d)
+    u0 = experiment_initial_guess(len(f))
+    cfg = CycleConfig(max_iter=max_iter)
+    for solve in (solve_mg, solve_pcg):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_top_cycles(mp, h)
+            u, rep = solve(h, cfg, f, u0)
+        history = rep.residual_history
+        assert rep.stop_reason in STOP_REASONS
+        assert rep.iterations <= max_iter
+        if rep.stop_reason == "max_iter":
+            assert rep.iterations == max_iter
+        assert len(history) == rep.iterations + 1
+        # CG's cycle runs before r^T z is checked: a scalar stop (r^T z or
+        # p^T A p) leaves that iteration without its residual
+        scalar_stop = solve is solve_pcg and (
+            rep.stop_reason == "breakdown" or (
+                rep.stop_reason == "non-finite" and math.isfinite(history[-1])))
+        assert len(calls) == rep.iterations + scalar_stop
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: CycleConfig(pre_smooth=1.5), "pre_smooth"),
+    (lambda: CycleConfig(post_smooth=np.float64(1.0)), "post_smooth"),
+    (lambda: CycleConfig(max_iter=True), "max_iter"),
+    (lambda: ExperimentConfig(dim=1, degrees=[2], levels=[6], max_iter=2.5),
+     "max_iter"),
+    (lambda: build_hierarchy(1, 2.0, 2, 5), "degree"),
+    (lambda: build_hierarchy(2.0, 2, 1, 4), "dimension"),
+    (lambda: build_hierarchy(True, 2, 1, 4), "dimension"),
+    (lambda: build_hierarchy(1, 2, 2.0, 5), "coarse_level"),
+    (lambda: build_hierarchy(1, 2, 2, True), "fine_level"),
+], ids=["pre-float", "post-np-float", "max-iter-bool", "table-max-iter",
+        "degree-float", "dim-float", "dim-bool", "coarse-float", "fine-bool"])
+def test_non_integer_counts_and_sizes_are_refused_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make()
+
+
+def test_numpy_integer_counts_and_sizes_are_accepted():
+    i = np.int64
+    h = build_hierarchy(i(1), i(2), i(2), i(4))
+    cfg = CycleConfig(pre_smooth=i(1), post_smooth=i(1), max_iter=i(3))
+    assert (h.degree, h.coarse_level, h.fine_level) == (2, 2, 4)
+    f = assemble_load(h.finest.space, 1)
+    u, rep = solve_pcg(h, cfg, f, experiment_initial_guess(len(f)))
+    assert rep.stop_reason == "max_iter" and rep.iterations == 3
 
 
 def _expand(B):
