@@ -70,6 +70,8 @@ class ExperimentConfig:
         self.tau = damping(self.dim, self.tau)
         if not self.degrees or not self.levels:
             raise ValueError("degree and level ranges must be non-empty")
+        self.degrees = [as_integer("degree", p) for p in self.degrees]
+        self.levels = [as_integer("level", lv) for lv in self.levels]
         # build_space owns p >= 1 and level >= 0 (probed on one interval)
         build_space(min(self.degrees), min(0, *self.levels))
         if self.solver not in ("mg", "cg-mg"):

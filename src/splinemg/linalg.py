@@ -282,29 +282,97 @@ def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out).reshape(rl * rr)
 
 
+#: H (x) H, H = [[1, 1], [1, -1]]: a square's four mirrored quadrants (see
+#: :func:`_quadrants`) to its even-even, even-odd, odd-even, odd-odd parts
+_BUTTERFLY = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+
+
+def _quadrants(x: np.ndarray) -> tuple:
+    """Views of the h x h corners (h = ceil(m/2)) of a square x, each
+    indexed from its corner: top-top, top-bottom (entry (i, j) is
+    x[i, m-1-j]), bottom-top, bottom-bottom; for odd m they overlap in the
+    middle row and column."""
+    h = (len(x) + 1) // 2
+    return (x[:h, :h], x[:h, ::-1][:, :h], x[::-1][:h, :h],
+            x[::-1, ::-1][:h, :h])
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """Part (a, b) = (even/odd, even/odd) of a square x, (2, 2, h, h): the
+    butterflied quadrants, F_a^T x F_b but for the scaling of F's columns."""
+    h = (len(x) + 1) // 2
+    return (_BUTTERFLY @ np.concatenate(_quadrants(x)).reshape(4, -1)) \
+        .reshape(2, 2, h, h)
+
+
 @dataclass
 class KronSumSolver:
     """Exact inverse of the Kronecker sum M (x) B + B (x) M by fast
-    diagonalization (Lynch, Rice & Thomas 1964): with B V = M V diag(lam) and
-    V^T M V = I it is (V (x) V) diag(1 / (lam_i + lam_j)) (V (x) V)^T, two
-    Kronecker applies and an entry-wise scaling, O(m^3) per m^2 unknowns."""
+    diagonalization (Lynch, Rice & Thomas 1964) of a persymmetric pencil.
 
-    V: np.ndarray
-    inv_sums: np.ndarray       # 1 / (lam_i + lam_j), m x m
+    With B V = M V diag(lam) and V^T M V = I the inverse is
+    (V (x) V) diag(1 / (lam_i + lam_j)) (V (x) V)^T. M and B commute with
+    the mirror J (J_ij = 1 for i + j = m - 1), so the orthogonal F = [E O]
+    of even and odd vectors ((e_i +- e_{m-1-i}) / sqrt 2, and e_k for odd
+    m = 2k + 1) splits the pencil into two of orders h = ceil(m/2) and
+    floor(m/2) (Cantoni & Butler 1976): V = F blockdiag(V_e, V_o). A solve
+    folds the right-hand side into its four even/odd parts, applies
+    V_a^T (.) V_b to part (a, b) in stacked half-size products, scales
+    entry-wise and returns the same way: O(m^3) per m^2 unknowns at half
+    the flops of full-size factors. The stored factors hold F's scalings
+    and V_o zero-padded to h x h.
+    """
+
+    order: int              # m
+    W: np.ndarray           # (2, h, h) even, odd factors into the eigenbasis
+    W_back: np.ndarray      # (2, h, h) even, odd factors out of it
+    scale: np.ndarray       # (2, 2, h, h) 1 / (lam_i + lam_j) per part
 
     @classmethod
     def build(cls, M: np.ndarray, B: np.ndarray, what: str) -> "KronSumSolver":
-        """Dense M and symmetric B (lower triangles read); :class:`NotSPDError`
-        naming ``what`` unless M is SPD and every lam_i + lam_j > 0."""
-        lam, V = generalized_eigh(B, M, f"{what} (mass factor)")
-        sums = lam[:, None] + lam[None, :]
-        if not sums.min() > 0.0:
+        """Dense symmetric persymmetric M and B; :class:`NotSPDError` naming
+        ``what`` unless M is SPD and every lam_i + lam_j > 0, then a
+        ValueError naming it if M or B has a mirror defect
+        |X - J X J|_max / |X|_max above 1e-9."""
+        m = len(M)
+        h, k = (m + 1) // 2, m // 2
+        # F's 1/sqrt 2 per side; for odd m the fold adds the middle entry of
+        # a side twice (it lies in both quadrants), so 1/2 there
+        d = np.full(h, np.sqrt(0.5))
+        d[k:] = 0.5
+        folded = [_fold(x) for x in (B, M)]
+        lam_e, V_e = generalized_eigh(*(x[0, 0] * d[:, None] * d for x in
+                                        folded), f"{what} (mass factor)")
+        lam_o, V_o = generalized_eigh(*(x[1, 1, :k, :k] / 2.0 for x in
+                                        folded), f"{what} (mass factor)")
+        if not np.concatenate([lam_e, lam_o]).min() > 0.0:
             raise NotSPDError(0, what)
-        return cls(V, 1.0 / sums)
+        defect = max(np.abs(x - x[::-1, ::-1]).max() / np.abs(x).max()
+                     for x in (M, B))
+        # after the eigensolves, so a pair that is not SPD is named so first;
+        # the spline pencils measure below 1e-11
+        if not defect <= 1e-9:
+            raise ValueError(f"{what} not persymmetric: mirror defect "
+                             f"{defect:.1e} > 1e-09")
+        W = np.zeros((2, h, h))
+        W[0] = V_e * d[:, None]
+        W[1, :k, :k] = V_o * np.sqrt(0.5)
+        W_back = W.copy()
+        W_back[0, k:] *= 2.0                # E's middle vector is e_k itself
+        lam = np.stack([lam_e, np.r_[lam_o, np.inf][:h]])  # pad: 1 / inf = 0
+        return cls(m, W, W_back,
+                   1.0 / (lam[:, None, :, None] + lam[None, :, None, :]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = kron_apply(self.V.T, self.V.T, rhs) * self.inv_sums.reshape(-1)
-        return kron_apply(self.V, self.V, y)
+        m, W, W_back = self.order, self.W, self.W_back
+        y = np.matmul(np.matmul(W.transpose(0, 2, 1)[:, None],
+                                _fold(rhs.reshape(m, m))), W) * self.scale
+        z = np.matmul(np.matmul(W_back[:, None], y), W_back.transpose(0, 2, 1))
+        out = np.empty((m, m))
+        parts = _BUTTERFLY @ z.reshape(4, -1)
+        for corner, part in zip(_quadrants(out), parts):
+            corner[...] = part.reshape(corner.shape)
+        return out.reshape(-1)
 
 
 def generalized_eigh(A: np.ndarray, B: np.ndarray, what: str = "B", **kw):

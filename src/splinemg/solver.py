@@ -138,7 +138,7 @@ class InadmissibleLevels(ValueError):
 
 def min_smoother_level(p: int) -> int:
     """Smallest level whose space admits the smoother (n >= p + 1)."""
-    return p.bit_length()
+    return as_integer("degree", p).bit_length()
 
 
 def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,

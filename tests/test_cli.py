@@ -61,6 +61,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="coarse level must be an "
                            f"integer or 'auto', got {coarse!r}"):
             ExperimentConfig(dim=1, degrees=[1], levels=[3], coarse=coarse)
+    with pytest.raises(ValueError, match="degree must be an integer, "
+                       "got 3.5"):      # not only the smallest degree
+        ExperimentConfig(dim=1, degrees=[2, 3.5], levels=[5])
+    with pytest.raises(ValueError, match="level must be an integer, got 6.0"):
+        ExperimentConfig(dim=1, degrees=[2], levels=[5, 6.0])
+    assert min_smoother_level(np.int64(4)) == 3
 
 
 def test_run_table_grid_shape_and_values():

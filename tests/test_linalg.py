@@ -5,7 +5,8 @@ import pytest
 from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
     build_prolongation
-from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix
+from splinemg import linalg
+from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix, generalized_eigh
 from splinemg.transfer import window_embedding
 
 
@@ -199,15 +200,46 @@ def test_kron_apply_rejects_bad_length():
         kron_apply(np.eye(3), np.eye(3), np.ones(8))
 
 
+def _persymmetric_pair(rng, m):
+    """Random SPD M and B that commute with the mirror J, as X + J X J."""
+    X, Y = rng.standard_normal((2, m, m))
+    M = X @ X.T + m * np.eye(m)
+    B = Y @ Y.T + 0.1 * np.eye(m)
+    return M + M[::-1, ::-1], B + B[::-1, ::-1]
+
+
 def test_kron_sum_solver_matches_dense_inverse():
+    rng = np.random.default_rng(14)
+    for m in (6, 7):                    # odd m has an unpaired middle index
+        M, B = _persymmetric_pair(rng, m)
+        r = rng.standard_normal(m * m)
+        ref = np.linalg.solve(np.kron(M, B) + np.kron(B, M), r)
+        got = KronSumSolver.build(M, B, "pair").solve(r)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kron_sum_solver_refuses_a_pair_that_is_not_persymmetric():
     rng = np.random.default_rng(14)
     X, Y = rng.standard_normal((2, 6, 6))
     M = X @ X.T + 6 * np.eye(6)
     B = Y @ Y.T + 0.1 * np.eye(6)
-    r = rng.standard_normal(36)
-    ref = np.linalg.solve(np.kron(M, B) + np.kron(B, M), r)
-    got = KronSumSolver.build(M, B, "pair").solve(r)
-    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    with pytest.raises(ValueError, match="^pair not persymmetric: mirror "
+                       "defect .* > 1e-09$"):
+        KronSumSolver.build(M, B, "pair")
+
+
+@pytest.mark.parametrize("m", [1, 6, 7])
+def test_kron_sum_solver_runs_two_half_size_eigensolves(monkeypatch, m):
+    orders = []
+
+    def spy(A, B, what="B", **kw):
+        orders.append(len(A))
+        return generalized_eigh(A, B, what, **kw)
+
+    monkeypatch.setattr(linalg, "generalized_eigh", spy)
+    KronSumSolver.build(*_persymmetric_pair(np.random.default_rng(3), m),
+                        "pair")
+    assert orders == [(m + 1) // 2, m // 2]
 
 
 def test_kron_sum_solver_rejects_non_spd_sums():

@@ -277,15 +277,19 @@ def test_pcg_preconditioner_symmetry():
 
 
 @pytest.mark.parametrize("solve", [solve_mg, solve_pcg])
-@pytest.mark.parametrize("d,p,level", [(2, 25, 6), (2, 30, 6), (1, 34, 9),
-                                       (1, 36, 9), (1, 38, 9)],
-                         ids=["25", "30", "1d-34", "1d-36", "1d-38"])
-def test_2d_high_degree_converges(solve, d, p, level):
-    # the automatic coarse level; the 2D smoother and coarse solve are exact
-    # Kronecker-sum inverses and each 1D smoother matrix is one folded band
-    # factor, so no capacitance or dense coarse Cholesky loses definiteness;
-    # 1D p=38 needs the exactly persymmetric M and K of the dyadic template
-    h = build_hierarchy(d, p, min_smoother_level(p) - 1, level)
+@pytest.mark.parametrize("d,p,level,coarse", [
+    (2, 25, 6, None), (2, 30, 6, None), (2, 31, 6, 5), (1, 34, 9, None),
+    (1, 36, 9, None), (1, 38, 9, None)],
+    ids=["25", "30", "31-coarse-5", "1d-34", "1d-36", "1d-38"])
+def test_2d_high_degree_converges(solve, d, p, level, coarse):
+    # the automatic coarse level unless given; the 2D smoother and coarse
+    # solve are exact Kronecker-sum inverses and each 1D smoother matrix is
+    # one folded band factor, so no capacitance or dense coarse Cholesky
+    # loses definiteness; 1D p=38 needs the exactly persymmetric M and K of
+    # the dyadic template; 2D p=31 needs coarse level 5, as the n=16 mass
+    # matrix of its automatic coarse level 4 (cond ~3e17) is not resolved
+    h = build_hierarchy(d, p, min_smoother_level(p) - 1 if coarse is None
+                        else coarse, level)
     f = assemble_load(h.finest.space, d)
     u0 = experiment_initial_guess(f.shape[0])
     u, rep = solve(h, V11, f, u0)
