@@ -14,8 +14,8 @@ file), 3 when any table cell's setup broke down (``not-spd@0``) or its solve
 stopped early (``non-finite@k``, ``breakdown@k``). A table cell reads ``-``
 exactly when ``build_hierarchy`` rejects its levels (for two-grid: level - 1
 and level).
-With the defaults the 1D table converges at l=9 up to p=38 (``not-spd@0``
-from p=39), the 2D table at l=6 up to p=30 and at p=32/33.
+With the defaults both solvers converge in 1D at l=9 up to p=38
+(``not-spd@0`` from p=39) and in 2D at l=6 up to p=30 and at p=32/33.
 """
 from __future__ import annotations
 
@@ -328,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
                "output file; only these exit 2), 3 a cell's setup lost "
                "definiteness (not-spd@0) or its solve stopped early "
                "(non-finite@k, breakdown@k); 3 wins over 1. A cell reads - "
-               "when build_hierarchy rejects its "
-               "levels (two-grid: level - 1 and level). Degrees: 1D converges "
-               "up to p=38 at l=9, 2D up to p=30 and at p=32/33 at l=6.")
+               "when build_hierarchy rejects its levels (two-grid: level - 1 "
+               "and level). Degrees: mg and cg-mg converge in 1D up to p=38 "
+               "at l=9, in 2D up to p=30 and at p=32/33 at l=6.")
     t.add_argument("--dim", type=int, default=1, choices=(1, 2))
     t.add_argument("--degrees", default="1-15",
                    help="degree range, e.g. 1-15 or 2,3,5")

@@ -97,15 +97,16 @@ class BandedSymMatrix:
         return BandedSymMatrix(stop - start, b,
                                self.bands[:b + 1, start:stop].copy())
 
-    def rectangular_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense copy of an arbitrary (rows x cols) block, gathered from the
-        band storage: entry (i, j) is bands[|i - j|, min(i, j)]."""
-        i = np.asarray(rows)[:, None]
-        j = np.asarray(cols)[None, :]
+    def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """bands[|i - j|, min(i, j)] for broadcast i, j; zero off the band."""
         k = np.abs(i - j)
         inside = k <= self.bandwidth
         return np.where(inside, self.bands[np.where(inside, k, 0),
                                            np.minimum(i, j)], 0.0)
+
+    def rectangular_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense copy of an arbitrary (rows x cols) block."""
+        return self.entries(np.asarray(rows)[:, None], np.asarray(cols))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -5,16 +5,15 @@ coefficients, the Schur complement Q of the interior block of A (the energy
 of the discrete harmonic extension of the boundary coefficients). Only the
 first p and last p interior rows of A couple to the boundary, so Q comes
 from those 2p rows: one forward solve over the interior factor for the left
-boundary's columns, one on its trailing p x p block for the right's. C
-couples the first and last p indices. In the folded order 0, m-1, 1, m-2,
-... those 2p indices come first and every entry of M lies within 2p of the
-diagonal, so L is a plain band matrix of bandwidth 2p: each 1D smoother
-matrix is one banded Cholesky factor, and a solve is a gather, two O(m p)
-substitutions and a scatter. A level builds the damped factor, the one a
-smoothing step reads; the undamped one is built on first use. The factor
-fills the band between indices k and m-1-k with entries that decay
-exponentially and underflow; they are zeroed, because every substitution
-would pay a slow floating-point assist on each subnormal.
+boundary's columns, one on its trailing p x p block for the right's. L is
+persymmetric (B_i(x) = B_{m-1-i}(1 - x)), so with the mirror butterfly G
+(columns e_a +- e_{m-1-a}, and 2 e_k for odd m = 2k + 1) G^T L G is an
+even and an odd block of bandwidth p (Cantoni & Butler 1976): one banded
+Cholesky factor of order m per matrix, and a solve is two slice sums, two
+O(m p) substitutions and two slice writes. Leaving out the cross-parity
+terms averages L with its mirror, which keeps the blocks SPD from p = 34,
+where Q's mirror defect is 1e-12 to 1e-10. A level builds the damped
+factor, the one a smoothing step reads; the undamped one on first use.
 
 The 2D smoother matrix is the rank-corrected tensor square
 LL = h^2 (L (x) L - C (x) C). Expanded, it is the Kronecker sum
@@ -39,7 +38,7 @@ import numpy as np
 
 from .assembly import Discretization1D, Operator2D
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
-    cholesky
+    _fold, cholesky
 from .splines import IndexSplit, as_integer, index_split
 
 __all__ = [
@@ -101,21 +100,16 @@ class Boundary:
 
 @dataclass
 class Smoother1D(Boundary):
-    """Banded Cholesky factors of the 1D smoother matrices in folded order.
+    """Band factors of the 1D smoother matrices in the mirror's even/odd basis.
 
     The damped factor, the one every smoothing step reads, is built with the
     smoother; the undamped one, :attr:`L_solver`, on first use.
     """
 
     M: BandedSymMatrix = field(repr=False)      # the level's mass matrix
-    fold: np.ndarray = field(init=False, repr=False)  # index per position
     L_eff_solver: CholeskyFactor = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.space_dim
-        self.fold = np.empty(m, dtype=int)          # 0, m-1, 1, m-2, ...
-        self.fold[0::2] = np.arange((m + 1) // 2)
-        self.fold[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
         self.L_eff_solver = self._factor(self.mesh_size ** -2 / self.tau,
                                          "1D damped smoother matrix")
 
@@ -125,32 +119,31 @@ class Smoother1D(Boundary):
         return self._factor(self.mesh_size ** -2, "1D smoother matrix")
 
     def _factor(self, sigma: float, what: str) -> CholeskyFactor:
-        """Folded band factor of sigma M + C, bandwidth 2p."""
+        """Band factor, bandwidth p, of the even and then the odd diagonal
+        block of G^T L G for L = sigma M + C: entry (a, b) of a block is
+        L[a, b] + L[m-1-a, m-1-b] +- (L[a, m-1-b] + L[m-1-a, b])."""
         m, p = self.space_dim, self.M.bandwidth
-        pos = np.empty(m, dtype=int)
-        pos[self.fold] = np.arange(m)
-
-        def slots(rows, cols):     # folded band slots of the entries (i, j)
-            a, c = pos[rows], pos[cols]
-            return np.abs(a - c), np.minimum(a, c)
-
-        # one scatter of M's lower band and of Q's lower triangle
-        k, j = np.nonzero(np.arange(p + 1)[:, None] + np.arange(m) < m)
-        band = np.zeros((2 * p + 1, m))
-        band[slots(j + k, j)] = sigma * self.M.bands[k, j]
-        bnd = self.split.boundary
-        r, c = np.tril_indices(len(bnd))
-        band[slots(bnd[r], bnd[c])] += self.Q[r, c]
-        chol = cholesky(BandedSymMatrix(m, 2 * p, band), what)
-        # the fill between k and m-1-k decays into subnormals; each one
-        # would cost a floating-point assist in every substitution
-        chol.factor[np.abs(chol.factor) < np.finfo(float).tiny] = 0.0
-        return chol
+        h, k = (m + 1) // 2, m // 2
+        b = np.arange(h)
+        a = b + np.arange(p + 1)[:, None]       # band entry (a, b)
+        same = self.M.entries(a, b) + self.M.entries(m - 1 - a, m - 1 - b)
+        cross = self.M.entries(a, m - 1 - b) + self.M.entries(m - 1 - a, b)
+        band = sigma * np.stack([same + cross, same - cross])
+        q = np.pad(_fold(self.Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
+        band[:, :, :p] += q[:, a[:, :p], b[:p]]     # Q's even and odd parts
+        band = np.where(a < np.array([h, k])[:, None, None], band, 0.0)
+        return cholesky(BandedSymMatrix(m, p, np.concatenate(
+            [band[0], band[1, :, :k]], axis=1)), what)
 
     def solve(self, factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse of the folded ``factor``'s matrix to ``rhs``."""
-        out = np.empty_like(rhs, dtype=float)
-        out[self.fold] = factor.solve(rhs[self.fold])
+        """L^-1 rhs as G y for the ``factor`` of G^T L G and G^T rhs."""
+        h, k = (self.space_dim + 1) // 2, self.space_dim // 2
+        y = factor.solve(np.concatenate([rhs[:h] + rhs[k:][::-1],
+                                         rhs[:k] - rhs[h:][::-1]]))
+        out = np.zeros_like(y)
+        out[:k], out[h:] = y[h:], -y[h:][::-1]
+        out[:h] += y[:h]
+        out[k:] += y[:h][::-1]      # G's column 2 e_k doubles out[k]
         return out
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:

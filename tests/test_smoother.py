@@ -179,7 +179,7 @@ def test_damping_rejects_tau_with_one_message(tau):
             build()
 
 
-# n = p + 1 is the tightest space (m = 2p + 1, the folded band is full);
+# n = p + 1 is the tightest space (m = 2p + 1, the odd block is all Q);
 # m = n + p takes both parities; p = 30, n = 256 is l = 8
 @pytest.mark.parametrize("p,n", [(2, 8), (1, 4), (3, 16), (4, 32)] +
                          [(p, p + 1) for p in (1, 2, 3, 7, 15, 30)] +
@@ -196,12 +196,62 @@ def test_apply_Linv_1d_matches_dense_solve(p, n):
         ref = np.linalg.solve(L, r)
         assert np.linalg.norm(x - ref) <= \
             1e-15 * np.linalg.cond(L) * np.linalg.norm(ref)
-    # the folded fill underflows at p = 3, l = 12 (3,085 subnormals)
+    # a factor of bandwidth p has no fill to decay; the bandwidth-2p factor
+    # of the interleaved order 0, m-1, 1, m-2, ... held 3,085 subnormals at
+    # p = 3, l = 12
     if (p, n) == (3, 16):
         _, sm = _setup(p, 4096)
     for chol in (sm.L_solver, sm.L_eff_solver):
         f = chol.factor
         assert not np.any((f != 0) & (np.abs(f) < np.finfo(float).tiny))
+
+
+def _mirror_butterfly(m):
+    """G: the even columns e_a + e_{m-1-a} (2 e_k in the middle of odd
+    m = 2k + 1), then the odd columns e_a - e_{m-1-a}."""
+    h, k = (m + 1) // 2, m // 2
+    G = np.zeros((m, m))
+    G[np.arange(h), np.arange(h)] += 1.0
+    G[m - 1 - np.arange(h), np.arange(h)] += 1.0
+    G[np.arange(k), h + np.arange(k)] = 1.0
+    G[m - 1 - np.arange(k), h + np.arange(k)] = -1.0
+    return G
+
+
+# the tight spaces n = p + 1 ... 3p take both parities of m = n + p, and
+# Q's corners reach the middle of the odd block; from p = 34 Q's mirror
+# defect is largest
+@pytest.mark.parametrize("p,spaces", [
+    (p, [(0, n) for n in range(p + 1, 3 * p + 1)]) for p in range(1, 16)]
+    + [(34, [(9, 1)]), (38, [(9, 1)])])
+def test_factored_band_is_the_mirror_blocks_of_the_dense_smoother(
+        monkeypatch, p, spaces):
+    factored = {}
+
+    def recording(matrix, what="matrix"):
+        factored[what] = matrix
+        return cholesky(matrix, what)
+
+    monkeypatch.setattr(smoother, "cholesky", recording)
+    for level, n0 in spaces:
+        disc = assemble_1d(build_space(p, level, n0))
+        sm = build_smoother_1d(disc, 0.14)
+        m, h = sm.space_dim, (sm.space_dim + 1) // 2
+        G = _mirror_butterfly(m)
+        for damped, chol, what in [
+                (True, sm.L_eff_solver, "1D damped smoother matrix"),
+                (False, sm.L_solver, "1D smoother matrix")]:
+            band = factored[what]
+            assert (band.order, band.bandwidth) == (m, p)
+            assert chol.factor.shape == (p + 1, m)
+            ref = G.T @ smoother_matrix_1d(sm, disc, damped) @ G
+            scale = np.abs(ref).max()
+            # the cross-parity blocks, which the band leaves out, vanish
+            # but for L's mirror defect
+            assert np.abs(ref[:h, h:]).max() <= 1e-9 * scale
+            ref[:h, h:] = ref[h:, :h] = 0.0
+            npt.assert_allclose(band.toarray(), ref, rtol=0,
+                                atol=1e-15 * scale)
 
 
 @settings(max_examples=40, deadline=None)

@@ -278,16 +278,18 @@ def test_pcg_preconditioner_symmetry():
 
 @pytest.mark.parametrize("solve", [solve_mg, solve_pcg])
 @pytest.mark.parametrize("d,p,level,coarse", [
-    (2, 25, 6, None), (2, 30, 6, None), (2, 31, 6, 5), (1, 34, 9, None),
-    (1, 36, 9, None), (1, 38, 9, None)],
-    ids=["25", "30", "31-coarse-5", "1d-34", "1d-36", "1d-38"])
+    (2, 25, 6, None), (2, 30, 6, None), (2, 31, 6, 5), (2, 33, 6, None),
+    (1, 34, 9, None), (1, 36, 9, None), (1, 38, 9, None)],
+    ids=["25", "30", "31-coarse-5", "33", "1d-34", "1d-36", "1d-38"])
 def test_2d_high_degree_converges(solve, d, p, level, coarse):
     # the automatic coarse level unless given; the 2D smoother and coarse
     # solve are exact Kronecker-sum inverses and each 1D smoother matrix is
-    # one folded band factor, so no capacitance or dense coarse Cholesky
-    # loses definiteness; 1D p=38 needs the exactly persymmetric M and K of
-    # the dyadic template; 2D p=31 needs coarse level 5, as the n=16 mass
-    # matrix of its automatic coarse level 4 (cond ~3e17) is not resolved
+    # one band factor of bandwidth p in the even/odd basis, so no
+    # capacitance or dense coarse Cholesky loses definiteness; 1D p=38
+    # needs the exactly persymmetric M and K of the dyadic template; 2D
+    # p=31 needs coarse level 5, as the n=16 mass matrix of its automatic
+    # coarse level 4 (cond ~3e17) is not resolved; 2D p=33 CG needs the
+    # flexible beta, as rounding leaves its V-cycle unsymmetric by ~3e-5
     h = build_hierarchy(d, p, min_smoother_level(p) - 1 if coarse is None
                         else coarse, level)
     f = assemble_load(h.finest.space, d)
@@ -377,11 +379,12 @@ def test_solve_pcg_stops_on_indefinite_preconditioner():
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pcg_first_iteration_by_hand(h, cfg, f, u0=None):
+def _pcg_first_iteration_by_hand(h, cfg, f, u0=None, flexible=True):
     """The CG loop that ran its first iteration before the loop and its
     preconditioner after the residual check: an oracle for the iterates,
     residuals and stop reasons of :func:`solve_pcg`, which runs one cycle
-    less when it stops at max_iter."""
+    less when it stops at max_iter. ``flexible=False`` takes the standard
+    beta = rho / rho_old in place of r^T (z - z_old) / rho_old."""
     cfg.require_symmetric()
     start = time.perf_counter()
     top = len(h.levels) - 1
@@ -407,12 +410,17 @@ def _pcg_first_iteration_by_hand(h, cfg, f, u0=None):
         r = r - alpha * q
         history.append(_norm(r))
         stop = _residual_stop(history[-1], cfg.tol * history[0])
+        if stop == "converged":
+            r = f - A.apply(u)
+            history[-1] = _norm(r)
+            stop = _residual_stop(history[-1], cfg.tol * history[0])
         if stop:
             break
-        z = precond(r)
+        z_old, z = z, precond(r)
         rho_new = float(r @ z)
         stop = _cg_scalar_stop(rho_new)
-        p = z + (rho_new / rho) * p
+        beta = float(r @ (z - z_old)) if flexible else rho_new
+        p = z + (beta / rho) * p
         rho = rho_new
     return u, _report(history, stop, start)
 
@@ -441,6 +449,24 @@ def test_solve_pcg_matches_the_first_iteration_by_hand_loop(
     assert (np.array(rep.residual_history).tobytes()
             == np.array(ref.residual_history).tobytes())
     assert u.tobytes() == u_ref.tobytes()
+
+
+@pytest.mark.parametrize("d, p, coarse, fine", [
+    (1, 3, 2, 6), (2, 3, 1, 4), (1, 8, 5, 10), (2, 8, 3, 6)])
+def test_flexible_beta_matches_the_standard_beta_on_symmetric_cycles(
+        d, p, coarse, fine):
+    # r^T z_old vanishes in exact arithmetic when the cycle is symmetric, so
+    # beta = r^T (z - z_old) / rho_old moves only rounding (measured: the
+    # residuals to 6e-8 relative, the iterates to 1e-12 of their largest)
+    h = build_hierarchy(d, p, coarse, fine)
+    f = assemble_load(h.finest.space, d)
+    u0 = experiment_initial_guess(len(f))
+    u, rep = solve_pcg(h, V11, f, u0)
+    u_ref, ref = _pcg_first_iteration_by_hand(h, V11, f, u0, flexible=False)
+    assert rep.stop_reason == ref.stop_reason == "converged"
+    assert rep.iterations == ref.iterations
+    npt.assert_allclose(rep.residual_history, ref.residual_history, rtol=1e-6)
+    npt.assert_allclose(u, u_ref, rtol=0, atol=1e-10 * np.abs(u_ref).max())
 
 
 def _count_top_cycles(monkeypatch, h):
