@@ -140,11 +140,9 @@ class Smoother1D(Boundary):
         h, k = (self.space_dim + 1) // 2, self.space_dim // 2
         y = factor.solve(np.concatenate([rhs[:h] + rhs[k:][::-1],
                                          rhs[:k] - rhs[h:][::-1]]))
-        out = np.zeros_like(y)
-        out[:k], out[h:] = y[h:], -y[h:][::-1]
-        out[:h] += y[:h]
-        out[k:] += y[:h][::-1]      # G's column 2 e_k doubles out[k]
-        return out
+        even, odd = y[:h], y[h:]        # G's column 2 e_k gives the middle
+        return np.concatenate([even[:k] + odd, 2.0 * even[k:],
+                               (even[:k] - odd)[::-1]])
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
         """Damped update (tau^-1 h^-2 M + C)^-1 r of one smoothing step."""

@@ -303,6 +303,7 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         stop = _cg_scalar_stop(rho)
         if stop:
             break
+        # not (rho - r^T z_old): that form reads breakdown@7 at 2D l=6, p=33
         p = z + (float(r @ (z - z_old)) / rho_old) * p
         q = A.apply(p)
         pq = float(p @ q)
