@@ -136,7 +136,7 @@ class Smoother1D(Boundary):
             [band[0], band[1, :, :k]], axis=1)), what)
 
     def solve(self, factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-        """L^-1 rhs as G y for the ``factor`` of G^T L G and G^T rhs."""
+        """L^-1 rhs = G y, y solved by ``factor`` (of G^T L G) from G^T rhs."""
         h, k = (self.space_dim + 1) // 2, self.space_dim // 2
         y = factor.solve(np.concatenate([rhs[:h] + rhs[k:][::-1],
                                          rhs[:k] - rhs[h:][::-1]]))
