@@ -1,7 +1,8 @@
 """Multigrid hierarchy, V/W cycles (one recursion for d = 1 and d = 2; the
 two-grid method is a V-cycle on a two-level hierarchy), and V-cycle
 preconditioned CG. Both solvers share one start (the checked f and u0, the
-first residual, the history and the first stop reason) and one report."""
+first residual, the history and the first stop reason) and one report.
+:func:`run_table` solves a grid of (level, degree) cells with either one."""
 from __future__ import annotations
 
 import math
@@ -10,9 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import Discretization1D, Operator2D, assemble_1d, operator_2d
+from .assembly import Discretization1D, Operator2D, assemble_1d, \
+    assemble_load, operator_2d
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
-    WindowBandMatrix, cholesky
+    NotSPDError, WindowBandMatrix, cholesky
 from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
     build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
 from .splines import SplineSpace, as_integer, build_space
@@ -32,6 +34,9 @@ __all__ = [
     "mg_cycle",
     "solve_mg",
     "solve_pcg",
+    "ExperimentConfig",
+    "TableResult",
+    "run_table",
 ]
 
 def experiment_initial_guess(n: int) -> np.ndarray:
@@ -141,6 +146,11 @@ def min_smoother_level(p: int) -> int:
     return as_integer("degree", p).bit_length()
 
 
+def _min_coarse_level(p: int) -> int:
+    """Coarsest level a degree-``p`` hierarchy admits (its direct solve)."""
+    return min_smoother_level(p) - 1
+
+
 def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
                     tau: float | None = None) -> MgHierarchy:
     """Build spaces, operators, smoothers and transfers for the given levels.
@@ -158,7 +168,7 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     if fine_level <= coarse_level:
         raise InadmissibleLevels(
             f"fine level {fine_level} must exceed coarse level {coarse_level}")
-    min_admissible = min_smoother_level(p) - 1
+    min_admissible = _min_coarse_level(p)
     if coarse_level < min_admissible:
         raise InadmissibleLevels(
             f"coarse level {coarse_level} too coarse for degree {p}: "
@@ -320,3 +330,114 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         stop = _residual_stop(history[-1], cfg.tol * history[0])
         rho_old, z_old = rho, z
     return u, _report(history, stop, start)
+
+
+@dataclass
+class ExperimentConfig:
+    """Parameters of one table run."""
+
+    dim: int
+    degrees: list[int]
+    levels: list[int]
+    coarse: int | str = "auto"          # fixed level or "auto"
+    cycle: str = "v"                    # "v" | "w" | "two-grid"
+    pre_smooth: int = 1
+    post_smooth: int = 1
+    tau: float | None = None
+    solver: str = "mg"                  # "mg" | "cg-mg"
+    tol: float = 1e-8
+    max_iter: int = 500
+
+    def __post_init__(self):
+        self.tau = damping(self.dim, self.tau)
+        if not self.degrees or not self.levels:
+            raise ValueError("degree and level ranges must be non-empty")
+        self.degrees = [as_integer("degree", p) for p in self.degrees]
+        self.levels = [as_integer("level", lv) for lv in self.levels]
+        # build_space owns p >= 1 and level >= 0 (probed on one interval)
+        build_space(min(self.degrees), min(0, *self.levels))
+        if self.solver not in ("mg", "cg-mg"):
+            raise ValueError(f"unknown solver {self.solver!r}")
+        cfg = self.cycle_config()
+        if self.solver == "cg-mg":
+            cfg.require_symmetric()
+        if self.coarse != "auto":
+            if self.cycle == "two-grid":
+                raise ValueError("the two-grid method coarsens each cell to "
+                                 "level - 1; coarse must be 'auto'")
+            try:                        # an integer or its text
+                self.coarse = as_integer("coarse", int(self.coarse) if
+                                         isinstance(self.coarse, str)
+                                         else self.coarse)
+            except ValueError:
+                raise ValueError("coarse level must be an integer or 'auto', "
+                                 f"got {self.coarse!r}") from None
+            if self.coarse < 0:
+                raise ValueError(f"coarse must be >= 0, got {self.coarse}")
+
+    def cycle_config(self) -> CycleConfig:
+        cycle = "v" if self.cycle == "two-grid" else self.cycle
+        return CycleConfig(cycle=cycle, pre_smooth=self.pre_smooth,
+                           post_smooth=self.post_smooth, tol=self.tol,
+                           max_iter=self.max_iter)
+
+
+@dataclass
+class TableResult:
+    """Iteration-count grid plus per-cell wall times."""
+
+    degrees: list[int]
+    levels: list[int]                   # descending, one row each
+    cells: list[list[str]]              # counts, "-", ">N" or "reason@it"
+    timings: list[list[float | None]]
+
+    @property
+    def early_stop(self) -> bool:
+        """A cell's setup or solve stopped early (not-spd@0, reason@k)."""
+        return any("@" in c for row in self.cells for c in row)
+
+    @property
+    def any_failure(self) -> bool:
+        """A cell ran out of its iterations (>N) or stopped early."""
+        return any(c[0] == ">" or "@" in c for row in self.cells for c in row)
+
+
+def _coarse_for(config: ExperimentConfig, p: int, level: int) -> int:
+    if config.cycle == "two-grid":
+        return level - 1
+    return _min_coarse_level(p) if config.coarse == "auto" else config.coarse
+
+
+def run_table(config: ExperimentConfig) -> TableResult:
+    """Solve every (level, degree) cell and collect counts; a cell whose
+    levels :func:`build_hierarchy` rejects reads "-" and has no wall time,
+    one whose setup loses definiteness "not-spd@0"."""
+    cfg = config.cycle_config()
+    # module globals read per call, so a tracer that wraps them sees each one
+    solve = solve_pcg if config.solver == "cg-mg" else solve_mg
+    result = TableResult(sorted(set(config.degrees)),
+                         sorted(set(config.levels), reverse=True), [], [])
+    for level in result.levels:
+        row, trow = [], []
+        for p in result.degrees:
+            start = time.perf_counter()
+            try:
+                hier = build_hierarchy(config.dim, p,
+                                       _coarse_for(config, p, level), level,
+                                       config.tau)
+            except InadmissibleLevels:
+                row.append("-")
+            except NotSPDError:
+                row.append("not-spd@0")
+            else:
+                f = assemble_load(hier.finest.space, config.dim)
+                _, out = solve(hier, cfg, f, experiment_initial_guess(len(f)))
+                stop = out.stop_reason
+                row.append(str(out.iterations) if out.converged else
+                           f">{cfg.max_iter}" if stop == "max_iter" else
+                           f"{stop}@{out.iterations}")
+            trow.append(None if row[-1] == "-"
+                        else time.perf_counter() - start)
+        result.cells.append(row)
+        result.timings.append(trow)
+    return result

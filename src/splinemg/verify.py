@@ -4,7 +4,8 @@ Everything here materializes small dense matrices and measures the constants
 behind the solver's robustness: the inverse inequality on the constrained
 subspace, the unconstrained boundary blow-up, the approximation constant of
 the constrained space, and the two factors (approximation and smoothing
-properties) of the two-grid convergence bound.
+properties) of the two-grid convergence bound. :func:`run_verify` runs them
+over ranges of (p, level) and judges each against its pass bound.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import assemble_1d, operator_2d
-from .linalg import generalized_eig_max, generalized_eigh
+from .linalg import NotSPDError, generalized_eig_max, generalized_eigh
 from .smoother import build_boundary, damping, smoother_matrix_1d, \
     smoother_matrix_2d
 from .splines import SpaceSizeError, SplineSpace, build_space, \
@@ -39,12 +40,28 @@ __all__ = [
     "measure_CA",
     "measure_smoothing_constant",
     "smoother_energy_norm",
+    "INVERSE_PASS",
+    "APPROX_PASS",
+    "SMOOTHING_TOL",
+    "ENERGY_NORM_PASS",
+    "CA_RATIO_PASS",
+    "CheckResult",
+    "run_verify",
 ]
 
 #: theoretical bound on h * sqrt(lambda_max(K, M)) over the constrained space
 INVERSE_BOUND = 2.0 * np.sqrt(3.0)
 #: theoretical bound on the constrained-space L2 approximation constant
 APPROX_BOUND = 2.0 * np.sqrt(2.0)
+#: pass bounds of :func:`run_verify`, each with its tolerance: both inverse
+#: inequality constants, the approximation constant, ||S||_A, and a level's
+#: largest C_A over C_A at p = 1; the smoothing constant passes at most
+#: 1/tau + SMOOTHING_TOL, the boundary blow-up at least p
+INVERSE_PASS = INVERSE_BOUND + 1e-8
+APPROX_PASS = APPROX_BOUND + 0.01
+SMOOTHING_TOL = 1e-8
+ENERGY_NORM_PASS = 1.0
+CA_RATIO_PASS = 3.0
 #: refinement levels of the proxy space behind the approximation constant
 PROXY_LEVELS = 4
 
@@ -242,3 +259,90 @@ def measure_smoothing_constant(pencil: SmootherPencil, nu: int) -> float:
 def smoother_energy_norm(pencil: SmootherPencil) -> float:
     """||S||_A of the damped smoothing step (at most 1 for admissible tau)."""
     return float(np.abs(1.0 - pencil.eigenvalues).max())
+
+
+@dataclass
+class CheckResult:
+    """One verification check outcome."""
+
+    name: str
+    degree: int
+    level: int
+    value: float
+    bound: float
+    kind: str                           # "upper" | "lower"
+    status: str                         # "PASS" | "FAIL" | "SKIP"
+    note: str = ""
+
+
+def run_verify(degrees: list[int], levels: list[int], d: int = 1,
+               tau: float | None = None) -> list[CheckResult]:
+    """Run the spectral verification suite over ranges of (p, level). A
+    check the library refuses with :class:`SpaceSizeError` or whose
+    constraint basis loses rank (:class:`ConstraintRankError`) reads SKIP;
+    one whose matrix loses definiteness (:class:`NotSPDError`) reads FAIL
+    with the error's message. Other errors propagate."""
+    tau = damping(d, tau)
+    if not degrees or not levels:
+        raise ValueError("degree and level ranges must be non-empty")
+    results: list[CheckResult] = []
+
+    def check(name, p, level, measure, bound=None, kind="upper", note=""):
+        """``measure()``, and its PASS/FAIL line unless ``bound`` is None;
+        or None after one SKIP line (``note`` on a size refusal, else the
+        rank message) or FAIL line (the :class:`NotSPDError` message)."""
+        try:
+            value = measure()
+        except (SpaceSizeError, ConstraintRankError, NotSPDError) as exc:
+            results.append(CheckResult(
+                name, p, level, float("nan"), float("nan"), kind,
+                "FAIL" if isinstance(exc, NotSPDError) else "SKIP",
+                note if isinstance(exc, SpaceSizeError) else str(exc)))
+            return None
+        if bound is not None:
+            ok = value <= bound if kind == "upper" else value >= bound
+            results.append(CheckResult(name, p, level, float(value), bound,
+                                       kind, "PASS" if ok else "FAIL"))
+        return value
+
+    for level in sorted(set(levels)):
+        ca_values: dict[int, float] = {}
+        for p in sorted(set(degrees)):
+            if check("verification-suite", p, level,
+                     lambda: dense_space(p, level, d),
+                     note="size beyond dense limit") is None:
+                continue
+            if d == 1:
+                res = check("inverse-inequality", p, level,
+                            lambda: verify_inverse_inequality(p, level),
+                            note="interior block empty")
+                for part in ("constrained", "interior") if res else ():
+                    check(f"inverse-inequality-{part}", p, level,
+                          lambda: getattr(res, part), INVERSE_PASS)
+                check("counterexample-growth", p, level,
+                      lambda: verify_counterexample(p, level), float(p),
+                      "lower")
+                check("approximation-constant", p, level,
+                      lambda: verify_approximation_constant(p, level),
+                      APPROX_PASS, note="proxy space beyond dense limit")
+            pencil = check("smoothing-constant", p, level,
+                           lambda: smoother_pencil(p, level, d, tau),
+                           note="no valid coarse/fine smoother pair")
+            if pencil is None:
+                continue
+            check("smoothing-constant", p, level,
+                  lambda: max(measure_smoothing_constant(pencil, nu)
+                              for nu in range(1, 9)),
+                  1.0 / tau + SMOOTHING_TOL)
+            check("smoother-energy-norm", p, level,
+                  lambda: smoother_energy_norm(pencil), ENERGY_NORM_PASS)
+            if (ca := check("approximation-property-ratio", p, level,
+                            lambda: measure_CA(pencil))) is not None:
+                ca_values[p] = ca
+        if ca_values:
+            # any p that fits here makes p = 1 fit too; its errors propagate
+            ref = ca_values[1] if 1 in ca_values else measure_CA(
+                smoother_pencil(1, level, d=d, tau=tau))
+            check("approximation-property-ratio", max(ca_values), level,
+                  lambda: max(ca_values.values()) / ref, CA_RATIO_PASS)
+    return results

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinemg import InadmissibleLevels, build_hierarchy, cli, \
-    min_smoother_level
+from splinemg import InadmissibleLevels, build_hierarchy, min_smoother_level
 from splinemg.cli import ExperimentConfig, TableResult, run_table, \
     run_verify, write_table, format_verify_report, main, _parse_range
 from splinemg.linalg import NotSPDError
@@ -178,7 +177,7 @@ def test_run_verify_maps_only_the_size_error_to_skip(monkeypatch, error,
     def refuse(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "smoother_pencil", refuse)
+    monkeypatch.setattr("splinemg.verify.smoother_pencil", refuse)
     if skipped:
         result = run_verify([2], [2], d=2)
         assert [(r.name, r.status, r.note) for r in result] == [
@@ -212,7 +211,7 @@ def test_run_verify_skips_only_the_check_whose_basis_lost_rank(
     def refuse(*args, **kwargs):
         raise ConstraintRankError("constraint matrix rank 3 below expected 4")
 
-    monkeypatch.setattr(cli, target, refuse)
+    monkeypatch.setattr(f"splinemg.verify.{target}", refuse)
     results = run_verify([2], [4], d=1)
     assert [(r.name, r.note) for r in results if r.status == "SKIP"] == [
         (name, "constraint matrix rank 3 below expected 4")]
@@ -277,7 +276,7 @@ def test_unwritable_out_is_a_configuration_error_before_any_cell(
         tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a cell was solved before --out was checked")
-    monkeypatch.setattr(cli, "build_hierarchy", no_build)
+    monkeypatch.setattr("splinemg.solver.build_hierarchy", no_build)
     code = main(["table", "--dim", "1", "--degrees", "1", "--levels", "7",
                  "--coarse", "5", "--out", str(tmp_path / "missing" / "t.csv")])
     assert code == 2
@@ -305,13 +304,14 @@ def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
     (["--levels=-1"], "level must be >= 0, got -1"),
     (["--cycle", "two-grid", "--coarse", "2"], "coarse must be 'auto'"),
     (["--coarse", "x"], "coarse level must be an integer or 'auto', got 'x'"),
+    (["--coarse", "-1"], "coarse must be >= 0, got -1"),
 ], ids=["tau-nan", "cg-asymmetric", "degree-0", "level-neg", "two-grid-coarse",
-        "coarse-not-int"])
+        "coarse-not-int", "coarse-neg"])
 def test_table_configuration_error_builds_nothing_and_writes_no_file(
         tmp_path, capsys, monkeypatch, flags, message):
     def no_build(*args, **kwargs):
         raise AssertionError("a hierarchy was built for a bad configuration")
-    monkeypatch.setattr(cli, "build_hierarchy", no_build)
+    monkeypatch.setattr("splinemg.solver.build_hierarchy", no_build)
     argv = ["table", "--dim", "2", "--degrees", "8", "--levels", "5"]
     code = main(argv + flags + ["--out", str(tmp_path / "t.csv")])
     assert code == 2
@@ -325,7 +325,7 @@ def test_run_verify_propagates_a_failing_reference_pencil(monkeypatch):
         if p == 1:
             raise NotSPDError(0, "reference pencil")
         return smoother_pencil(p, level, d=d, tau=tau)
-    monkeypatch.setattr(cli, "smoother_pencil", pencil)
+    monkeypatch.setattr("splinemg.verify.smoother_pencil", pencil)
     with pytest.raises(NotSPDError, match="reference pencil"):
         run_verify([2, 3], [4], d=1)
 
@@ -355,7 +355,7 @@ def test_run_verify_reports_a_non_spd_smoother_matrix_as_fail_lines(
         good = smoother_pencil(p, level, d=d, tau=tau)
         return SmootherPencil(good.A, good.A_c, good.P,
                               -np.eye(len(good.A)) if p == 2 else good.L_eff)
-    monkeypatch.setattr(cli, "smoother_pencil", pencil)
+    monkeypatch.setattr("splinemg.verify.smoother_pencil", pencil)
     results = run_verify([1, 2, 3], [4], d=1)
     failed = {(r.name, r.degree): r.note for r in results
               if r.status == "FAIL"}

@@ -11,6 +11,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import splinemg.cli
+import splinemg.verify
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 SOURCES = sorted((ROOT / "src" / "splinemg").glob("*.py"))
@@ -81,3 +84,10 @@ def test_names_only_the_tracer_reaches_are_unused_in_the_library():
             for line, name in _uses(ast.parse(path.read_text()),
                                     path.name == "__init__.py")]
     assert uses == []
+
+
+def test_the_cli_binds_the_verify_runner_itself():
+    assert splinemg.cli.run_verify is splinemg.verify.run_verify, (
+        "bench/harness.py calls sm.cli.run_verify and the tracer wraps it "
+        "as ('cli', 'run_verify'): cli must import verify.run_verify "
+        "itself, not a wrapper")

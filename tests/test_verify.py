@@ -275,7 +275,7 @@ def _count_pencils(monkeypatch):
         built.append((p, level))
         return smoother_pencil(p, level, d=d, tau=tau)
 
-    monkeypatch.setattr(cli, "smoother_pencil", counting)
+    monkeypatch.setattr("splinemg.verify.smoother_pencil", counting)
     return built
 
 
