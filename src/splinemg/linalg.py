@@ -7,6 +7,7 @@ eigen/singular-value routines used by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -45,16 +46,11 @@ class BandedSymMatrix:
     order: int
     bandwidth: int
     bands: np.ndarray
-    _csr: scipy.sparse.csr_array | None = field(default=None, repr=False)
-
-    @classmethod
-    def zeros(cls, order: int, bandwidth: int) -> "BandedSymMatrix":
-        return cls(order, bandwidth, np.zeros((bandwidth + 1, order)))
 
     @classmethod
     def from_dense(cls, a: np.ndarray, bandwidth: int) -> "BandedSymMatrix":
         m = a.shape[0]
-        out = cls.zeros(m, bandwidth)
+        out = cls(m, bandwidth, np.zeros((bandwidth + 1, m)))
         for k in range(bandwidth + 1):
             out.bands[k, :m - k] = np.diagonal(a, -k)
         return out
@@ -66,30 +62,28 @@ class BandedSymMatrix:
         a[j + k, j] = a[j, j + k] = self.bands[k, j]
         return a
 
-    def rows(self) -> np.ndarray:
-        """Row i of the band, entries (i, i - b) ... (i, i + b), as row i of
-        an (order, 2b + 1) array; entries outside the matrix are zero."""
+    def diagonals(self) -> np.ndarray:
+        """Row b + o holds diagonal o = -b ... b by column, as LAPACK band
+        storage does (DIA data); C-ordered, zero outside the matrix."""
         m, b = self.order, self.bandwidth
-        out = np.zeros((m, 2 * b + 1))
-        for k in range(b + 1):          # entries (i, i + k) and (i + k, i)
-            out[:m - k, b + k] = out[k:, b - k] = self.bands[k, :m - k]
-        return out
+        data = np.zeros((2 * b + 1, m))
+        data[:b + 1] = self.bands[::-1]
+        for k in range(1, b + 1):       # diagonal k is diagonal -k shifted
+            data[b - k, max(m - k, 0):] = 0.0
+            data[b + k, k:] = data[b - k, :max(m - k, 0)]
+        return data
 
-    def tocsr(self) -> scipy.sparse.csr_array:
-        if self._csr is None:           # from :meth:`rows`, zeros dropped
-            vals, b = self.rows(), self.bandwidth
-            keep = vals != 0.0
-            cols = np.arange(-b, self.order - b, dtype=np.int32)[:, None] \
-                + np.arange(2 * b + 1, dtype=np.int32)
-            indptr = np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1),
-                                        dtype=np.int32)]
-            self._csr = scipy.sparse.csr_array(
-                (vals[keep], cols[keep], indptr), shape=self.shape)
-        return self._csr
+    @cached_property
+    def sparse(self) -> scipy.sparse.dia_array:
+        """The band as a DIA array, built on first use (C-ordered data: SciPy
+        copies any other order per product); a row sums in column order."""
+        b = self.bandwidth
+        return scipy.sparse.dia_array((self.diagonals(), np.arange(-b, b + 1)),
+                                      self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector or matrix-matrix product (columns of x)."""
-        return self.tocsr() @ x
+        return self.sparse @ x
 
     def principal_submatrix(self, start: int, stop: int) -> "BandedSymMatrix":
         """Contiguous principal submatrix, band storage preserved."""
@@ -111,9 +105,6 @@ class BandedSymMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.order, self.order)
-
-    def __matmul__(self, x):
-        return self.apply(x)
 
 
 #: rows per block of a :class:`WindowBandMatrix`: per 2D V-cycle at l=7,
@@ -153,10 +144,10 @@ class WindowBandMatrix:
     @classmethod
     def from_band(cls, a: BandedSymMatrix) -> "WindowBandMatrix":
         """The symmetric band ``a``: block row t holds row t's band from
-        window column t on, copied from :meth:`BandedSymMatrix.rows`."""
+        window column t on, column t of its diagonals read bottom up."""
         m, b, n = a.order, a.bandwidth, BLOCK_ROWS
         rows = np.zeros((-(-m // n) * n, 2 * b + 1))
-        rows[:m] = a.rows()
+        rows[:m] = a.diagonals()[::-1].T
         blocks = np.zeros((len(rows) // n, n, n + 2 * b))
         for t in range(n):
             blocks[:, t, t:t + 2 * b + 1] = rows[t::n]
@@ -224,19 +215,28 @@ class CholeskyFactor:
     order: int
     factor: np.ndarray
 
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """L^T of a band factor in upper band storage, built at the first
+        full solve: L's diagonals 0 ... b, last first, Fortran-ordered."""
+        b = len(self.factor) - 1
+        return np.asfortranarray(BandedSymMatrix(
+            self.order, b, self.factor).diagonals()[b:][::-1])
+
     def solve(self, rhs: np.ndarray, forward: bool = False) -> np.ndarray:
-        """Solve with LAPACK pbtrs/potrs, or with ``forward`` apply L^-1
-        alone (tbtrs/trtrs). Only the factor was checked finite, once, in
-        :func:`cholesky`; a solver reports a non-finite result as its stop."""
+        """Solve (a band by untransposed tbtrs on L, then on L^T, faster than
+        pbtrs), or with ``forward`` apply L^-1 alone. Only the factor was
+        checked finite, in :func:`cholesky`; a non-finite rhs passes through."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.order:
             raise ValueError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.order}")
-        if forward:
-            return (lapack.dtbtrs(self.factor, rhs, uplo="L") if self.kind ==
-                    "banded" else lapack.dtrtrs(self.factor, rhs, lower=1))[0]
-        trs = lapack.dpbtrs if self.kind == "banded" else lapack.dpotrs
-        return trs(self.factor, rhs, lower=1)[0]
+        if self.kind == "dense":
+            trs = lapack.dtrtrs if forward else lapack.dpotrs
+            return trs(self.factor, rhs, lower=1)[0]
+        y = lapack.dtbtrs(self.factor, rhs, uplo="L")[0]
+        return y if forward else \
+            lapack.dtbtrs(self.upper, y, uplo="U", overwrite_b=1)[0]
 
 
 def cholesky(matrix: BandedSymMatrix | np.ndarray, what: str = "matrix") -> CholeskyFactor:

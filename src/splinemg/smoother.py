@@ -126,8 +126,12 @@ class Smoother1D(Boundary):
         h, k = (m + 1) // 2, m // 2
         b = np.arange(h)
         a = b + np.arange(p + 1)[:, None]       # band entry (a, b)
-        same = self.M.entries(a, b) + self.M.entries(m - 1 - a, m - 1 - b)
-        cross = self.M.entries(a, m - 1 - b) + self.M.entries(m - 1 - a, b)
+        # J M J's lower band is M's diagonals 0 ... p read backwards; the
+        # cross-parity terms vanish but within p of the middle (c on)
+        same = self.M.bands[:, :h] + self.M.diagonals()[p:, ::-1][:, :h]
+        cross, c = np.zeros_like(same), max(0, h - 1 - p)
+        cross[:, c:] = self.M.entries(a[:, c:], m - 1 - b[c:]) + \
+            self.M.entries(m - 1 - a[:, c:], b[c:])
         band = sigma * np.stack([same + cross, same - cross])
         q = np.pad(_fold(self.Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
         band[:, :, :p] += q[:, a[:, :p], b[:p]]     # Q's even and odd parts
@@ -137,12 +141,15 @@ class Smoother1D(Boundary):
 
     def solve(self, factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
         """L^-1 rhs = G y, y solved by ``factor`` (of G^T L G) from G^T rhs."""
-        h, k = (self.space_dim + 1) // 2, self.space_dim // 2
-        y = factor.solve(np.concatenate([rhs[:h] + rhs[k:][::-1],
-                                         rhs[:k] - rhs[h:][::-1]]))
-        even, odd = y[:h], y[h:]        # G's column 2 e_k gives the middle
-        return np.concatenate([even[:k] + odd, 2.0 * even[k:],
-                               (even[:k] - odd)[::-1]])
+        m = self.space_dim
+        h, k, v = (m + 1) // 2, m // 2, np.empty(m)
+        np.add(rhs[:h], rhs[k:][::-1], out=v[:h])         # v = G^T rhs
+        np.subtract(rhs[:k], rhs[h:][::-1], out=v[h:])
+        y = factor.solve(v)             # y = (even part, odd part)
+        np.add(y[:k], y[h:], out=v[:k])                   # v = G y
+        np.multiply(2.0, y[k:h], out=v[k:h])    # G's column 2 e_k: the middle
+        np.subtract(y[:k], y[h:], out=v[h:][::-1])
+        return v
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
         """Damped update (tau^-1 h^-2 M + C)^-1 r of one smoothing step."""
@@ -204,13 +211,11 @@ def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
 
 
 def _smooth(s, A, u, r, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``steps`` steps u += d, r -= A d with d = s.step_direction(r)."""
-    u = np.array(u, dtype=float)
-    r = np.array(r, dtype=float)
+    """``steps`` steps u + d, r - A d (new arrays), d = s.step_direction(r)."""
     for _ in range(steps):
         d = s.step_direction(r)
-        u += d
-        r -= A.apply(d)
+        u = u + d
+        r = r - A.apply(d)
     return u, r
 
 

@@ -187,7 +187,7 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             lvl.direct = KronSumSolver.build(M, disc.K.toarray() + M / 2.0,
                                              "2D system matrix")
         elif d == 1:
-            disc.A.tocsr()          # in setup, not at the first apply
+            disc.A.sparse           # in setup, not at the first apply
             lvl.smoother = build_smoother_1d(disc, tau)
             lvl.P = SparseEmbedding(build_prolongation(levels[-1].space, space))
         else:

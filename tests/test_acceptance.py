@@ -187,7 +187,7 @@ def test_criterion_9_structural_identities():
         co, fi = build_space(p, level), build_space(p, level + 1)
         P = build_prolongation(co, fi)
         dc, df = assemble_1d(co), assemble_1d(fi)
-        proj = (P.T @ df.A.tocsr() @ P).toarray()
+        proj = (P.T @ df.A.sparse @ P).toarray()
         ref = dc.A.toarray()
         galerkin_worst = max(galerkin_worst,
                              np.abs(proj - ref).max() / np.abs(ref).max())

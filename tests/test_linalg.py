@@ -1,17 +1,19 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
-    build_prolongation
+    build_prolongation, build_smoother_1d
 from splinemg import linalg
 from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix, generalized_eigh
 from splinemg.transfer import window_embedding
 
 
 def _random_spd_banded(rng, m, b):
-    a = BandedSymMatrix.zeros(m, b)
+    a = BandedSymMatrix(m, b, np.zeros((b + 1, m)))
     for k in range(b + 1):
         a.bands[k, :m - k] = rng.uniform(-1, 1, m - k)
     # diagonal dominance makes it SPD
@@ -35,6 +37,76 @@ def test_banded_apply_matches_dense():
     npt.assert_allclose(a.apply(x), a.toarray() @ x, atol=1e-13)
     X = rng.standard_normal((12, 4))
     npt.assert_allclose(a.apply(X), a.toarray() @ X, atol=1e-13)
+
+
+def _dense_band(order, bands):
+    """The symmetric matrix of lower band storage, diagonal by diagonal."""
+    a = np.zeros((order, order))
+    for k in range(min(len(bands), order)):
+        a += np.diag(bands[k, :order - k], -k)
+        a += np.diag(bands[k, :order - k], k) if k else 0.0
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 40), data=st.data())
+def test_band_apply_matches_the_dense_product(order, data):
+    # every storage entry is drawn, the ignored ones past the matrix too
+    bandwidth = data.draw(st.integers(0, order + 2), label="bandwidth")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bands = rng.standard_normal((bandwidth + 1, order))
+    bands[rng.random(bands.shape) < data.draw(st.sampled_from(
+        [0.0, 0.3, 1.0]), label="zero share")] = 0.0
+    a = BandedSymMatrix(order, bandwidth, bands)
+    dense = _dense_band(order, bands)
+    npt.assert_array_equal(a.toarray(), dense)
+    for x in (rng.standard_normal(order), rng.standard_normal((order, 2))):
+        got = a.apply(x)
+        assert got.shape == x.shape
+        scale = np.linalg.norm(np.abs(dense) @ np.abs(x))
+        assert np.linalg.norm(got - dense @ x) <= 1e-14 * scale
+        # a non-finite entry reaches the result, through a zero entry too
+        x.flat[data.draw(st.integers(0, x.size - 1), label="entry")] = \
+            data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        assert not np.isfinite(a.apply(x)).all()
+
+
+def _smoother_factors(p, level):
+    sm = build_smoother_1d(assemble_1d(build_space(p, level)), 0.14)
+    return [sm.L_eff_solver, sm.L_solver]
+
+
+BAND_FACTORS = {
+    **{f"random-m{m}-b{b}": (lambda m=m, b=b: [cholesky(_random_spd_banded(
+        np.random.default_rng(m), m, b))]) for m, b in
+       [(1, 0), (2, 1), (20, 2), (57, 5), (200, 10)]},
+    **{f"smoother-p{p}-l{level}": (lambda p=p, level=level:
+                                  _smoother_factors(p, level))
+       for p, level in [(1, 6), (3, 9), (8, 9), (15, 6), (30, 9), (34, 9),
+                        (38, 6), (38, 9)]},
+}
+
+
+@pytest.mark.parametrize("case", BAND_FACTORS)
+def test_band_solve_matches_pbtrs(case):
+    # the back substitution runs untransposed on L^T's upper band storage,
+    # pbtrs's transposed on L: both sum in their own order, so their
+    # results differ by rounding that the factor's condition scales
+    rng = np.random.default_rng(7)
+    for chol in BAND_FACTORS[case]():
+        m, b = chol.order, len(chol.factor) - 1
+        L = np.tril(BandedSymMatrix(m, b, chol.factor).toarray())
+        bound = max(1e-13, 1e-16 * np.linalg.cond(L))
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            ref = lapack.dpbtrs(chol.factor, rhs, lower=1)[0]
+            got = chol.solve(rhs)
+            assert got.shape == rhs.shape
+            assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+            residual = np.linalg.norm(L @ (L.T @ got) - rhs, np.inf)
+            assert residual <= 1e-15 * np.linalg.norm(L @ L.T, np.inf) * \
+                np.linalg.norm(got, np.inf)
+            npt.assert_array_equal(chol.solve(rhs, forward=True),
+                                   lapack.dtbtrs(chol.factor, rhs, uplo="L")[0])
 
 
 def test_principal_submatrix():
@@ -300,9 +372,12 @@ def _random_band(m, p, seed):
 
 
 def _symmetric_band(m, b, seed):
-    """A random symmetric band of half-width b as a window band."""
+    """A random symmetric band of half-width b as a window band; its
+    storage holds NaN past the matrix, which no product may read."""
     a = _random_band(m, b, seed)
     band = BandedSymMatrix.from_dense(a + a.T, b)
+    for k in range(1, b + 1):
+        band.bands[k, m - k:] = np.nan
     return WindowBandMatrix.from_band(band), band.toarray()
 
 

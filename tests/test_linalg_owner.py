@@ -1,19 +1,27 @@
-"""``linalg`` is the one owner of the factorizations that can break down.
+"""``linalg`` is the one owner of the factorizations that can break down,
+and of the substitutions that solve with their factors.
 
 Every generalized symmetric eigensolve goes through
 ``linalg.generalized_eigh`` and every Cholesky factorization through
 ``linalg.cholesky``, so each breakdown is raised as ``NotSPDError`` naming its
-matrix in one place. A module that calls ``eigh`` or a LAPACK Cholesky itself
-fails here, with the file, line and name in the message.
+matrix in one place. Every triangular or Cholesky solve goes through
+``linalg.CholeskyFactor.solve``, so the choice of kernel and of the
+substitution's orientation is made in one place. A module that calls
+``eigh``, a LAPACK Cholesky or a substitution itself fails here, with the
+file, line and name in the message; a general solve (``np.linalg.solve``)
+is not a substitution and stays allowed.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "splinemg").glob("*.py"))
-#: scipy/numpy names of a symmetric eigensolve or a Cholesky factorization
+#: scipy/numpy names of a symmetric eigensolve, a Cholesky factorization
+#: or a triangular or Cholesky substitution
 OWNED = {"eigh", "eigvalsh", "dpbtrf", "dpotrf", "cho_factor",
-         "cholesky_banded"}
+         "cholesky_banded", "dpbtrs", "dpotrs", "dtbtrs", "dtrtrs", "dtbsv",
+         "solve_banded", "solveh_banded", "cho_solve", "cho_solve_banded",
+         "solve_triangular"}
 FOREIGN = {"numpy.linalg", "scipy.linalg", "scipy.linalg.lapack"}
 
 
@@ -48,8 +56,16 @@ def test_the_rule_sees_every_form_of_a_call():
               "from scipy.linalg import eigh, cholesky\n"
               "from .linalg import cholesky as own\n"
               "scipy.linalg.eigh(a, b)\nnp.linalg.cholesky(a)\n"
-              "lapack.dpbtrf(a)\nlinalg.cholesky(a)\n")
-    assert list(_owned_uses(ast.parse(source))) == [
-        (3, "scipy.linalg.eigh"), (3, "scipy.linalg.cholesky"),
+              "lapack.dpbtrf(a)\nlinalg.cholesky(a)\n"
+              "from scipy.linalg.lapack import dtbtrs\n"
+              "from scipy.linalg import solveh_banded as banded\n"
+              "lapack.dpbtrs(c, b)\nscipy.linalg.cho_solve(c, b)\n"
+              "blas.dtbsv(c, b)\nsolve_triangular(l, b)\n"
+              "np.linalg.solve(a, b)\n")
+    assert sorted(_owned_uses(ast.parse(source))) == [
+        (3, "scipy.linalg.cholesky"), (3, "scipy.linalg.eigh"),
         (5, "scipy.linalg.eigh"), (6, "np.linalg.cholesky"),
-        (7, "lapack.dpbtrf")]
+        (7, "lapack.dpbtrf"), (9, "scipy.linalg.lapack.dtbtrs"),
+        (10, "scipy.linalg.solveh_banded"), (11, "lapack.dpbtrs"),
+        (12, "scipy.linalg.cho_solve"), (13, "blas.dtbsv"),
+        (14, "solve_triangular")]

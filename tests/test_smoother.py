@@ -11,7 +11,7 @@ from splinemg import build_space, assemble_1d, operator_2d, index_split, \
 from splinemg import smoother
 from splinemg.smoother import TAU_DEFAULT, damping, smooth_1d, smooth_2d, \
     smoother_matrix_1d, smoother_matrix_2d, build_boundary, _boundary_images
-from splinemg.linalg import cholesky
+from splinemg.linalg import _fold, cholesky
 
 
 def _setup(p, n, tau=0.14):
@@ -252,6 +252,46 @@ def test_factored_band_is_the_mirror_blocks_of_the_dense_smoother(
             ref[:h, h:] = ref[h:, :h] = 0.0
             npt.assert_allclose(band.toarray(), ref, rtol=0,
                                 atol=1e-15 * scale)
+
+
+def _gathered_band(sm, sigma):
+    """The even/odd band of sigma M + C as built before the slice reads: four
+    full gathers of M.entries (the oracle of the test below)."""
+    M, m, p = sm.M, sm.space_dim, sm.M.bandwidth
+    h, k = (m + 1) // 2, m // 2
+    b = np.arange(h)
+    a = b + np.arange(p + 1)[:, None]
+    same = M.entries(a, b) + M.entries(m - 1 - a, m - 1 - b)
+    cross = M.entries(a, m - 1 - b) + M.entries(m - 1 - a, b)
+    band = sigma * np.stack([same + cross, same - cross])
+    q = np.pad(_fold(sm.Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
+    band[:, :, :p] += q[:, a[:, :p], b[:p]]
+    band = np.where(a < np.array([h, k])[:, None, None], band, 0.0)
+    return np.concatenate([band[0], band[1, :, :k]], axis=1)
+
+
+# m = n + p takes both parities over n = p + 1, p + 2 (where the cross-parity
+# terms reach the first column) and n = 64, 65; the bands are recorded,
+# not factored, so a space whose matrix is not SPD counts too
+@pytest.mark.parametrize("p", range(1, 39))
+def test_band_slices_equal_the_gathered_band(monkeypatch, p):
+    bands = {}
+
+    def recording(matrix, what="matrix"):
+        if not what.startswith("1D"):
+            return cholesky(matrix, what)
+        bands[what] = matrix
+
+    monkeypatch.setattr(smoother, "cholesky", recording)
+    for n in (p + 1, p + 2, 64, 65):
+        bands.clear()
+        disc = assemble_1d(build_space(p, 0, n))
+        sm = build_smoother_1d(disc, 0.14)
+        sm.L_solver
+        h = sm.mesh_size
+        for what, sigma in [("1D damped smoother matrix", h**-2 / 0.14),
+                            ("1D smoother matrix", h**-2)]:
+            npt.assert_array_equal(bands[what].bands, _gathered_band(sm, sigma))
 
 
 @settings(max_examples=40, deadline=None)

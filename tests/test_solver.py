@@ -4,6 +4,7 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from splinemg import InadmissibleLevels, TAU_DEFAULT, assemble_load, \
@@ -66,9 +67,23 @@ def test_hierarchy_galerkin_consistency():
     h = build_hierarchy(1, 2, 2, 4)
     for lo, hi in zip(h.levels, h.levels[1:]):
         # the held restriction is the transpose of the CSR prolongation
-        proj = (hi.P.T @ hi.disc.A.tocsr() @ hi.P.matrix).toarray()
+        proj = (hi.P.T @ hi.disc.A.sparse @ hi.P.matrix).toarray()
         ref = lo.disc.A.toarray()
         assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_1d_hierarchy_builds_every_sparse_apply_in_setup(monkeypatch):
+    h = build_hierarchy(1, 3, 2, 6)
+    # the coarsest level is only solved; every other one applies its A
+    assert all("sparse" in vars(lvl.op) for lvl in h.levels[1:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse apply built during the solve")
+
+    monkeypatch.setattr(scipy.sparse, "dia_array", refuse)
+    f = assemble_load(h.finest.space)
+    _, report = solve_mg(h, V11, f, experiment_initial_guess(len(f)))
+    assert report.converged
 
 
 def test_cycle_config_validation():

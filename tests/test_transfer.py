@@ -82,7 +82,7 @@ def test_galerkin_identity_all_matrices(p, level):
     P = build_prolongation(co, fi)
     dc, df = assemble_1d(co), assemble_1d(fi)
     for name in ("M", "K", "A"):
-        fine = getattr(df, name).tocsr()
+        fine = getattr(df, name).sparse
         coarse = getattr(dc, name).toarray()
         proj = (P.T @ fine @ P).toarray()
         scale = np.abs(coarse).max()
