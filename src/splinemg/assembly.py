@@ -71,7 +71,11 @@ class Operator2D:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """K U M + M U A for v = vec(U): two batched products, the first
         with M's and A's blocks on the same windows of U^T, the second with
-        [K M] on the row pairs of U M and U A."""
+        [K M] on the row pairs of U M and U A; ValueError for a wrong
+        length."""
+        if v.shape != (self.order,):
+            raise ValueError(
+                f"vector of shape {v.shape}, expected ({self.order},)")
         return self._KM.kron(self.M_window, v, self._MA)
 
     def toarray(self) -> np.ndarray:
@@ -186,10 +190,7 @@ def operator_2d(disc: Discretization1D) -> Operator2D:
 
 def apply_operator_2d(op: Operator2D, v: np.ndarray) -> np.ndarray:
     """Apply the 2D operator to a vector of length m**2."""
-    v = np.asarray(v)
-    if v.shape != (op.order,):
-        raise ValueError(f"vector length {v.shape} does not match {op.order}")
-    return op.apply(v)
+    return op.apply(np.asarray(v))
 
 
 def _cosine_moments(space: SplineSpace) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import weakref
 
 import numpy as np
 import scipy.sparse
@@ -119,13 +120,14 @@ class WindowBandMatrix:
     ``width`` operand rows from ``lo + j * stride`` on (a band of half-width
     p: stride BLOCK_ROWS, width BLOCK_ROWS + 2p), with its transpose ``T``
     in the same form. A product multiplies every block by its window of a
-    zero-padded copy of the operand in one batched ``np.matmul``."""
+    zero-padded copy of the operand in one batched ``np.matmul``; a
+    Kronecker product :meth:`kron` copies into buffers held in ``_plan``."""
 
     shape: tuple[int, int]
     lo: int
     stride: int
     blocks: np.ndarray          # (count, BLOCK_ROWS, width)
-    T: "WindowBandMatrix" = field(init=False, repr=False)
+    _plan: "_KronPlan | None" = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_entries(cls, shape, rows, cols, vals, lo: int, stride: int,
@@ -155,6 +157,24 @@ class WindowBandMatrix:
         out.T = out
         return out
 
+    @property
+    def T(self) -> "WindowBandMatrix":
+        t = self._T
+        return t() if isinstance(t, weakref.ref) else t
+
+    @T.setter
+    def T(self, t: "WindowBandMatrix") -> None:
+        """Hold ``t`` as the transpose; this matrix itself weakly, so that
+        a symmetric matrix is no reference cycle."""
+        self._T = weakref.ref(t) if t is self else t
+
+    def with_transpose(self, t: "WindowBandMatrix") -> "WindowBandMatrix":
+        """This matrix with T = ``t`` and t.T = itself, held weakly: B.T.T
+        is B with no reference cycle, so a dropped matrix and the plans of
+        both go at once, not at a cyclic collection."""
+        self.T, t._T = t, weakref.ref(self)
+        return self
+
     def buffer(self, tail: tuple, x: np.ndarray | None = None) -> np.ndarray:
         """Operand buffer: ``x``, if given, in rows front ... front +
         shape[1] - 1 (front = max(0, -lo)), zeros above and below."""
@@ -176,15 +196,16 @@ class WindowBandMatrix:
             (count, width) + (tail or buffer.shape[1:]), float, buffer,
             max(0, self.lo) * row, (self.stride * row, row, buffer.strides[1]))
 
-    def product(self, buffer: np.ndarray, tail: tuple = ()) -> np.ndarray:
-        """This matrix times the operand in ``buffer`` (see :meth:`windows`)."""
-        out = np.matmul(self.blocks, self.windows(buffer, tail))
+    def product(self, windows: np.ndarray) -> np.ndarray:
+        """This matrix times the operand whose :meth:`windows` are
+        ``windows``, in one batched product; a fresh array."""
+        out = np.matmul(self.blocks, windows)
         return out.reshape(-1, out.shape[-1])[:self.shape[0]]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         buffer = self.buffer(x.shape[1:2] or (1,), x.reshape(len(x), -1))
-        return self.product(buffer).reshape((-1,) + x.shape[1:])
+        return self.product(self.windows(buffer)).reshape((-1,) + x.shape[1:])
 
     def kron(self, right: "WindowBandMatrix", v: np.ndarray,
              blocks: np.ndarray | None = None) -> np.ndarray:
@@ -193,18 +214,42 @@ class WindowBandMatrix:
         of a buffer that L then multiplies. ``blocks`` (count, s,
         BLOCK_ROWS, width) stacks s factors R_i on R's windows; row r of
         X R_i^T goes to row s r + i, L holds its s factors' columns
-        interleaved, and the result is sum_i L_i X R_i^T."""
-        blocks = right.blocks[:, None] if blocks is None else blocks
-        count, slots, rows, _ = blocks.shape
-        n, a = right.shape[1], self.shape[1] // slots       # X is a x n
-        xt = right.buffer((a,), v.reshape(a, n).T)
-        y = self.buffer((count * rows,))
+        interleaved, and the result is sum_i L_i X R_i^T. The buffers and
+        views are planned once per (right, blocks) pair (see
+        :class:`_KronPlan`): a call copies X^T, runs the two products and
+        allocates only its result. Calls on one matrix must not overlap."""
+        plan = self._plan
+        if plan is None or plan.right() is not right \
+                or plan.blocks is not blocks:
+            plan = self._plan = _KronPlan(self, right, blocks)
+        plan.xt[...] = v.reshape(plan.xt.shape[::-1]).T
+        np.matmul(plan.stacked, plan.xt_windows, out=plan.out)
+        return self.product(plan.y_windows).reshape(-1)
+
+
+class _KronPlan:
+    """Workspace of ``left.kron(right, ., blocks)``, held by L for its last
+    pair: R's operand buffer, whose rows ``xt`` take X^T, and L's, which
+    ``out`` fills with X R^T, each zero-padded once, with the window views
+    of both. R is held weakly (it is L itself in a transfer), so a plan
+    forms no reference cycle."""
+
+    def __init__(self, left: WindowBandMatrix, right: WindowBandMatrix,
+                 blocks: np.ndarray | None):
+        self.right, self.blocks = weakref.ref(right), blocks
+        self.stacked = right.blocks[:, None] if blocks is None else blocks
+        count, slots, rows, _ = self.stacked.shape
+        n, a = right.shape[1], left.shape[1] // slots       # X is a x n
+        xt = right.buffer((a,))
+        front = max(0, -right.lo)
+        self.xt = xt[front:front + n]
+        self.xt_windows = right.windows(xt)[:, None]
+        y = left.buffer((count * rows,))
         row, col = y.strides
-        out = np.ndarray((count, slots, rows, a), float, y,    # (j, i, t, r)
-                         max(0, -self.lo) * row,
-                         (rows * col, row, col, slots * row))
-        np.matmul(blocks, right.windows(xt)[:, None], out=out)
-        return self.product(y, (right.shape[0],)).reshape(-1)
+        self.out = np.ndarray((count, slots, rows, a), float, y,  # (j, i, t, r)
+                              max(0, -left.lo) * row,
+                              (rows * col, row, col, slots * row))
+        self.y_windows = left.windows(y, (right.shape[0],))
 
 
 @dataclass
@@ -365,7 +410,12 @@ class KronSumSolver:
                    1.0 / (lam[:, None, :, None] + lam[None, :, None, :]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The inverse applied to a vector of length m^2; ValueError for
+        any other shape."""
         m, W, W_back = self.order, self.W, self.W_back
+        if rhs.shape != (m * m,):
+            raise ValueError(
+                f"vector of shape {rhs.shape}, expected ({m * m},)")
         y = np.matmul(np.matmul(W.transpose(0, 2, 1)[:, None],
                                 _fold(rhs.reshape(m, m))), W) * self.scale
         z = np.matmul(np.matmul(W_back[:, None], y), W_back.transpose(0, 2, 1))

@@ -138,10 +138,8 @@ def window_embedding(coarse: SplineSpace,
     rows = np.repeat(np.arange(fine.dim), np.diff(P.indptr))
     out = WindowBandMatrix.from_entries(P.shape, rows, P.indices, P.data,
                                         0, b // 2, (b + p + 1) // 2)
-    out.T = WindowBandMatrix.from_entries(P.shape[::-1], P.indices, rows,
-                                          P.data, -p, 2 * b, 2 * b + p)
-    out.T.T = out
-    return out
+    return out.with_transpose(WindowBandMatrix.from_entries(
+        P.shape[::-1], P.indices, rows, P.data, -p, 2 * b, 2 * b + p))
 
 
 def prolong(P, coarse_vec: np.ndarray) -> np.ndarray:

@@ -124,6 +124,16 @@ def test_operator_2d_rejects_bad_length():
         apply_operator_2d(operator_2d(disc), np.ones(7))
 
 
+def test_operator_2d_apply_names_the_expected_length():
+    # one entry short or long fails before the products, not inside numpy
+    op = operator_2d(assemble_1d(build_space(8, 7)))
+    for v in (np.ones(op.order - 1), np.ones(op.order + 1),
+              np.ones((op.order, 1))):
+        with pytest.raises(ValueError, match=r"^vector of shape \(.*\), "
+                           r"expected \(18496,\)$"):
+            op.apply(v)
+
+
 def test_load_sums_to_zero_1d():
     load = assemble_load(build_space(3, 3), 1)
     assert abs(load.sum()) <= 1e-12

@@ -290,6 +290,15 @@ def test_kron_sum_solver_matches_dense_inverse():
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_kron_sum_solver_names_the_expected_length():
+    M, B = _persymmetric_pair(np.random.default_rng(2), 7)
+    solver = KronSumSolver.build(M, B, "pair")
+    for rhs in (np.ones(48), np.ones(50), np.ones((7, 7))):
+        with pytest.raises(ValueError, match=r"^vector of shape \(.*\), "
+                           r"expected \(49,\)$"):
+            solver.solve(rhs)
+
+
 def test_kron_sum_solver_refuses_a_pair_that_is_not_persymmetric():
     rng = np.random.default_rng(14)
     X, Y = rng.standard_normal((2, 6, 6))

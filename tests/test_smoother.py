@@ -384,6 +384,14 @@ def test_apply_Linv_2d_matches_dense_solve(p, n):
     assert np.linalg.norm(mine - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def test_2d_smoothing_step_names_the_expected_length():
+    disc, s2 = _setup_2d(3, 8)
+    n2 = disc.space.dim ** 2
+    with pytest.raises(ValueError, match=rf"^vector of shape \({n2 + 1},\), "
+                       rf"expected \({n2},\)$"):
+        s2.step_direction(np.ones(n2 + 1))
+
+
 def test_Linv_2d_symmetric_operator():
     disc, s2 = _setup_2d(2, 8)
     rng = np.random.default_rng(6)

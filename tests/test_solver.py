@@ -1,5 +1,8 @@
+import gc
 import math
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -647,20 +650,70 @@ def test_2d_levels_store_only_their_bands(p):
 
 
 def test_2d_apply_and_transfers_leave_earlier_results_alone():
-    # the products reuse no buffer between calls: a second call on the same
-    # level changes neither the first result nor the input
-    h = build_hierarchy(2, 3, 1, 4)
-    lvl, rng = h.finest, np.random.default_rng(8)
-    coarse_size, fine_size = lvl.P.shape[1] ** 2, lvl.op.order
-    for call, size in ((lvl.op.apply, fine_size),
-                       (lambda x: prolong_2d(lvl.P, x), coarse_size),
-                       (lambda x: restrict_2d(lvl.P, x), fine_size)):
-        x, y = rng.standard_normal(size), rng.standard_normal(size)
-        x0 = x.copy()
-        first = call(x)
-        kept = first.copy()
-        second = call(y)
-        npt.assert_array_equal(first, kept)
-        npt.assert_array_equal(x, x0)
-        assert not np.shares_memory(first, second)
-        npt.assert_array_equal(call(x), kept)
+    # the products hold their operand buffers between calls but return none
+    # of them: a second call on the same level changes neither the first
+    # result nor the input, for a contiguous input and a reversed view
+    rng = np.random.default_rng(8)
+    for p, level in ((3, 4), (4, 7), (8, 7), (15, 7)):
+        lvl = build_hierarchy(2, p, min_smoother_level(p) - 1, level).finest
+        coarse_size, fine_size = lvl.P.shape[1] ** 2, lvl.op.order
+        for call, size in ((lvl.op.apply, fine_size),
+                           (lambda x: prolong_2d(lvl.P, x), coarse_size),
+                           (lambda x: restrict_2d(lvl.P, x), fine_size)):
+            for view in (lambda z: z, lambda z: z[::-1]):
+                x = view(rng.standard_normal(size))
+                y = view(rng.standard_normal(size))
+                x0 = x.copy()
+                first = call(x)
+                kept = first.copy()
+                second = call(y)
+                npt.assert_array_equal(first, kept)
+                npt.assert_array_equal(x, x0)
+                assert not np.shares_memory(first, second)
+                npt.assert_array_equal(call(x), kept)
+                npt.assert_array_equal(call(x0), kept)
+
+
+def test_2d_apply_and_transfers_allocate_only_their_result():
+    # after a first call has built a product's buffers, a call allocates
+    # its result and a few small views; building the buffers per call took
+    # an l=7 apply to 630 KB for its 144 KB result
+    lvl = build_hierarchy(2, 8, min_smoother_level(8) - 1, 7).finest
+    rng = np.random.default_rng(5)
+    fine = rng.standard_normal(lvl.op.order)
+    coarse = rng.standard_normal(lvl.P.shape[1] ** 2)
+    for call, x, result in ((lvl.op.apply, fine, fine.nbytes),
+                            (lambda x: prolong_2d(lvl.P, x), coarse,
+                             fine.nbytes),
+                            (lambda x: restrict_2d(lvl.P, x), fine,
+                             coarse.nbytes)):
+        call(x)
+        tracemalloc.start()
+        try:
+            call(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result <= peak <= result + 4096
+
+
+def test_a_dropped_2d_hierarchy_frees_its_buffers_without_the_collector():
+    # P holds P^T and P^T holds P weakly, a symmetric band holds itself
+    # weakly as its transpose: with no reference cycle, dropping the
+    # hierarchy frees every held product buffer at once
+    gc.collect()
+    gc.disable()
+    try:
+        h = build_hierarchy(2, 3, 1, 4)
+        n = h.finest.op.order
+        mg_cycle(h, V11, len(h.levels) - 1, np.zeros(n), np.ones(n))
+        lvl = h.finest
+        assert lvl.P.T.T is lvl.P and lvl.op.M_window.T is lvl.op.M_window
+        buffers = [weakref.ref(view.base) for B in (lvl.op._KM, lvl.P,
+                                                    lvl.P.T)
+                   for view in (B._plan.xt, B._plan.out)]
+        assert all(ref() is not None for ref in buffers)
+        del h, lvl
+        assert [ref() for ref in buffers] == [None] * len(buffers)
+    finally:
+        gc.enable()
