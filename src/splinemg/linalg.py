@@ -6,9 +6,9 @@ eigen/singular-value routines used by the verification suite.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-import weakref
 
 import numpy as np
 import scipy.sparse
@@ -159,13 +159,13 @@ class WindowBandMatrix:
 
     @property
     def T(self) -> "WindowBandMatrix":
+        """The transpose; set to this matrix itself, it is held weakly, so
+        that a symmetric matrix is no reference cycle."""
         t = self._T
         return t() if isinstance(t, weakref.ref) else t
 
     @T.setter
     def T(self, t: "WindowBandMatrix") -> None:
-        """Hold ``t`` as the transpose; this matrix itself weakly, so that
-        a symmetric matrix is no reference cycle."""
         self._T = weakref.ref(t) if t is self else t
 
     def with_transpose(self, t: "WindowBandMatrix") -> "WindowBandMatrix":
