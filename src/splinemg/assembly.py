@@ -15,8 +15,8 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import BandedSymMatrix, WindowBandMatrix
-from .splines import SplineSpace, build_space, eval_basis_array
+from .linalg import BandedSymMatrix, WindowBandMatrix, WindowKron
+from .splines import SplineSpace, as_integer, build_space, eval_basis_array
 
 __all__ = [
     "Discretization1D",
@@ -41,24 +41,22 @@ class Discretization1D:
 @dataclass
 class Operator2D:
     """v -> (K(x)M + M(x)K + M(x)M) v on the shared 1D factors, applied as
-    K(x)M + M(x)A with A = K + M. It holds only what an apply reads, read
-    from ``disc``'s band storage as
-    :class:`~splinemg.linalg.WindowBandMatrix` windows: M's window
-    ``M_window``, M's and A's blocks stacked on it (``_MA``) and [K M] with
-    K's and M's columns interleaved (``_KM``)."""
+    K(x)M + M(x)A with A = K + M by one
+    :class:`~splinemg.linalg.WindowKron` built from ``disc``'s band
+    storage: M's and A's blocks stacked on M's windows of U^T, then [K M]
+    with K's and M's columns interleaved on the row pairs of U M and U A."""
 
     disc: Discretization1D
-    M_window: WindowBandMatrix = field(init=False, repr=False)
+    product: WindowKron = field(init=False, repr=False)
 
     def __post_init__(self):
         d, m = self.disc, self.disc.space.dim
         K, M, A = (WindowBandMatrix.from_band(a) for a in (d.K, d.M, d.A))
         count, rows, width = K.blocks.shape
-        self.M_window = M
-        self._MA = np.stack([M.blocks, A.blocks], axis=1)
-        self._KM = WindowBandMatrix((m, 2 * m), 2 * K.lo, 2 * K.stride,
-                                    np.stack([K.blocks, M.blocks], axis=3)
-                                    .reshape(count, rows, 2 * width))
+        KM = WindowBandMatrix((m, 2 * m), 2 * K.lo, 2 * K.stride,
+                              np.stack([K.blocks, M.blocks], axis=3)
+                              .reshape(count, rows, 2 * width))
+        self.product = WindowKron(KM, M, np.stack([M.blocks, A.blocks], axis=1))
 
     @property
     def order(self) -> int:
@@ -69,14 +67,8 @@ class Operator2D:
         return (self.order, self.order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """K U M + M U A for v = vec(U): two batched products, the first
-        with M's and A's blocks on the same windows of U^T, the second with
-        [K M] on the row pairs of U M and U A; ValueError for a wrong
-        length."""
-        if v.shape != (self.order,):
-            raise ValueError(
-                f"vector of shape {v.shape}, expected ({self.order},)")
-        return self._KM.kron(self.M_window, v, self._MA)
+        """K U M + M U A for v = vec(U); ValueError for a wrong length."""
+        return self.product @ v
 
     def toarray(self) -> np.ndarray:
         """Dense matrix (verification sizes only)."""
@@ -216,7 +208,7 @@ def assemble_load(space: SplineSpace, d: int = 1) -> np.ndarray:
     The trigonometric factor equals cos(pi x_j), so the 2D load is the scaled
     tensor product of the 1D cosine moments.
     """
-    if d not in (1, 2):
+    if as_integer("dimension", d) not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
     g = _cosine_moments(space)
     if d == 1:

@@ -6,8 +6,7 @@ eigen/singular-value routines used by the verification suite.
 """
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +17,7 @@ __all__ = [
     "NotSPDError",
     "BandedSymMatrix",
     "WindowBandMatrix",
+    "WindowKron",
     "CholeskyFactor",
     "cholesky",
     "kron_apply",
@@ -118,22 +118,20 @@ BLOCK_ROWS = 8
 class WindowBandMatrix:
     """Matrix held as blocks of BLOCK_ROWS rows, block j multiplying the
     ``width`` operand rows from ``lo + j * stride`` on (a band of half-width
-    p: stride BLOCK_ROWS, width BLOCK_ROWS + 2p), with its transpose ``T``
-    in the same form. A product multiplies every block by its window of a
-    zero-padded copy of the operand in one batched ``np.matmul``; a
-    Kronecker product :meth:`kron` copies into buffers held in ``_plan``."""
+    p: stride BLOCK_ROWS, width BLOCK_ROWS + 2p). A :class:`WindowKron`
+    multiplies every block by its window of a zero-padded operand buffer in
+    one batched ``np.matmul``."""
 
     shape: tuple[int, int]
     lo: int
     stride: int
     blocks: np.ndarray          # (count, BLOCK_ROWS, width)
-    _plan: "_KronPlan | None" = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_entries(cls, shape, rows, cols, vals, lo: int, stride: int,
                      width: int) -> "WindowBandMatrix":
-        """The nonzeros (rows, cols, vals), without ``T``; ValueError for a
-        nonzero outside its window."""
+        """The nonzeros (rows, cols, vals); ValueError for a nonzero outside
+        its window."""
         block, row = np.divmod(rows, BLOCK_ROWS)
         slot = cols - lo - block * stride
         if ((slot < 0) | (slot >= width)).any():
@@ -153,39 +151,16 @@ class WindowBandMatrix:
         blocks = np.zeros((len(rows) // n, n, n + 2 * b))
         for t in range(n):
             blocks[:, t, t:t + 2 * b + 1] = rows[t::n]
-        out = cls((m, m), -b, n, blocks)
-        out.T = out
-        return out
+        return cls((m, m), -b, n, blocks)
 
-    @property
-    def T(self) -> "WindowBandMatrix":
-        """The transpose; set to this matrix itself, it is held weakly, so
-        that a symmetric matrix is no reference cycle."""
-        t = self._T
-        return t() if isinstance(t, weakref.ref) else t
-
-    @T.setter
-    def T(self, t: "WindowBandMatrix") -> None:
-        self._T = weakref.ref(t) if t is self else t
-
-    def with_transpose(self, t: "WindowBandMatrix") -> "WindowBandMatrix":
-        """This matrix with T = ``t`` and t.T = itself, held weakly: B.T.T
-        is B with no reference cycle, so a dropped matrix and the plans of
-        both go at once, not at a cyclic collection."""
-        self.T, t._T = t, weakref.ref(self)
-        return self
-
-    def buffer(self, tail: tuple, x: np.ndarray | None = None) -> np.ndarray:
-        """Operand buffer: ``x``, if given, in rows front ... front +
-        shape[1] - 1 (front = max(0, -lo)), zeros above and below."""
+    def buffer(self, tail: tuple) -> np.ndarray:
+        """Zeroed operand buffer: the operand goes in rows front ... front +
+        shape[1] - 1 (front = max(0, -lo)), the rows above and below it stay
+        zero."""
         count, _, width = self.blocks.shape
-        front, n = max(0, -self.lo), self.shape[1]
-        out = np.empty((front + max(
-            n, self.lo + (count - 1) * self.stride + width),) + tail)
-        out[:front] = out[front + n:] = 0.0
-        if x is not None:
-            out[front:front + n] = x
-        return out
+        return np.zeros((max(0, -self.lo) + max(
+            self.shape[1], self.lo + (count - 1) * self.stride + width),)
+            + tail)
 
     def windows(self, buffer: np.ndarray, tail: tuple = ()) -> np.ndarray:
         """View (count, width, columns) of the windows of a C-contiguous 2D
@@ -196,50 +171,26 @@ class WindowBandMatrix:
             (count, width) + (tail or buffer.shape[1:]), float, buffer,
             max(0, self.lo) * row, (self.stride * row, row, buffer.strides[1]))
 
-    def product(self, windows: np.ndarray) -> np.ndarray:
-        """This matrix times the operand whose :meth:`windows` are
-        ``windows``, in one batched product; a fresh array."""
-        out = np.matmul(self.blocks, windows)
-        return out.reshape(-1, out.shape[-1])[:self.shape[0]]
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        buffer = self.buffer(x.shape[1:2] or (1,), x.reshape(len(x), -1))
-        return self.product(self.windows(buffer)).reshape((-1,) + x.shape[1:])
-
-    def kron(self, right: "WindowBandMatrix", v: np.ndarray,
-             blocks: np.ndarray | None = None) -> np.ndarray:
-        """vec(L X R^T) for v = vec(X), L this matrix and R ``right``: R's
-        blocks times the windows of X^T write X R^T straight into the rows
-        of a buffer that L then multiplies. ``blocks`` (count, s,
-        BLOCK_ROWS, width) stacks s factors R_i on R's windows; row r of
-        X R_i^T goes to row s r + i, L holds its s factors' columns
-        interleaved, and the result is sum_i L_i X R_i^T. The buffers and
-        views are planned once per (right, blocks) pair (see
-        :class:`_KronPlan`): a call copies X^T, runs the two products and
-        allocates only its result. Calls on one matrix must not overlap."""
-        plan = self._plan
-        if plan is None or plan.right() is not right \
-                or plan.blocks is not blocks:
-            plan = self._plan = _KronPlan(self, right, blocks)
-        plan.xt[...] = v.reshape(plan.xt.shape[::-1]).T
-        np.matmul(plan.stacked, plan.xt_windows, out=plan.out)
-        return self.product(plan.y_windows).reshape(-1)
-
-
-class _KronPlan:
-    """Workspace of ``left.kron(right, ., blocks)``, held by L for its last
-    pair: R's operand buffer, whose rows ``xt`` take X^T, and L's, which
-    ``out`` fills with X R^T, each zero-padded once, with the window views
-    of both. R is held weakly (it is L itself in a transfer), so a plan
-    forms no reference cycle."""
+class WindowKron:
+    """The Kronecker product L (x) R of two window bands, planned once:
+    ``self @ v`` is vec(L X R^T) for v = vec(X). R's blocks times the
+    windows of X^T write X R^T straight into the rows of a buffer that L
+    then multiplies. ``blocks`` (count, s, BLOCK_ROWS, width) stacks s
+    factors R_i on R's windows; row r of X R_i^T goes to row s r + i, L
+    holds its s factors' columns interleaved, and the product is
+    sum_i L_i X R_i^T. Both operand buffers are zero-padded at construction
+    and held with their window views, so a product copies X^T, runs the two
+    batched products and allocates only its result. Products on one
+    instance must not overlap."""
 
     def __init__(self, left: WindowBandMatrix, right: WindowBandMatrix,
-                 blocks: np.ndarray | None):
-        self.right, self.blocks = weakref.ref(right), blocks
+                 blocks: np.ndarray | None = None):
+        self.left, self.right = left, right
         self.stacked = right.blocks[:, None] if blocks is None else blocks
         count, slots, rows, _ = self.stacked.shape
         n, a = right.shape[1], left.shape[1] // slots       # X is a x n
+        self.shape = (left.shape[0] * right.shape[0], a * n)
         xt = right.buffer((a,))
         front = max(0, -right.lo)
         self.xt = xt[front:front + n]
@@ -250,6 +201,17 @@ class _KronPlan:
                               max(0, -left.lo) * row,
                               (rows * col, row, col, slots * row))
         self.y_windows = left.windows(y, (right.shape[0],))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """The product with a vector of length shape[1], a fresh array;
+        ValueError for any other shape."""
+        if v.shape != self.shape[1:]:
+            raise ValueError(
+                f"vector of shape {v.shape}, expected ({self.shape[1]},)")
+        self.xt[...] = v.reshape(self.xt.shape[::-1]).T
+        np.matmul(self.stacked, self.xt_windows, out=self.out)
+        out = np.matmul(self.left.blocks, self.y_windows)
+        return out.reshape(-1, out.shape[-1])[:self.left.shape[0]].reshape(-1)
 
 
 @dataclass
@@ -309,8 +271,7 @@ def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
 
     Views v as a matrix with C-ordering, applies ``a_right`` across rows and
     ``a_left`` across columns. Operators are matrix-likes with ``shape`` and
-    ``@``; rectangular operators are allowed. Two window bands go through
-    :meth:`WindowBandMatrix.kron`.
+    ``@``; rectangular operators are allowed.
     """
     rl, cl = a_left.shape
     rr, cr = a_right.shape
@@ -318,9 +279,6 @@ def kron_apply(a_left, a_right, v: np.ndarray) -> np.ndarray:
     if v.shape != (cl * cr,):
         raise ValueError(
             f"vector length {v.shape} inconsistent with operator columns {cl}x{cr}")
-    if isinstance(a_left, WindowBandMatrix) and isinstance(
-            a_right, WindowBandMatrix):
-        return a_left.kron(a_right, v)
     mat = v.reshape(cl, cr)
     # (A (x) B) vec_C(V) = vec_C(A V B^T)
     step = (a_right @ mat.T).T     # V B^T, shape (cl, rr)

@@ -14,11 +14,11 @@ import numpy as np
 from .assembly import Discretization1D, Operator2D, assemble_1d, \
     assemble_load, operator_2d
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
-    NotSPDError, WindowBandMatrix, cholesky
+    NotSPDError, cholesky
 from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
     build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
 from .splines import SplineSpace, as_integer, build_space
-from .transfer import SparseEmbedding, build_prolongation, prolong, \
+from .transfer import Embedding, build_prolongation, prolong, \
     prolong_2d, restrict, restrict_2d, window_embedding
 
 __all__ = [
@@ -60,7 +60,7 @@ class Level:
     op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
     smoother: Smoother1D | Smoother2D | None = None
     # embedding from the next coarser level, held with its transpose
-    P: SparseEmbedding | WindowBandMatrix | None = None
+    P: Embedding | None = None
     direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
 
@@ -189,7 +189,8 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
         elif d == 1:
             disc.A.sparse           # in setup, not at the first apply
             lvl.smoother = build_smoother_1d(disc, tau)
-            lvl.P = SparseEmbedding(build_prolongation(levels[-1].space, space))
+            P = build_prolongation(levels[-1].space, space)
+            lvl.P = Embedding(P, P.T.tocsr())
         else:
             lvl.smoother = build_smoother_2d(lvl.op, tau)
             lvl.P = window_embedding(levels[-1].space, space)

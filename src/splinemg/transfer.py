@@ -5,23 +5,23 @@ space with 2^k times its intervals (k = 1 in the hierarchy, k = proxy_levels
 in verify): the matrix of knot insertion, built with the Oslo algorithm
 (discrete B-splines) over all rows at once, or copied from one cached
 template per degree and ratio on a large enough dyadic pair. Restriction is
-the transpose, held once per hierarchy level with P (:class:`SparseEmbedding`
-in 1D, a :class:`~splinemg.linalg.WindowBandMatrix` in 2D); 2D transfers are
-Kronecker squares applied factor-wise, one batched product per factor.
+the transpose. A hierarchy level holds both, each built once, in one
+:class:`Embedding`: CSR matrices in 1D, the Kronecker squares as
+:class:`~splinemg.linalg.WindowKron` products in 2D.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 import scipy.sparse
 
-from .linalg import BLOCK_ROWS, WindowBandMatrix, kron_apply
+from .linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron
 from .splines import SplineSpace, build_space
 
 __all__ = [
-    "SparseEmbedding",
+    "Embedding",
     "build_prolongation",
     "window_embedding",
     "prolong",
@@ -32,15 +32,17 @@ __all__ = [
 
 
 @dataclass
-class SparseEmbedding:
-    """A CSR prolongation held with its CSR transpose, so that a restriction
-    forms no transpose per call."""
+class Embedding:
+    """A prolongation held with its restriction, so that neither forms a
+    transpose per call: the CSR P and P^T in 1D, P (x) P and
+    P^T (x) P^T in 2D."""
 
-    matrix: scipy.sparse.csr_matrix
-    T: scipy.sparse.csr_matrix = field(init=False, repr=False)
+    matrix: scipy.sparse.csr_matrix | WindowKron
+    T: scipy.sparse.csr_matrix | WindowKron
 
-    def __post_init__(self):
-        self.shape, self.T = self.matrix.shape, self.matrix.T.tocsr()
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -129,36 +131,39 @@ def build_prolongation(coarse: SplineSpace,
         (vals[nonzero], cols[nonzero], indptr), shape=(fine.dim, coarse.dim))
 
 
-def window_embedding(coarse: SplineSpace,
-                     fine: SplineSpace) -> WindowBandMatrix:
-    """P of a twice refined pair, with P^T, as window bands read from the
-    CSR arrays: row i of P has its nonzeros in columns ceil((i - 1) / 2) to
-    floor((i + p) / 2), column c in rows 2c - p to 2c + 1."""
+def window_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
+    """P (x) P of a twice refined pair, with P^T (x) P^T, planned on window
+    bands read from the CSR arrays: row i of P has its nonzeros in columns
+    ceil((i - 1) / 2) to floor((i + p) / 2), column c in rows 2c - p to
+    2c + 1."""
     P, p, b = build_prolongation(coarse, fine), coarse.degree, BLOCK_ROWS
     rows = np.repeat(np.arange(fine.dim), np.diff(P.indptr))
-    out = WindowBandMatrix.from_entries(P.shape, rows, P.indices, P.data,
-                                        0, b // 2, (b + p + 1) // 2)
-    return out.with_transpose(WindowBandMatrix.from_entries(
-        P.shape[::-1], P.indices, rows, P.data, -p, 2 * b, 2 * b + p))
+    W = WindowBandMatrix.from_entries(P.shape, rows, P.indices, P.data,
+                                      0, b // 2, (b + p + 1) // 2)
+    WT = WindowBandMatrix.from_entries(P.shape[::-1], P.indices, rows, P.data,
+                                       -p, 2 * b, 2 * b + p)
+    return Embedding(WindowKron(W, W), WindowKron(WT, WT))
 
 
 def prolong(P, coarse_vec: np.ndarray) -> np.ndarray:
     if coarse_vec.shape[0] != P.shape[1]:
-        raise ValueError("coarse vector length mismatch")
+        raise ValueError(f"vector of shape {coarse_vec.shape}, "
+                         f"expected ({P.shape[1]},)")
     return P @ coarse_vec
 
 
 def restrict(P, fine_vec: np.ndarray) -> np.ndarray:
     if fine_vec.shape[0] != P.shape[0]:
-        raise ValueError("fine vector length mismatch")
+        raise ValueError(f"vector of shape {fine_vec.shape}, "
+                         f"expected ({P.shape[0]},)")
     return P.T @ fine_vec
 
 
-def prolong_2d(P, coarse_vec: np.ndarray) -> np.ndarray:
-    """Apply P (x) P without materializing the Kronecker product."""
-    return kron_apply(P, P, coarse_vec)
+def prolong_2d(P: Embedding, coarse_vec: np.ndarray) -> np.ndarray:
+    """Apply P (x) P, held by a :func:`window_embedding`."""
+    return P @ coarse_vec
 
 
-def restrict_2d(P, fine_vec: np.ndarray) -> np.ndarray:
-    """Apply P^T (x) P^T without materializing the Kronecker product."""
-    return kron_apply(P.T, P.T, fine_vec)
+def restrict_2d(P: Embedding, fine_vec: np.ndarray) -> np.ndarray:
+    """Apply P^T (x) P^T, held by a :func:`window_embedding`."""
+    return P.T @ fine_vec

@@ -275,3 +275,11 @@ def test_load_2d_is_tensor_of_1d_moments():
 def test_load_rejects_bad_dimension():
     with pytest.raises(ValueError):
         assemble_load(build_space(1, 1), 3)
+
+
+@pytest.mark.parametrize("d", [True, 2.0])
+def test_load_refuses_a_non_integer_dimension(d):
+    # True == 1 and 2.0 == 2 used to return the 1D and the 2D load
+    with pytest.raises(ValueError,
+                       match=rf"^dimension must be an integer, got {d!r}$"):
+        assemble_load(build_space(1, 1), d)

@@ -8,7 +8,8 @@ from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
     build_prolongation, build_smoother_1d
 from splinemg import linalg
-from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix, generalized_eigh
+from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron, \
+    generalized_eigh
 from splinemg.transfer import window_embedding
 
 
@@ -390,62 +391,76 @@ def _symmetric_band(m, b, seed):
     return WindowBandMatrix.from_band(band), band.toarray()
 
 
+def _square(m, b, seed):
+    """B (x) B of a symmetric band B."""
+    B, a = _symmetric_band(m, b, seed)
+    return [(WindowKron(B, B), np.kron(a, a))]
+
+
 def _zero_row_block():
-    # a non-symmetric band whose second row block is all zero
+    # a non-symmetric band whose second row block is all zero, its
+    # transpose, and both mixed
     a = _random_band(3 * BLOCK_ROWS + 5, 3, 2)
     a[BLOCK_ROWS:2 * BLOCK_ROWS] = 0.0
     rows, cols = np.nonzero(a)
     window = (-3, BLOCK_ROWS, BLOCK_ROWS + 6)
     B = WindowBandMatrix.from_entries(a.shape, rows, cols, a[rows, cols],
                                       *window)
-    B.T = WindowBandMatrix.from_entries(a.shape, cols, rows, a[rows, cols],
-                                        *window)
-    assert not B.blocks[1].any() and B.T.blocks[1].any()
-    return B, a
+    BT = WindowBandMatrix.from_entries(a.shape, cols, rows, a[rows, cols],
+                                       *window)
+    assert not B.blocks[1].any() and BT.blocks[1].any()
+    return [(WindowKron(L, R), np.kron(x, y)) for L, x in ((B, a), (BT, a.T))
+            for R, y in ((B, a), (BT, a.T))]
 
 
 def _embedding(p, coarse_level):
+    """P (x) P and P^T (x) P^T of a window embedding."""
     coarse, fine = build_space(p, coarse_level), build_space(p, coarse_level + 1)
-    return (window_embedding(coarse, fine),
-            build_prolongation(coarse, fine).toarray())
+    E, P = window_embedding(coarse, fine), \
+        build_prolongation(coarse, fine).toarray()
+    return [(E.matrix, np.kron(P, P)), (E.T, np.kron(P.T, P.T))]
+
+
+def _stacked():
+    # sum_i L_i (x) R_i, R_i stacked on shared windows and L_i's columns
+    # interleaved, as the 2D operator holds K (x) M + M (x) A
+    (L1, l1), (L2, l2), (R1, r1), (R2, r2) = (
+        _symmetric_band(2 * BLOCK_ROWS + 5, 2, seed) for seed in range(4))
+    m, (count, rows, width) = len(l1), L1.blocks.shape
+    L = WindowBandMatrix((m, 2 * m), 2 * L1.lo, 2 * L1.stride,
+                         np.stack([L1.blocks, L2.blocks], axis=3)
+                         .reshape(count, rows, 2 * width))
+    return [(WindowKron(L, R1, np.stack([R1.blocks, R2.blocks], axis=1)),
+             np.kron(l1, r1) + np.kron(l2, r2))]
 
 
 CASES = {
-    "not-a-multiple": lambda: _symmetric_band(2 * BLOCK_ROWS + 6, 3, 0),
-    "below-one-block": lambda: _symmetric_band(BLOCK_ROWS - 3, 2, 1),
+    "not-a-multiple": lambda: _square(2 * BLOCK_ROWS + 6, 3, 0),
+    "below-one-block": lambda: _square(BLOCK_ROWS - 3, 2, 1),
     "zero-row-block": _zero_row_block,
     "prolongation": lambda: _embedding(4, 5),
-    **{f"half-width-{b}": (lambda b=b: _symmetric_band(3 * BLOCK_ROWS + 1, b, b))
+    **{f"half-width-{b}": (lambda b=b: _square(3 * BLOCK_ROWS + 1, b, b))
        for b in range(4)},
     "p1": lambda: _embedding(1, 4),
     "p15": lambda: _embedding(15, 5),
     # the fine space is tight, n = p + 1
     "tight-p1": lambda: _embedding(1, 0),
     "tight-p15": lambda: _embedding(15, 3),
+    "stacked-blocks": _stacked,
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_block_band_product_matches_dense(case):
-    B, a = CASES[case]()
     rng = np.random.default_rng(3)
-    for op, dense in ((B, a), (B.T, a.T)):
-        n = dense.shape[1]
-        operands = (rng.standard_normal((n, 7)),       # C-contiguous
-                    rng.standard_normal((9, n)).T,     # transposed, strided
-                    rng.standard_normal(n))
-        for x in operands:
+    for product, dense in CASES[case]():
+        assert product.shape == dense.shape
+        v = rng.standard_normal(dense.shape[1])
+        for x in (v, v[::-1]):                  # contiguous, reversed view
             ref = dense @ x
-            got = op @ x
+            got = product @ x
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
-
-
-def test_block_band_symmetric_matrix_is_its_own_transpose():
-    B, _ = _symmetric_band(40, 2, 4)
-    assert B.T is B
-    P, _ = _embedding(3, 3)
-    assert P.T is not P and P.T.T is P
 
 
 def test_window_band_rejects_a_nonzero_outside_its_window():

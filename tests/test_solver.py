@@ -590,31 +590,32 @@ def _expand(B):
 @pytest.mark.parametrize("p, level", [(1, 1), (1, 4), (3, 2), (3, 4), (7, 3),
                                       (8, 5)])
 def test_block_band_2d_level_matches_kron_oracles(p, level):
-    # every 2D level holds window-banded factors and a window-banded P with
-    # its transpose; check their stored entries against the banded and CSR
-    # forms, and the operator apply and both transfers against np.kron
+    # every 2D level holds its operator and both transfers as window
+    # Kronecker products; check their stored entries against the banded
+    # and CSR forms, and the operator apply and both transfers against
+    # np.kron
     h = build_hierarchy(2, p, min_smoother_level(p) - 1, level)
     rng = np.random.default_rng(p)
 
     def rel_err(x, ref):
         return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
-    def check_storage(B, dense):
-        npt.assert_array_equal(_expand(B), dense)
-        npt.assert_array_equal(_expand(B.T), dense.T)
-        assert B.T.T is B
+    def check_square(product, dense):
+        # a Kronecker square L (x) L of the window band of ``dense``
+        assert product.right is product.left
+        npt.assert_array_equal(_expand(product.left), dense)
 
     for lvl in h.levels:
-        op, disc = lvl.op, lvl.disc
+        op, disc = lvl.op.product, lvl.disc
         K, M, A = disc.K.toarray(), disc.M.toarray(), disc.A.toarray()
-        check_storage(op.M_window, M)
+        npt.assert_array_equal(_expand(op.right), M)
         # M's and A's blocks stacked on M's windows
         for i, dense in enumerate((M, A)):
             npt.assert_array_equal(_expand(WindowBandMatrix(
-                M.shape, op.M_window.lo, op.M_window.stride, op._MA[:, i])),
+                M.shape, op.right.lo, op.right.stride, op.stacked[:, i])),
                 dense)
         # [K M] with K's and M's columns interleaved
-        KM = _expand(op._KM)
+        KM = _expand(op.left)
         npt.assert_array_equal(KM[:, 0::2], K)
         npt.assert_array_equal(KM[:, 1::2], M)
     disc = h.finest.disc
@@ -624,8 +625,10 @@ def test_block_band_2d_level_matches_kron_oracles(p, level):
     assert rel_err(h.finest.op.apply(v), ref) <= 1e-13
     for coarse, fine in zip(h.levels, h.levels[1:]):
         P = build_prolongation(coarse.space, fine.space).toarray()
-        check_storage(fine.P, P)
+        check_square(fine.P.matrix, P)
+        check_square(fine.P.T, P.T)
         PP = np.kron(P, P)
+        assert fine.P.shape == PP.shape
         c = rng.standard_normal(PP.shape[1])
         r = rng.standard_normal(PP.shape[0])
         assert rel_err(prolong_2d(fine.P, c), PP @ c) <= 1e-13
@@ -638,15 +641,15 @@ def test_2d_levels_store_only_their_bands(p):
     # (32 + 2p + 1 before): dense m x m storage breaks this once m > 16 + 2p
     h = build_hierarchy(2, p, min_smoother_level(p) - 1, 7)
     for lvl in h.levels[1:]:
-        op = lvl.op
-        for B in (op.M_window, lvl.P, lvl.P.T):
+        op = lvl.op.product
+        for B in (op.right, lvl.P.matrix.left, lvl.P.T.left):
             count, rows, width = B.blocks.shape
             assert count == -(-B.shape[0] // BLOCK_ROWS) and rows == BLOCK_ROWS
             assert width <= 2 * BLOCK_ROWS + 2 * p
         # an apply's stacked blocks: two factors on each of M's windows
-        count, rows, width = op.M_window.blocks.shape
-        assert op._MA.shape == (count, 2, rows, width)
-        assert op._KM.blocks.shape == (count, rows, 2 * width)
+        count, rows, width = op.right.blocks.shape
+        assert op.stacked.shape == (count, 2, rows, width)
+        assert op.left.blocks.shape == (count, rows, 2 * width)
 
 
 def test_2d_apply_and_transfers_leave_earlier_results_alone():
@@ -656,7 +659,7 @@ def test_2d_apply_and_transfers_leave_earlier_results_alone():
     rng = np.random.default_rng(8)
     for p, level in ((3, 4), (4, 7), (8, 7), (15, 7)):
         lvl = build_hierarchy(2, p, min_smoother_level(p) - 1, level).finest
-        coarse_size, fine_size = lvl.P.shape[1] ** 2, lvl.op.order
+        coarse_size, fine_size = lvl.P.shape[1], lvl.op.order
         for call, size in ((lvl.op.apply, fine_size),
                            (lambda x: prolong_2d(lvl.P, x), coarse_size),
                            (lambda x: restrict_2d(lvl.P, x), fine_size)):
@@ -675,22 +678,19 @@ def test_2d_apply_and_transfers_leave_earlier_results_alone():
 
 
 def test_2d_apply_and_transfers_allocate_only_their_result():
-    # after a first call has built a product's buffers, a call allocates
-    # its result and a few small views; building the buffers per call took
-    # an l=7 apply to 630 KB for its 144 KB result
+    # each product's buffers and views are built in setup, so even a first
+    # call allocates only its result and a few small views; building the
+    # buffers per call took an l=7 apply to 630 KB for its 144 KB result
     lvl = build_hierarchy(2, 8, min_smoother_level(8) - 1, 7).finest
     rng = np.random.default_rng(5)
     fine = rng.standard_normal(lvl.op.order)
-    coarse = rng.standard_normal(lvl.P.shape[1] ** 2)
-    for call, x, result in ((lvl.op.apply, fine, fine.nbytes),
-                            (lambda x: prolong_2d(lvl.P, x), coarse,
-                             fine.nbytes),
-                            (lambda x: restrict_2d(lvl.P, x), fine,
-                             coarse.nbytes)):
-        call(x)
+    coarse = rng.standard_normal(lvl.P.shape[1])
+    for product, x, result in ((lvl.op.product, fine, fine.nbytes),
+                               (lvl.P.matrix, coarse, fine.nbytes),
+                               (lvl.P.T, fine, coarse.nbytes)):
         tracemalloc.start()
         try:
-            call(x)
+            product @ x
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -698,9 +698,9 @@ def test_2d_apply_and_transfers_allocate_only_their_result():
 
 
 def test_a_dropped_2d_hierarchy_frees_its_buffers_without_the_collector():
-    # P holds P^T and P^T holds P weakly, a symmetric band holds itself
-    # weakly as its transpose: with no reference cycle, dropping the
-    # hierarchy frees every held product buffer at once
+    # a level holds its products, and no product refers back to its owner:
+    # with no reference cycle, dropping the hierarchy frees every held
+    # product buffer at once
     gc.collect()
     gc.disable()
     try:
@@ -708,10 +708,9 @@ def test_a_dropped_2d_hierarchy_frees_its_buffers_without_the_collector():
         n = h.finest.op.order
         mg_cycle(h, V11, len(h.levels) - 1, np.zeros(n), np.ones(n))
         lvl = h.finest
-        assert lvl.P.T.T is lvl.P and lvl.op.M_window.T is lvl.op.M_window
-        buffers = [weakref.ref(view.base) for B in (lvl.op._KM, lvl.P,
-                                                    lvl.P.T)
-                   for view in (B._plan.xt, B._plan.out)]
+        buffers = [weakref.ref(view.base)
+                   for product in (lvl.op.product, lvl.P.matrix, lvl.P.T)
+                   for view in (product.xt, product.out)]
         assert all(ref() is not None for ref in buffers)
         del h, lvl
         assert [ref() for ref in buffers] == [None] * len(buffers)

@@ -21,7 +21,7 @@ SOURCES = sorted((ROOT / "src" / "splinemg").glob("*.py"))
 #: a deletion of its definition, its ``__all__`` entry and its re-export
 #: (``from_dense`` is the classmethod ``BandedSymMatrix.from_dense``)
 UNUSED_IN_LIBRARY = {"apply_operator_2d", "smooth_step_1d", "smooth_step_2d",
-                     "operator_norm", "from_dense"}
+                     "operator_norm", "from_dense", "kron_apply"}
 
 
 def _traced():

@@ -4,8 +4,9 @@ import pytest
 from scipy.special import binom
 
 from splinemg import build_space, assemble_1d, eval_spline, \
-    build_prolongation, prolong, restrict, prolong_2d, restrict_2d, kron_apply
-from splinemg.transfer import SparseEmbedding
+    build_hierarchy, build_prolongation, prolong, restrict, prolong_2d, \
+    restrict_2d, kron_apply
+from splinemg.transfer import window_embedding
 
 
 def _pair(p, level):
@@ -64,16 +65,31 @@ def test_restrict_is_adjoint():
 
 
 def test_sparse_embedding_holds_the_restriction():
+    # a 1D level holds the CSR P with its CSR transpose, built in setup
     rng = np.random.default_rng(10)
     co, fi = _pair(4, 4)
     P = build_prolongation(co, fi)
-    E = SparseEmbedding(P)
-    assert E.T.format == "csr"
+    E = build_hierarchy(1, 4, 4, 5).finest.P
+    assert E.shape == P.shape and E.T.format == "csr"
+    npt.assert_array_equal(E.matrix.toarray(), P.toarray())
     npt.assert_array_equal(E.T.toarray(), P.toarray().T)
     c = rng.standard_normal(co.dim)
     f = rng.standard_normal(fi.dim)
     npt.assert_array_equal(prolong(E, c), prolong(P, c))
     npt.assert_allclose(restrict(E, f), restrict(P, f), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("transfer, size, expected", [
+    (prolong, 5, 6), (restrict, 8, 10), (prolong_2d, 35, 36),
+    (restrict_2d, 99, 100)])
+def test_transfers_name_the_shape_and_the_expected_length(
+        transfer, size, expected):
+    pair = _pair(2, 2)                              # P is 10 x 6
+    P = window_embedding(*pair) if transfer in (prolong_2d, restrict_2d) \
+        else build_prolongation(*pair)
+    with pytest.raises(ValueError, match=rf"^vector of shape \({size},\), "
+                                         rf"expected \({expected},\)$"):
+        transfer(P, np.ones(size))
 
 
 @pytest.mark.parametrize("p,level", [(1, 3), (2, 2), (3, 2), (5, 3)])
@@ -169,17 +185,23 @@ def test_2d_transfer_matches_dense_kron():
     rng = np.random.default_rng(4)
     co, fi = _pair(2, 1)  # fine dim 6 <= 8
     P = build_prolongation(co, fi)
+    E = window_embedding(co, fi)
     dense = np.kron(P.toarray(), P.toarray())
+    assert E.shape == dense.shape
     c = rng.standard_normal(co.dim ** 2)
-    npt.assert_allclose(prolong_2d(P, c), dense @ c, atol=1e-12)
+    npt.assert_allclose(prolong_2d(E, c), dense @ c, atol=1e-12)
     f = rng.standard_normal(fi.dim ** 2)
-    npt.assert_allclose(restrict_2d(P, f), dense.T @ f, atol=1e-12)
+    npt.assert_allclose(restrict_2d(E, f), dense.T @ f, atol=1e-12)
 
 
 def test_2d_transfer_agrees_with_kron_apply():
     rng = np.random.default_rng(5)
     co, fi = _pair(3, 1)
     P = build_prolongation(co, fi)
+    E = window_embedding(co, fi)
     c = rng.standard_normal(co.dim ** 2)
-    npt.assert_allclose(prolong_2d(P, c),
+    npt.assert_allclose(prolong_2d(E, c),
                         kron_apply(P, P, c), atol=1e-13)
+    f = rng.standard_normal(fi.dim ** 2)
+    npt.assert_allclose(restrict_2d(E, f),
+                        kron_apply(P.T, P.T, f), atol=1e-13)
