@@ -7,7 +7,7 @@ eigen/singular-value routines used by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse
@@ -22,6 +22,12 @@ __all__ = [
     "cholesky",
     "kron_apply",
     "KronSumSolver",
+    "PARITY_BOUND",
+    "butterfly",
+    "butterfly_T",
+    "butterfly_weight",
+    "check_mirror",
+    "parity_band",
     "generalized_eigh",
     "generalized_eig_max",
     "operator_norm",
@@ -77,10 +83,12 @@ class BandedSymMatrix:
     @cached_property
     def sparse(self) -> scipy.sparse.dia_array:
         """The band as a DIA array, built on first use (C-ordered data: SciPy
-        copies any other order per product); a row sums in column order."""
-        b = self.bandwidth
-        return scipy.sparse.dia_array((self.diagonals(), np.arange(-b, b + 1)),
-                                      self.shape)
+        copies any other order per product); a row sums in column order.
+        ``bands`` then views the lower diagonals of its data, so that the
+        two forms share their memory."""
+        b, data = self.bandwidth, self.diagonals()
+        self.bands = data[b::-1]
+        return scipy.sparse.dia_array((data, np.arange(-b, b + 1)), self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector or matrix-matrix product (columns of x)."""
@@ -309,6 +317,121 @@ def _fold(x: np.ndarray) -> np.ndarray:
         .reshape(2, 2, h, h)
 
 
+def butterfly_T(v: np.ndarray) -> np.ndarray:
+    """G^T v for the mirror butterfly G of order m = len(v), whose columns
+    are e_a + e_{m-1-a} for a < h = ceil(m/2) (2 e_k in the middle of odd
+    m = 2k + 1), then e_a - e_{m-1-a} for a < k: a load or a residual in a
+    1D level's coordinates."""
+    m = len(v)
+    h, k, out = (m + 1) // 2, m // 2, np.empty(m)
+    np.add(v[:h], v[k:][::-1], out=out[:h])
+    np.subtract(v[:k], v[h:][::-1], out=out[h:])
+    return out
+
+
+def butterfly(y: np.ndarray) -> np.ndarray:
+    """G y: the vector whose 1D level coordinates are y = (even part, odd
+    part)."""
+    m = len(y)
+    h, k, out = (m + 1) // 2, m // 2, np.empty(m)
+    np.add(y[:k], y[h:], out=out[:k])
+    np.multiply(2.0, y[k:h], out=out[k:h])      # G's column 2 e_k: the middle
+    np.subtract(y[:k], y[h:], out=out[h:][::-1])
+    return out
+
+
+def butterfly_weight(m: int) -> np.ndarray:
+    """D^2 = (G^T G)^-1 of order m: 1/2, and 1/4 at the middle of odd m.
+    Powers of two, so G^-1 = D^2 G^T holds exactly, and a residual's norm is
+    (r~^T D^2 r~)^1/2 in the coordinates r~ = G^T r."""
+    w = np.full(m, 0.5)
+    w[m // 2:(m + 1) // 2] = 0.25
+    return w
+
+
+#: bound on the mirror defect of a 1D level matrix whose even-odd coupling
+#: the parity coordinates drop; over p = 1-38 at l <= 12 and n = p + 1 ...
+#: 4p + 3 intervals the largest measured is 1.8e-9 (Q at p = 38, l = 12)
+PARITY_BOUND = 1e-8
+
+
+def check_mirror(what: str, x, mirrored, bound: float = 1e-9) -> None:
+    """ValueError naming ``what`` unless its mirror defect
+    |x - mirrored|_max / |x|_max is at most ``bound``, ``mirrored`` being
+    J x J in x's storage (dense, band or sparse)."""
+    defect = abs(x - mirrored).max() / abs(x).max()
+    if not defect <= bound:
+        raise ValueError(f"{what} not persymmetric: mirror defect "
+                         f"{defect:.1e} > {bound:.0e}")
+
+
+@cache
+def _parity_indices(m: int, p: int) -> tuple:
+    """Index arrays of :func:`parity_band` for order m and bandwidth p, read
+    only: the first column c of the cross-parity terms X[a, m-1-b] +
+    X[m-1-a, b] of band entry (a, b) = (b + d, b), both on diagonal
+    |a + b + 1 - m|, the (diagonal, column) pairs of the two terms from
+    column c on, the flat indices of the terms off the band, and those of
+    the band entries past their block's end (j + d >= h in the even block,
+    j - h + d >= k in the odd)."""
+    h, k = (m + 1) // 2, m // 2
+    c, d = max(0, h - 1 - p), np.arange(p + 1)[:, None]
+    b = np.arange(c, h)
+    a = b + d
+    diag = np.abs(a + b + 1 - m)
+    j = np.arange(m)
+    past = d + np.where(j < h, j, j - h) >= np.where(j < h, h, k)
+    out = (np.minimum(diag, p), np.minimum(a, m - 1 - b),
+           np.maximum(np.minimum(m - 1 - a, b), 0), np.flatnonzero(diag > p),
+           np.flatnonzero(past))
+    for x in out:
+        x.setflags(write=False)
+    return (c,) + out
+
+
+def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
+                Q: np.ndarray | None = None) -> BandedSymMatrix:
+    """G^T L G's even and then odd diagonal block as one band of order m and
+    bandwidth p, for L = sigma X + C, X a persymmetric band of bandwidth p
+    and C the 2p x 2p block Q on the first and last p indices (none when
+    Q is None): entry (a, b) of a block is L[a, b] + L[m-1-a, m-1-b] +-
+    (L[a, m-1-b] + L[m-1-a, b]).
+
+    The even-odd blocks it drops vanish but for L's mirror defect; a
+    ValueError names ``what`` when X's or Q's exceeds :data:`PARITY_BOUND`.
+    """
+    m, p = X.order, X.bandwidth
+    h, k = (m + 1) // 2, m // 2
+    c, diag, col, col_mirror, off_band, past = _parity_indices(m, p)
+    # J X J's lower band, entry (j + d, j) = X[m-1-j-d, m-1-j], is X's read
+    # backwards, flat entry (d + 1)(m - 1) - j; its first h columns meet
+    # every mirrored pair of entries (zero past the matrix, d > m-1-j)
+    bands = np.ascontiguousarray(X.bands)
+    left, mirror = bands[:, :h], np.ndarray(
+        (p + 1, h), float, bands, (m - 1) * bands.itemsize,
+        ((m - 1) * bands.itemsize, -bands.itemsize)).copy()
+    for d in range(k + 1, p + 1):
+        mirror[d, m - d:] = 0.0
+    check_mirror(what, left, mirror, PARITY_BOUND)
+    same, band = left + mirror, np.empty((p + 1, m))
+    even, odd = band[:, :h], band[:, h:]
+    np.multiply(sigma, same, out=even)
+    odd[...] = even[:, :k]
+    # the cross-parity terms vanish but within p of the middle (c on)
+    cross = bands[diag, col] + bands[diag, col_mirror]
+    cross.reshape(-1)[off_band] = 0.0
+    even[:, c:] = sigma * (same[:, c:] + cross)
+    odd[:, c:] = (sigma * (same[:, c:] - cross))[:, :k - c]
+    if Q is not None:
+        check_mirror(what, Q, Q[::-1, ::-1], PARITY_BOUND)
+        q = np.pad(_fold(Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
+        a, b = np.arange(p + 1)[:, None] + np.arange(p), np.arange(p)
+        even[:, :p] += q[0, a, b]           # Q's even and odd parts
+        odd[:, :p] += q[1, a, b]
+    band.reshape(-1)[past] = 0.0
+    return BandedSymMatrix(m, p, band)
+
+
 @dataclass
 class KronSumSolver:
     """Exact inverse of the Kronecker sum M (x) B + B (x) M by fast
@@ -351,13 +474,10 @@ class KronSumSolver:
                                         folded), f"{what} (mass factor)")
         if not np.concatenate([lam_e, lam_o]).min() > 0.0:
             raise NotSPDError(0, what)
-        defect = max(np.abs(x - x[::-1, ::-1]).max() / np.abs(x).max()
-                     for x in (M, B))
         # after the eigensolves, so a pair that is not SPD is named so first;
         # the spline pencils measure below 1e-11
-        if not defect <= 1e-9:
-            raise ValueError(f"{what} not persymmetric: mirror defect "
-                             f"{defect:.1e} > 1e-09")
+        for x in (M, B):
+            check_mirror(what, x, x[::-1, ::-1])
         W = np.zeros((2, h, h))
         W[0] = V_e * d[:, None]
         W[1, :k, :k] = V_o * np.sqrt(0.5)

@@ -9,11 +9,14 @@ boundary's columns, one on its trailing p x p block for the right's. L is
 persymmetric (B_i(x) = B_{m-1-i}(1 - x)), so with the mirror butterfly G
 (columns e_a +- e_{m-1-a}, and 2 e_k for odd m = 2k + 1) G^T L G is an
 even and an odd block of bandwidth p (Cantoni & Butler 1976): one banded
-Cholesky factor of order m per matrix, and a solve is two slice sums, two
-O(m p) substitutions and two slice writes. Leaving out the cross-parity
-terms averages L with its mirror, which keeps the blocks SPD from p = 34,
-where Q's mirror defect is 1e-12 to 1e-10. A level builds the damped
-factor, the one a smoothing step reads; the undamped one on first use.
+Cholesky factor of order m per matrix. Leaving out the cross-parity terms
+averages L with its mirror, which keeps the blocks SPD from p = 34, where
+Q's mirror defect is 1e-12 to 1e-9. A 1D level is held in G's
+coordinates (see :mod:`~splinemg.solver`), so a smoothing step takes the
+residual as G^T r and is the two O(m p) substitutions alone;
+:func:`apply_Linv_1d` and :func:`smooth_step_1d` reach vectors through
+the butterflies. A level builds the damped factor, the one a smoothing
+step reads; the undamped one on first use.
 
 The 2D smoother matrix is the rank-corrected tensor square
 LL = h^2 (L (x) L - C (x) C). Expanded, it is the Kronecker sum
@@ -38,7 +41,7 @@ import numpy as np
 
 from .assembly import Discretization1D, Operator2D
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
-    _fold, cholesky
+    butterfly, butterfly_T, cholesky, parity_band
 from .splines import IndexSplit, as_integer, index_split
 
 __all__ = [
@@ -100,9 +103,12 @@ class Boundary:
 
 @dataclass
 class Smoother1D(Boundary):
-    """Band factors of the 1D smoother matrices in the mirror's even/odd basis.
+    """Band factors of the 1D smoother matrices in a level's coordinates.
 
-    The damped factor, the one every smoothing step reads, is built with the
+    Each factors G^T L G's even and odd blocks, G the mirror butterfly, as
+    one band of bandwidth p. A smoothing step takes the residual as
+    r~ = G^T r and returns the update as y, d = G y: one band solve. The
+    damped factor, the one every smoothing step reads, is built with the
     smoother; the undamped one, :attr:`L_solver`, on first use.
     """
 
@@ -119,41 +125,14 @@ class Smoother1D(Boundary):
         return self._factor(self.mesh_size ** -2, "1D smoother matrix")
 
     def _factor(self, sigma: float, what: str) -> CholeskyFactor:
-        """Band factor, bandwidth p, of the even and then the odd diagonal
-        block of G^T L G for L = sigma M + C: entry (a, b) of a block is
-        L[a, b] + L[m-1-a, m-1-b] +- (L[a, m-1-b] + L[m-1-a, b])."""
-        m, p = self.space_dim, self.M.bandwidth
-        h, k = (m + 1) // 2, m // 2
-        b = np.arange(h)
-        a = b + np.arange(p + 1)[:, None]       # band entry (a, b)
-        # J M J's lower band is M's diagonals 0 ... p read backwards; the
-        # cross-parity terms vanish but within p of the middle (c on)
-        same = self.M.bands[:, :h] + self.M.diagonals()[p:, ::-1][:, :h]
-        cross, c = np.zeros_like(same), max(0, h - 1 - p)
-        cross[:, c:] = self.M.entries(a[:, c:], m - 1 - b[c:]) + \
-            self.M.entries(m - 1 - a[:, c:], b[c:])
-        band = sigma * np.stack([same + cross, same - cross])
-        q = np.pad(_fold(self.Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
-        band[:, :, :p] += q[:, a[:, :p], b[:p]]     # Q's even and odd parts
-        band = np.where(a < np.array([h, k])[:, None, None], band, 0.0)
-        return cholesky(BandedSymMatrix(m, p, np.concatenate(
-            [band[0], band[1, :, :k]], axis=1)), what)
-
-    def solve(self, factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-        """L^-1 rhs = G y, y solved by ``factor`` (of G^T L G) from G^T rhs."""
-        m = self.space_dim
-        h, k, v = (m + 1) // 2, m // 2, np.empty(m)
-        np.add(rhs[:h], rhs[k:][::-1], out=v[:h])         # v = G^T rhs
-        np.subtract(rhs[:k], rhs[h:][::-1], out=v[h:])
-        y = factor.solve(v)             # y = (even part, odd part)
-        np.add(y[:k], y[h:], out=v[:k])                   # v = G y
-        np.multiply(2.0, y[k:h], out=v[k:h])    # G's column 2 e_k: the middle
-        np.subtract(y[:k], y[h:], out=v[h:][::-1])
-        return v
+        """Band factor of G^T (sigma M + C) G's even and odd blocks."""
+        return cholesky(parity_band(self.M, what, sigma, self.Q), what)
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
-        """Damped update (tau^-1 h^-2 M + C)^-1 r of one smoothing step."""
-        return self.solve(self.L_eff_solver, residual)
+        """Damped update of one smoothing step in level coordinates: y of
+        d = G y, (G^T (tau^-1 h^-2 M + C) G)^-1 r~ for the residual
+        r~ = G^T r."""
+        return self.L_eff_solver.solve(residual)
 
 
 @dataclass
@@ -206,14 +185,15 @@ def build_smoother_1d(disc: Discretization1D, tau: float) -> Smoother1D:
 
 
 def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
-    """Apply the inverse of the undamped smoother matrix L = h^-2 M + C."""
-    return s.solve(s.L_solver, np.asarray(r, dtype=float))
+    """Apply the inverse of the undamped smoother matrix L = h^-2 M + C:
+    G y, y solved from G^T r."""
+    return butterfly(s.L_solver.solve(butterfly_T(np.asarray(r, dtype=float))))
 
 
-def _smooth(s, A, u, r, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``steps`` steps u + d, r - A d (new arrays), d = s.step_direction(r)."""
+def _smooth(step, A, u, r, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``steps`` steps u + d, r - A d (new arrays), d = step(r)."""
     for _ in range(steps):
-        d = s.step_direction(r)
+        d = step(r)
         u = u + d
         r = r - A.apply(d)
     return u, r
@@ -221,15 +201,17 @@ def _smooth(s, A, u, r, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray,
               r: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``steps`` smoothing iterations, carrying the residual along."""
-    return _smooth(s, A, u, r, steps)
+    """Run ``steps`` smoothing iterations, carrying the residual along, in
+    a level's coordinates: A = G^T A G, u primal, r dual."""
+    return _smooth(s.step_direction, A, u, r, steps)
 
 
 def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
                    f: np.ndarray, steps: int = 1) -> np.ndarray:
     """Apply smoothing steps to the system A u = f, returning the new iterate."""
     u = np.asarray(u, dtype=float)
-    return _smooth(s, disc.A, u, f - disc.A.apply(u), steps)[0]
+    return _smooth(lambda r: butterfly(s.step_direction(butterfly_T(r))),
+                   disc.A, u, f - disc.A.apply(u), steps)[0]
 
 
 def build_smoother_2d(op: Operator2D, tau: float) -> Smoother2D:
@@ -255,14 +237,14 @@ def apply_Linv_2d(s: Smoother2D, r: np.ndarray) -> np.ndarray:
 def smooth_2d(s: Smoother2D, op: Operator2D, u: np.ndarray, r: np.ndarray,
               steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Run ``steps`` smoothing iterations, carrying the residual along."""
-    return _smooth(s, op, u, r, steps)
+    return _smooth(s.step_direction, op, u, r, steps)
 
 
 def smooth_step_2d(s: Smoother2D, op: Operator2D, u: np.ndarray,
                    f: np.ndarray, steps: int = 1) -> np.ndarray:
     """Apply smoothing steps to the 2D system, returning the new iterate."""
     u = np.asarray(u, dtype=float)
-    return _smooth(s, op, u, f - op.apply(u), steps)[0]
+    return _smooth(s.step_direction, op, u, f - op.apply(u), steps)[0]
 
 
 def smoother_matrix_1d(s: Boundary, disc: Discretization1D,

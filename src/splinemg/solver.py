@@ -2,7 +2,16 @@
 two-grid method is a V-cycle on a two-level hierarchy), and V-cycle
 preconditioned CG. Both solvers share one start (the checked f and u0, the
 first residual, the history and the first stop reason) and one report.
-:func:`run_table` solves a grid of (level, degree) cells with either one."""
+:func:`run_table` solves a grid of (level, degree) cells with either one.
+
+Every 1D level is held in the coordinates of its mirror butterfly G (see
+:func:`~splinemg.linalg.butterfly`): iterates and corrections are primal,
+u = G y, loads and residuals dual, r~ = G^T r. The level operator is the
+band G^T A G, the coarsest factor that of G_c^T A_c G_c, the prolongation
+G_f^-1 P G_c and the restriction its transpose, so a cycle runs no
+transform; a solve folds f and u0 in once and u out once, and measures
+||r|| as (r~^T D^2 r~)^1/2, D^2 = (G^T G)^-1. 2D coordinates are the
+identity."""
 from __future__ import annotations
 
 import math
@@ -14,12 +23,13 @@ import numpy as np
 from .assembly import Discretization1D, Operator2D, assemble_1d, \
     assemble_load, operator_2d
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
-    NotSPDError, cholesky
+    NotSPDError, butterfly, butterfly_T, butterfly_weight, cholesky, \
+    parity_band
 from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
     build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
 from .splines import SplineSpace, as_integer, build_space
-from .transfer import Embedding, build_prolongation, prolong, \
-    prolong_2d, restrict, restrict_2d, window_embedding
+from .transfer import Embedding, parity_embedding, prolong, prolong_2d, \
+    restrict, restrict_2d, window_embedding
 
 __all__ = [
     "Level",
@@ -57,9 +67,10 @@ class Level:
 
     space: SplineSpace
     disc: Discretization1D
-    op: BandedSymMatrix | Operator2D       # system operator: disc.A in 1D
+    op: BandedSymMatrix | Operator2D       # in 1D G^T A G, A = disc.A
     smoother: Smoother1D | Smoother2D | None = None
-    # embedding from the next coarser level, held with its transpose
+    # embedding from the next coarser level in the levels' coordinates,
+    # held with its transpose
     P: Embedding | None = None
     direct: CholeskyFactor | KronSumSolver | None = field(default=None, repr=False)
 
@@ -179,7 +190,8 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
     for lv in range(coarse_level, fine_level + 1):
         space = build_space(p, lv)
         disc = assemble_1d(space)
-        lvl = Level(space, disc, disc.A if d == 1 else operator_2d(disc))
+        lvl = Level(space, disc, parity_band(disc.A, "1D system matrix")
+                    if d == 1 else operator_2d(disc))
         if not levels and d == 1:       # the coarsest level: a direct solver
             lvl.direct = cholesky(lvl.op, "coarse system matrix")
         elif not levels:                # of M (x) B + B (x) M, B = K + M/2
@@ -187,10 +199,9 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             lvl.direct = KronSumSolver.build(M, disc.K.toarray() + M / 2.0,
                                              "2D system matrix")
         elif d == 1:
-            disc.A.sparse           # in setup, not at the first apply
+            lvl.op.sparse           # in setup, not at the first apply
             lvl.smoother = build_smoother_1d(disc, tau)
-            P = build_prolongation(levels[-1].space, space)
-            lvl.P = Embedding(P, P.T.tocsr())
+            lvl.P = parity_embedding(levels[-1].space, space)
         else:
             lvl.smoother = build_smoother_2d(lvl.op, tau)
             lvl.P = window_embedding(levels[-1].space, space)
@@ -222,8 +233,9 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
     return u
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(v @ v))
+def _norm(v: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """||v||, or (v^T D^2 v)^1/2 for the ``weight`` D^2 of 1D coordinates."""
+    return math.sqrt(float(v @ v if weight is None else v @ (weight * v)))
 
 
 def _residual_stop(res: float, target: float) -> str | None:
@@ -247,11 +259,13 @@ def _report(history: list[float], stop: str | None,
                        time.perf_counter() - start)
 
 
-def _start(A, f, u0) -> tuple:
-    """Copies of ``f`` and ``u0`` (zero when None) as float vectors, the
-    first residual, a history holding its norm, and the first stop reason.
-    ValueError naming ``f`` or ``u0`` unless it has A's order and finite
-    entries."""
+def _start(h: MgHierarchy, f, u0) -> tuple:
+    """``f`` and ``u0`` (zero when None) as float vectors in the finest
+    level's coordinates (1D: G^T f and D^2 G^T u0), the weight of its
+    residual norm (1D: D^2, 2D: None), the first residual, a history
+    holding its norm, and the first stop reason. ValueError naming ``f`` or
+    ``u0`` unless it has the level's order and finite entries."""
+    A, weight = h.finest.op, None
     n, checked = A.shape[0], []
     for name, v in (("f", f), ("u0", np.zeros(n) if u0 is None else u0)):
         v = np.array(v, dtype=float)
@@ -261,9 +275,18 @@ def _start(A, f, u0) -> tuple:
             raise ValueError(f"{name} has non-finite entries")
         checked.append(v)
     f, u = checked
+    if h.dim == 1:
+        weight = butterfly_weight(n)
+        f, u = butterfly_T(f), weight * butterfly_T(u)
     r = f - A.apply(u)
-    history = [_norm(r)]
-    return f, u, r, history, _residual_stop(history[0], 0.0)
+    history = [_norm(r, weight)]
+    return f, u, r, weight, history, _residual_stop(history[0], 0.0)
+
+
+def _physical(h: MgHierarchy, u: np.ndarray) -> np.ndarray:
+    """The iterate u of the finest level's coordinates as a vector: G u in
+    1D."""
+    return butterfly(u) if h.dim == 1 else u
 
 
 # a blow-up runs on without numpy warnings until stop_reason reports it
@@ -279,12 +302,12 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
-    f, u, _, history, stop = _start(A, f, u0)
+    f, u, _, weight, history, stop = _start(h, f, u0)
     while stop is None and len(history) <= cfg.max_iter:
         u = mg_cycle(h, cfg, top, u, f)
-        history.append(_norm(f - A.apply(u)))
+        history.append(_norm(f - A.apply(u), weight))
         stop = _residual_stop(history[-1], cfg.tol * history[0])
-    return u, _report(history, stop, start)
+    return _physical(h, u), _report(history, stop, start)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -306,7 +329,7 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
-    f, u, r, history, stop = _start(A, f, u0)
+    f, u, r, weight, history, stop = _start(h, f, u0)
     p, z_old, rho_old = np.zeros_like(u), np.zeros_like(u), 1.0  # p = z + 0
     while stop is None and len(history) <= cfg.max_iter:
         z = mg_cycle(h, cfg, top, np.zeros_like(r), r)
@@ -324,13 +347,13 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         alpha = rho / pq
         u = u + alpha * p
         r = r - alpha * q
-        history.append(_norm(r))
+        history.append(_norm(r, weight))
         if history[-1] <= cfg.tol * history[0]:
             r = f - A.apply(u)
-            history[-1] = _norm(r)
+            history[-1] = _norm(r, weight)
         stop = _residual_stop(history[-1], cfg.tol * history[0])
         rho_old, z_old = rho, z
-    return u, _report(history, stop, start)
+    return _physical(h, u), _report(history, stop, start)
 
 
 @dataclass

@@ -6,8 +6,9 @@ in verify): the matrix of knot insertion, built with the Oslo algorithm
 (discrete B-splines) over all rows at once, or copied from one cached
 template per degree and ratio on a large enough dyadic pair. Restriction is
 the transpose. A hierarchy level holds both, each built once, in one
-:class:`Embedding`: CSR matrices in 1D, the Kronecker squares as
-:class:`~splinemg.linalg.WindowKron` products in 2D.
+:class:`Embedding`: in 1D CSR matrices in the levels' mirror butterfly
+coordinates (:func:`parity_embedding`), in 2D the Kronecker squares as
+:class:`~splinemg.linalg.WindowKron` products.
 """
 from __future__ import annotations
 
@@ -17,12 +18,14 @@ from functools import cache
 import numpy as np
 import scipy.sparse
 
-from .linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron
+from .linalg import BLOCK_ROWS, PARITY_BOUND, WindowBandMatrix, \
+    WindowKron, check_mirror
 from .splines import SplineSpace, build_space
 
 __all__ = [
     "Embedding",
     "build_prolongation",
+    "parity_embedding",
     "window_embedding",
     "prolong",
     "restrict",
@@ -98,7 +101,14 @@ def _row_template(p: int, ratio: int) -> np.ndarray:
 def build_prolongation(coarse: SplineSpace,
                        fine: SplineSpace) -> scipy.sparse.csr_matrix:
     """Canonical embedding matrix (fine.dim x coarse.dim) for a fine space
-    with 2^k times the coarse intervals, k >= 1.
+    with 2^k times the coarse intervals, k >= 1 (see :func:`_csr_arrays`)."""
+    return scipy.sparse.csr_matrix(_csr_arrays(coarse, fine),
+                                   shape=(fine.dim, coarse.dim))
+
+
+def _csr_arrays(coarse: SplineSpace, fine: SplineSpace) -> tuple:
+    """CSR data, indices and indptr of the canonical embedding of ``coarse``
+    into ``fine``.
 
     Row i holds the discrete B-splines b_{mu-p..mu, p}(i) of the coarse knots
     t on the fine knots tau, where mu is the coarse span of tau[i]. A dyadic
@@ -127,8 +137,48 @@ def build_prolongation(coarse: SplineSpace,
     nonzero = vals != 0.0
     cols = (_coarse_spans(coarse, fine) - p)[:, None] + np.arange(p + 1)
     indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-    return scipy.sparse.csr_matrix(
-        (vals[nonzero], cols[nonzero], indptr), shape=(fine.dim, coarse.dim))
+    return vals[nonzero], cols[nonzero], indptr
+
+
+def parity_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
+    """P~ = G_f^-1 P G_c = D_f^2 G_f^T P G_c of a 1D pair in the levels'
+    coordinates (G the mirror butterfly, D^2 = (G^T G)^-1), with P~^T.
+
+    P is persymmetric, so P~ is block diagonal by parity and P's top rows
+    give it: row a < ceil(m_f/2) of the even block is P[a] G_c's even part,
+    halved in the middle of odd m_f, and row a < floor(m_f/2) of the odd
+    block is P[a] G_c's odd part. ValueError when P's mirror defect exceeds
+    :data:`~splinemg.linalg.PARITY_BOUND`."""
+    P = data, indices, indptr = _csr_arrays(coarse, fine)
+    mf, mc = shape = fine.dim, coarse.dim
+    # J P J in CSR: P's entries, rows and columns reversed
+    mirror = (data[::-1], (mc - 1 - indices)[::-1], len(data) - indptr[::-1])
+    if np.array_equal(indices, mirror[1]) and \
+            np.array_equal(indptr, mirror[2]):
+        check_mirror("prolongation", data, mirror[0], PARITY_BOUND)
+    else:
+        check_mirror("prolongation", scipy.sparse.csr_matrix(P, shape),
+                     scipy.sparse.csr_matrix(mirror, shape), PARITY_BOUND)
+    hf, kf, hc = (mf + 1) // 2, mf // 2, (mc + 1) // 2
+    top, split = indptr[hf], indptr[kf]     # rows < kf: the odd block's
+    j = indices[:top]
+    col = np.minimum(j, mc - 1 - j)             # G_c's column of entry j
+    even = data[:top].copy()
+    even[split:] *= 0.5             # D_f^2 G_f^T's middle row is e_k / 2
+    odd = np.where(j[:split] > col[:split], -data[:split], data[:split])
+    odd_cols, odd_ptr = hc + col[:split], indptr[1:kf + 1]
+    if mc % 2:              # G_c's middle column 2 e_k has no odd part
+        middle = np.flatnonzero(j == mc // 2)
+        even[middle] *= 2.0
+        middle = middle[middle < split]
+        odd, odd_cols = np.delete(odd, middle), np.delete(odd_cols, middle)
+        odd_ptr = odd_ptr - np.searchsorted(middle, odd_ptr)
+    # a row holding j and m_c - 1 - j keeps both entries in column col
+    Pt = scipy.sparse.csr_matrix((np.concatenate([even, odd]),
+                                  np.concatenate([col, odd_cols]),
+                                  np.concatenate([indptr[:hf + 1],
+                                                  top + odd_ptr])), shape)
+    return Embedding(Pt, Pt.T.tocsr())
 
 
 def window_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:

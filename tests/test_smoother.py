@@ -11,12 +11,29 @@ from splinemg import build_space, assemble_1d, operator_2d, index_split, \
 from splinemg import smoother
 from splinemg.smoother import TAU_DEFAULT, damping, smooth_1d, smooth_2d, \
     smoother_matrix_1d, smoother_matrix_2d, build_boundary, _boundary_images
-from splinemg.linalg import _fold, cholesky
+from splinemg.linalg import _fold, butterfly, butterfly_T, \
+    butterfly_weight, cholesky, parity_band
 
 
 def _setup(p, n, tau=0.14):
     disc = assemble_1d(build_space(p, 0, n))   # n intervals, any n >= p + 1
     return disc, build_smoother_1d(disc, tau)
+
+
+def _damped_update(sm, r):
+    """One smoothing step's update of the residual r as a vector: G y for
+    the y that :meth:`Smoother1D.step_direction` returns from G^T r."""
+    return butterfly(sm.step_direction(butterfly_T(r)))
+
+
+def _smooth_vectors(s, A, u, r, steps):
+    """:func:`smooth_1d` on the vector u and the residual r of A u = f: in
+    the level's coordinates (G^T A G, G^-1 u, G^T r) and back (G y,
+    G^-T r~ = G D^2 r~)."""
+    w = butterfly_weight(len(u))
+    y, rt = smooth_1d(s, parity_band(A, "A"), w * butterfly_T(u),
+                      butterfly_T(r), steps)
+    return butterfly(y), butterfly(w * rt)
 
 
 def _backward_error(L, x, r):
@@ -189,7 +206,7 @@ def test_apply_Linv_1d_matches_dense_solve(p, n):
     rng = np.random.default_rng(p * n)
     r = rng.standard_normal(disc.space.dim)
     for damped, x in [(False, apply_Linv_1d(sm, r)),
-                      (True, sm.step_direction(r))]:
+                      (True, _damped_update(sm, r))]:
         L = smoother_matrix_1d(sm, disc, damped=damped)
         assert _backward_error(L, x, r) <= 1e-15
         # cond(L) reaches 2e14 at p = 30, which bounds the forward error
@@ -303,7 +320,7 @@ def test_folded_solves_backward_stable(pn, tau):
     disc, sm = _setup(p, n, tau)
     r = np.random.default_rng(n).standard_normal(disc.space.dim)
     for damped, x in [(False, apply_Linv_1d(sm, r)),
-                      (True, sm.step_direction(r))]:
+                      (True, _damped_update(sm, r))]:
         L = smoother_matrix_1d(sm, disc, damped=damped)
         assert _backward_error(L, x, r) <= 1e-14
 
@@ -357,7 +374,7 @@ def test_incremental_residual_consistency_1d():
     u = rng.standard_normal(disc.space.dim)
     f = rng.standard_normal(disc.space.dim)
     r = f - disc.A.apply(u)
-    u10, r10 = smooth_1d(sm, disc.A, u, r, 10)
+    u10, r10 = _smooth_vectors(sm, disc.A, u, r, 10)
     recomputed = f - disc.A.apply(u10)
     assert np.linalg.norm(r10 - recomputed) <= 1e-11 * np.linalg.norm(f)
 
@@ -457,7 +474,7 @@ def test_incremental_residual_consistency_2d():
 def test_one_smoothing_step_is_the_dense_damped_update(dim, p, n):
     if dim == 1:
         disc, s = _setup(p, n)
-        A, smooth = disc.A, smooth_1d
+        A, smooth = disc.A, _smooth_vectors
         d_ref = lambda r: np.linalg.solve(
             smoother_matrix_1d(s, disc, damped=True), r)
     else:

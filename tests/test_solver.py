@@ -15,12 +15,23 @@ from splinemg import InadmissibleLevels, TAU_DEFAULT, assemble_load, \
     prolong_2d, restrict_2d, smoother_pencil, solve_mg, solve_pcg, \
     CycleConfig, solver
 from splinemg.cli import ExperimentConfig
-from splinemg.linalg import BLOCK_ROWS, NotSPDError, WindowBandMatrix
+from splinemg.linalg import BLOCK_ROWS, NotSPDError, WindowBandMatrix, \
+    butterfly, butterfly_T, butterfly_weight
 from splinemg.solver import experiment_initial_guess, _cg_scalar_stop, \
-    _norm, _report, _residual_stop, _start
+    _norm, _physical, _report, _residual_stop, _start
 
 
 V11 = CycleConfig(cycle="v", pre_smooth=1, post_smooth=1)
+
+
+def _cycle(h, cfg, u, f):
+    """One cycle on the finest level for the vectors u and f; in 1D through
+    the level's coordinates (G^-1 u = D^2 G^T u, G^T f) and back (G y)."""
+    top = len(h.levels) - 1
+    if h.dim == 2:
+        return mg_cycle(h, cfg, top, u, f)
+    w = butterfly_weight(len(u))
+    return butterfly(mg_cycle(h, cfg, top, w * butterfly_T(u), butterfly_T(f)))
 
 
 def test_min_smoother_level():
@@ -69,8 +80,16 @@ def test_hierarchy_rejects_bad_levels():
 def test_hierarchy_galerkin_consistency():
     h = build_hierarchy(1, 2, 2, 4)
     for lo, hi in zip(h.levels, h.levels[1:]):
-        # the held restriction is the transpose of the CSR prolongation
-        proj = (hi.P.T @ hi.disc.A.sparse @ hi.P.matrix).toarray()
+        # in the levels' coordinates, with the held restriction:
+        # P~^T (G_f^T A_f G_f) P~ = G_c^T A_c G_c
+        proj = (hi.P.T @ hi.op.sparse @ hi.P.matrix).toarray()
+        ref = lo.op.toarray()
+        assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max()
+        # and for the vectors, through the butterflies: P = G_f P~ G_c^-1
+        w = butterfly_weight(lo.space.dim)
+        P = np.column_stack([butterfly(hi.P @ (w * butterfly_T(e)))
+                             for e in np.eye(lo.space.dim)])
+        proj = P.T @ hi.disc.A.toarray() @ P
         ref = lo.disc.A.toarray()
         assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -152,7 +171,7 @@ def test_two_grid_error_propagation_matches_dense_oracle(d, level, p, pre,
              @ np.linalg.matrix_power(S, pre))
 
     # column j: the error left by one cycle from u = 0 towards u* = e_j
-    E = eye - np.column_stack([mg_cycle(h, cfg, 1, np.zeros(len(A)), a)
+    E = eye - np.column_stack([_cycle(h, cfg, np.zeros(len(A)), a)
                                for a in A.T])
     npt.assert_allclose(E, E_ref, atol=1e-10)
 
@@ -219,7 +238,7 @@ def test_two_grid_energy_monotonicity():
     u = np.zeros_like(f)
     prev = (u_star - u) @ Af @ (u_star - u)
     for _ in range(10):
-        u = mg_cycle(h, cfg, 1, u, f)
+        u = _cycle(h, cfg, u, f)
         cur = (u_star - u) @ Af @ (u_star - u)
         assert cur <= prev * (1 + 1e-12)
         prev = cur
@@ -314,8 +333,9 @@ def test_2d_high_degree_converges(solve, d, p, level, coarse):
     u0 = experiment_initial_guess(f.shape[0])
     u, rep = solve(h, V11, f, u0)
     assert rep.converged
-    r0 = np.linalg.norm(f - h.finest.op.apply(u0))
-    assert np.linalg.norm(f - h.finest.op.apply(u)) <= 1e-8 * r0
+    A = h.finest.disc.A if d == 1 else h.finest.op
+    r0 = np.linalg.norm(f - A.apply(u0))
+    assert np.linalg.norm(f - A.apply(u)) <= 1e-8 * r0
 
 
 def test_hierarchy_h_robustness():
@@ -411,7 +431,7 @@ def _pcg_first_iteration_by_hand(h, cfg, f, u0=None, flexible=True):
     def precond(res):
         return mg_cycle(h, cfg, top, np.zeros_like(res), res)
 
-    f, u, r, history, stop = _start(A, f, u0)
+    f, u, r, weight, history, stop = _start(h, f, u0)
     if stop is None:
         z = precond(r)
         p = z.copy()
@@ -426,11 +446,11 @@ def _pcg_first_iteration_by_hand(h, cfg, f, u0=None, flexible=True):
         alpha = rho / pq
         u = u + alpha * p
         r = r - alpha * q
-        history.append(_norm(r))
+        history.append(_norm(r, weight))
         stop = _residual_stop(history[-1], cfg.tol * history[0])
         if stop == "converged":
             r = f - A.apply(u)
-            history[-1] = _norm(r)
+            history[-1] = _norm(r, weight)
             stop = _residual_stop(history[-1], cfg.tol * history[0])
         if stop:
             break
@@ -440,7 +460,7 @@ def _pcg_first_iteration_by_hand(h, cfg, f, u0=None, flexible=True):
         beta = float(r @ (z - z_old)) if flexible else rho_new
         p = z + (beta / rho) * p
         rho = rho_new
-    return u, _report(history, stop, start)
+    return _physical(h, u), _report(history, stop, start)
 
 
 @pytest.mark.parametrize("d, p, coarse, fine, tau, ones, max_iter, stop", [

@@ -6,6 +6,7 @@ from scipy.special import binom
 from splinemg import build_space, assemble_1d, eval_spline, \
     build_hierarchy, build_prolongation, prolong, restrict, prolong_2d, \
     restrict_2d, kron_apply
+from splinemg.linalg import butterfly, butterfly_T, butterfly_weight
 from splinemg.transfer import window_embedding
 
 
@@ -65,18 +66,24 @@ def test_restrict_is_adjoint():
 
 
 def test_sparse_embedding_holds_the_restriction():
-    # a 1D level holds the CSR P with its CSR transpose, built in setup
+    # a 1D level holds P~ = G_f^-1 P G_c, the CSR P in the levels'
+    # coordinates, with its CSR transpose, built in setup
     rng = np.random.default_rng(10)
     co, fi = _pair(4, 4)
     P = build_prolongation(co, fi)
     E = build_hierarchy(1, 4, 4, 5).finest.P
     assert E.shape == P.shape and E.T.format == "csr"
-    npt.assert_array_equal(E.matrix.toarray(), P.toarray())
-    npt.assert_array_equal(E.T.toarray(), P.toarray().T)
+    npt.assert_array_equal(E.T.toarray(), E.matrix.toarray().T)
     c = rng.standard_normal(co.dim)
     f = rng.standard_normal(fi.dim)
-    npt.assert_array_equal(prolong(E, c), prolong(P, c))
-    npt.assert_allclose(restrict(E, f), restrict(P, f), rtol=1e-15, atol=0)
+    # through the butterflies: G_f P~ G_c^-1 c = P c, G_c^-T P~^T G_f^T f
+    # = P^T f (G^-T = G D^2)
+    for got, ref in [
+            (butterfly(prolong(E, butterfly_weight(co.dim) * butterfly_T(c))),
+             prolong(P, c)),
+            (butterfly(butterfly_weight(co.dim) * restrict(E, butterfly_T(f))),
+             restrict(P, f))]:
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("transfer, size, expected", [
