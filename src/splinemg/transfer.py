@@ -101,14 +101,7 @@ def _row_template(p: int, ratio: int) -> np.ndarray:
 def build_prolongation(coarse: SplineSpace,
                        fine: SplineSpace) -> scipy.sparse.csr_matrix:
     """Canonical embedding matrix (fine.dim x coarse.dim) for a fine space
-    with 2^k times the coarse intervals, k >= 1 (see :func:`_csr_arrays`)."""
-    return scipy.sparse.csr_matrix(_csr_arrays(coarse, fine),
-                                   shape=(fine.dim, coarse.dim))
-
-
-def _csr_arrays(coarse: SplineSpace, fine: SplineSpace) -> tuple:
-    """CSR data, indices and indptr of the canonical embedding of ``coarse``
-    into ``fine``.
+    with 2^k times the coarse intervals, k >= 1.
 
     Row i holds the discrete B-splines b_{mu-p..mu, p}(i) of the coarse knots
     t on the fine knots tau, where mu is the coarse span of tau[i]. A dyadic
@@ -116,6 +109,12 @@ def _csr_arrays(coarse: SplineSpace, fine: SplineSpace) -> tuple:
     and ratio (left rows, one interior period repeated, right rows); any
     other pair runs the Oslo recurrence over all rows.
     """
+    return scipy.sparse.csr_matrix(_csr_arrays(coarse, fine),
+                                   shape=(fine.dim, coarse.dim))
+
+
+def _csr_arrays(coarse: SplineSpace, fine: SplineSpace) -> tuple:
+    """CSR data, indices and indptr of :func:`build_prolongation`'s matrix."""
     if coarse.degree != fine.degree:
         raise ValueError(
             f"degree mismatch: coarse {coarse.degree}, fine {fine.degree}")
