@@ -7,7 +7,7 @@ eigen/singular-value routines used by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -365,7 +365,7 @@ def check_mirror(what: str, x, mirrored, bound: float = 1e-9) -> None:
                          f"{defect:.1e} > {bound:.0e}")
 
 
-@cache
+@lru_cache(maxsize=64)      # bounded: a hierarchy needs one pair per level
 def _parity_indices(m: int, p: int) -> tuple:
     """Index arrays of :func:`parity_band` for order m and bandwidth p, read
     only: the first column c of the cross-parity terms X[a, m-1-b] +
