@@ -7,7 +7,7 @@ eigen/singular-value routines used by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -365,15 +365,14 @@ def check_mirror(what: str, x, mirrored, bound: float = 1e-9) -> None:
                          f"{defect:.1e} > {bound:.0e}")
 
 
-@lru_cache(maxsize=64)      # bounded: a hierarchy needs one pair per level
 def _parity_indices(m: int, p: int) -> tuple:
-    """Index arrays of :func:`parity_band` for order m and bandwidth p, read
-    only: the first column c of the cross-parity terms X[a, m-1-b] +
-    X[m-1-a, b] of band entry (a, b) = (b + d, b), both on diagonal
-    |a + b + 1 - m|, the (diagonal, column) pairs of the two terms from
-    column c on, the flat indices of the terms off the band, and those of
-    the band entries past their block's end (j + d >= h in the even block,
-    j - h + d >= k in the odd)."""
+    """Index arrays of :func:`parity_band` for order m and bandwidth p: the
+    first column c of the cross-parity terms X[a, m-1-b] + X[m-1-a, b] of
+    band entry (a, b) = (b + d, b), both on diagonal |a + b + 1 - m|, the
+    (diagonal, column) pairs of the two terms from column c on, the flat
+    indices of the terms off the band, and those of the band entries past
+    their block's end (j + d >= h in the even block, j - h + d >= k in the
+    odd)."""
     h, k = (m + 1) // 2, m // 2
     c, d = max(0, h - 1 - p), np.arange(p + 1)[:, None]
     b = np.arange(c, h)
@@ -381,12 +380,9 @@ def _parity_indices(m: int, p: int) -> tuple:
     diag = np.abs(a + b + 1 - m)
     j = np.arange(m)
     past = d + np.where(j < h, j, j - h) >= np.where(j < h, h, k)
-    out = (np.minimum(diag, p), np.minimum(a, m - 1 - b),
-           np.maximum(np.minimum(m - 1 - a, b), 0), np.flatnonzero(diag > p),
-           np.flatnonzero(past))
-    for x in out:
-        x.setflags(write=False)
-    return (c,) + out
+    return (c, np.minimum(diag, p), np.minimum(a, m - 1 - b),
+            np.maximum(np.minimum(m - 1 - a, b), 0), np.flatnonzero(diag > p),
+            np.flatnonzero(past))
 
 
 def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,

@@ -212,7 +212,12 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
 
 def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
              f: np.ndarray) -> np.ndarray:
-    """One multigrid cycle at level index ``idx`` (0 = coarsest) for A u = f."""
+    """One multigrid cycle at level index ``idx`` (0 = coarsest) for the
+    level's operator: A u = f in 2D. In 1D ``u``, ``f`` and the result are
+    in the level's coordinates, y = G^-1 u = D^2 G^T u and f~ = G^T f, for
+    (G^T A G) y = f~; map vectors with :func:`~splinemg.linalg.butterfly_T`
+    and :func:`~splinemg.linalg.butterfly_weight`, and the result back with
+    :func:`~splinemg.linalg.butterfly`."""
     lvl = h.levels[idx]
     if idx == 0:
         return lvl.direct.solve(f)

@@ -146,18 +146,18 @@ def parity_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
     P is persymmetric, so P~ is block diagonal by parity and P's top rows
     give it: row a < ceil(m_f/2) of the even block is P[a] G_c's even part,
     halved in the middle of odd m_f, and row a < floor(m_f/2) of the odd
-    block is P[a] G_c's odd part. ValueError when P's mirror defect exceeds
+    block is P[a] G_c's odd part. ValueError when P's sparsity pattern is
+    not mirrored or its mirror defect exceeds
     :data:`~splinemg.linalg.PARITY_BOUND`."""
-    P = data, indices, indptr = _csr_arrays(coarse, fine)
+    data, indices, indptr = _csr_arrays(coarse, fine)
     mf, mc = shape = fine.dim, coarse.dim
-    # J P J in CSR: P's entries, rows and columns reversed
-    mirror = (data[::-1], (mc - 1 - indices)[::-1], len(data) - indptr[::-1])
-    if np.array_equal(indices, mirror[1]) and \
-            np.array_equal(indptr, mirror[2]):
-        check_mirror("prolongation", data, mirror[0], PARITY_BOUND)
-    else:
-        check_mirror("prolongation", scipy.sparse.csr_matrix(P, shape),
-                     scipy.sparse.csr_matrix(mirror, shape), PARITY_BOUND)
+    # J P J in CSR is P's entries, rows and columns reversed: P's pattern
+    # and data[::-1] when P is persymmetric
+    if not (np.array_equal(indices, (mc - 1 - indices)[::-1]) and
+            np.array_equal(indptr, len(data) - indptr[::-1])):
+        raise ValueError("prolongation not persymmetric: sparsity pattern "
+                         "not mirrored")
+    check_mirror("prolongation", data, data[::-1], PARITY_BOUND)
     hf, kf, hc = (mf + 1) // 2, mf // 2, (mc + 1) // 2
     top, split = indptr[hf], indptr[kf]     # rows < kf: the odd block's
     j = indices[:top]

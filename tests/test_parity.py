@@ -111,7 +111,6 @@ def test_1d_solvers_return_the_vector_solution(p, levels_above):
             CycleConfig().tol * np.linalg.norm(f - A.apply(u0))
 
 
-
 def test_a_dropped_coupling_is_refused_by_name(monkeypatch):
     # one entry off its mirror by 1e-6 of itself: above PARITY_BOUND
     disc = assemble_1d(build_space(3, 3))
@@ -138,3 +137,16 @@ def test_a_dropped_coupling_is_refused_by_name(monkeypatch):
     with pytest.raises(ValueError, match=r"^prolongation not persymmetric: "
                        r"mirror defect .* > 1e-08$"):
         build_hierarchy(1, 3, 2, 3)
+
+
+def test_an_unmirrored_prolongation_pattern_is_refused(monkeypatch):
+    csr_arrays = transfer._csr_arrays
+
+    def first_entry_dropped(coarse, fine):
+        data, indices, indptr = csr_arrays(coarse, fine)
+        return data[1:], indices[1:], np.maximum(indptr - 1, 0)
+
+    monkeypatch.setattr(transfer, "_csr_arrays", first_entry_dropped)
+    with pytest.raises(ValueError, match=r"^prolongation not persymmetric: "
+                       r"sparsity pattern not mirrored$"):
+        parity_embedding(build_space(3, 2), build_space(3, 3))

@@ -7,7 +7,7 @@ from splinemg import build_space, assemble_1d, eval_spline, \
     build_hierarchy, build_prolongation, prolong, restrict, prolong_2d, \
     restrict_2d, kron_apply
 from splinemg.linalg import butterfly, butterfly_T, butterfly_weight
-from splinemg.transfer import window_embedding
+from splinemg.transfer import parity_embedding, window_embedding
 
 
 def _pair(p, level):
@@ -65,25 +65,72 @@ def test_restrict_is_adjoint():
         1 + abs(c @ restrict(P, f)))
 
 
+def _parity_oracle(P):
+    """CSR data, indices and indptr of P~ = D_f^2 G_f^T P G_c, entry by entry
+    from the top rows of a persymmetric CSR P: each entry P[a, j] lands in
+    G_c's column min(j, m_c-1-j) unsummed, in the even block as itself
+    (halved in the middle row of odd m_f, doubled in the middle column of
+    odd m_c), in the odd block negated past the middle column (none in the
+    middle column of odd m_c). Powers of two and signs: no rounding."""
+    mf, mc = P.shape
+    hc, middle = (mc + 1) // 2, mc // 2 if mc % 2 else -1
+    data, indices, indptr = [], [], [0]
+    for block, rows in (("even", range((mf + 1) // 2)),
+                        ("odd", range(mf // 2))):
+        for a in rows:
+            for j, v in zip(P.indices[P.indptr[a]:P.indptr[a + 1]],
+                            P.data[P.indptr[a]:P.indptr[a + 1]]):
+                col = min(j, mc - 1 - j)
+                if block == "even":
+                    v = v / 2 if mf % 2 and a == mf // 2 else v
+                    data.append(2 * v if j == middle else v)
+                    indices.append(col)
+                elif j != middle:
+                    data.append(-v if j > col else v)
+                    indices.append(hc + col)
+            indptr.append(len(data))
+    return np.array(data), np.array(indices), np.array(indptr)
+
+
+def _assert_parity_embedding(E, P, seed):
+    """E holds P~ bit for bit, with its CSR transpose, and P~ reproduces P
+    through the butterflies elementwise: G_f P~ G_c^-1 c = P c and
+    G_c^-T P~^T G_f^T f = P^T f (G^-1 = D^2 G^T), each entry within
+    16 eps of its bound |P| (|v| + J|v|), the rounding of the folds in
+    P's terms and their mirrors."""
+    assert E.shape == P.shape and E.T.format == "csr"
+    for got, ref in zip((E.matrix.data, E.matrix.indices, E.matrix.indptr),
+                        _parity_oracle(P)):
+        npt.assert_array_equal(got, ref)
+    npt.assert_array_equal(E.T.toarray(), E.matrix.toarray().T)
+    rng = np.random.default_rng(seed)
+    mf, mc = P.shape
+    c, f = rng.standard_normal(mc), rng.standard_normal(mf)
+    eps, absP = np.finfo(float).eps, abs(P)
+    for got, ref, bound in [
+            (butterfly(prolong(E, butterfly_weight(mc) * butterfly_T(c))),
+             prolong(P, c), absP @ (abs(c) + abs(c[::-1]))),
+            (butterfly(butterfly_weight(mc) * restrict(E, butterfly_T(f))),
+             restrict(P, f), absP.T @ (abs(f) + abs(f[::-1])))]:
+        assert np.all(abs(got - ref) <= 16 * eps * bound)
+
+
 def test_sparse_embedding_holds_the_restriction():
     # a 1D level holds P~ = G_f^-1 P G_c, the CSR P in the levels'
     # coordinates, with its CSR transpose, built in setup
-    rng = np.random.default_rng(10)
     co, fi = _pair(4, 4)
-    P = build_prolongation(co, fi)
-    E = build_hierarchy(1, 4, 4, 5).finest.P
-    assert E.shape == P.shape and E.T.format == "csr"
-    npt.assert_array_equal(E.T.toarray(), E.matrix.toarray().T)
-    c = rng.standard_normal(co.dim)
-    f = rng.standard_normal(fi.dim)
-    # through the butterflies: G_f P~ G_c^-1 c = P c, G_c^-T P~^T G_f^T f
-    # = P^T f (G^-T = G D^2)
-    for got, ref in [
-            (butterfly(prolong(E, butterfly_weight(co.dim) * butterfly_T(c))),
-             prolong(P, c)),
-            (butterfly(butterfly_weight(co.dim) * restrict(E, butterfly_T(f))),
-             restrict(P, f))]:
-        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+    _assert_parity_embedding(build_hierarchy(1, 4, 4, 5).finest.P,
+                             build_prolongation(co, fi), 10)
+
+
+# n0 = 1 keeps m_c and m_f at p's parity, n0 = 3 on level 0 gives them
+# opposite parities: every pairing of odd and even middles
+@pytest.mark.parametrize("p,level,n0", [(3, 3, 1), (4, 3, 1), (2, 0, 3),
+                                        (5, 0, 3), (15, 2, 1), (8, 1, 3)])
+def test_parity_embedding_is_exact_from_the_top_rows(p, level, n0):
+    co, fi = build_space(p, level, n0), build_space(p, level + 1, n0)
+    _assert_parity_embedding(parity_embedding(co, fi),
+                             build_prolongation(co, fi), p)
 
 
 @pytest.mark.parametrize("transfer, size, expected", [
