@@ -369,20 +369,15 @@ def _parity_indices(m: int, p: int) -> tuple:
     """Index arrays of :func:`parity_band` for order m and bandwidth p: the
     first column c of the cross-parity terms X[a, m-1-b] + X[m-1-a, b] of
     band entry (a, b) = (b + d, b), both on diagonal |a + b + 1 - m|, the
-    (diagonal, column) pairs of the two terms from column c on, the flat
-    indices of the terms off the band, and those of the band entries past
-    their block's end (j + d >= h in the even block, j - h + d >= k in the
-    odd)."""
-    h, k = (m + 1) // 2, m // 2
-    c, d = max(0, h - 1 - p), np.arange(p + 1)[:, None]
+    (diagonal, column) pairs of the two terms from column c on and the flat
+    indices of the terms off the band."""
+    h = (m + 1) // 2
+    c = max(0, h - 1 - p)
     b = np.arange(c, h)
-    a = b + d
+    a = b + np.arange(p + 1)[:, None]
     diag = np.abs(a + b + 1 - m)
-    j = np.arange(m)
-    past = d + np.where(j < h, j, j - h) >= np.where(j < h, h, k)
     return (c, np.minimum(diag, p), np.minimum(a, m - 1 - b),
-            np.maximum(np.minimum(m - 1 - a, b), 0), np.flatnonzero(diag > p),
-            np.flatnonzero(past))
+            np.maximum(np.minimum(m - 1 - a, b), 0), np.flatnonzero(diag > p))
 
 
 def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
@@ -398,7 +393,7 @@ def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
     """
     m, p = X.order, X.bandwidth
     h, k = (m + 1) // 2, m // 2
-    c, diag, col, col_mirror, off_band, past = _parity_indices(m, p)
+    c, diag, col, col_mirror, off_band = _parity_indices(m, p)
     # J X J's lower band, entry (j + d, j) = X[m-1-j-d, m-1-j], is X's read
     # backwards, flat entry (d + 1)(m - 1) - j; its first h columns meet
     # every mirrored pair of entries (zero past the matrix, d > m-1-j)
@@ -424,7 +419,12 @@ def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
         a, b = np.arange(p + 1)[:, None] + np.arange(p), np.arange(p)
         even[:, :p] += q[0, a, b]           # Q's even and odd parts
         odd[:, :p] += q[1, a, b]
-    band.reshape(-1)[past] = 0.0
+    # zero the entries past each block's end, j + d >= h in the even block
+    # and j - h + d >= k in the odd: in its last w = min(p, size) columns
+    for end, size in ((h, h), (m, k)):
+        w = min(p, size)
+        band[:, end - w:end][np.arange(p + 1)[:, None] + np.arange(w) >= w] \
+            = 0.0
     return BandedSymMatrix(m, p, band)
 
 
