@@ -421,10 +421,10 @@ def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
         odd[:, :p] += q[1, a, b]
     # zero the entries past each block's end, j + d >= h in the even block
     # and j - h + d >= k in the odd: in its last w = min(p, size) columns
+    d = np.arange(p + 1)[:, None]
     for end, size in ((h, h), (m, k)):
         w = min(p, size)
-        band[:, end - w:end][np.arange(p + 1)[:, None] + np.arange(w) >= w] \
-            = 0.0
+        band[:, end - w:end][d + np.arange(w) >= w] = 0.0
     return BandedSymMatrix(m, p, band)
 
 
