@@ -165,11 +165,12 @@ def assemble_1d(space: SplineSpace) -> Discretization1D:
     p, m, n = space.degree, space.dim, space.intervals
     if n & (n - 1) or n < 4 * p:
         bands = _quadrature_bands(space, p + 1)
-    else:
-        template, j = _band_template(p), np.arange(m)
-        tail = j - m + template.shape[2]
-        src = np.where(j < 2 * p, j, np.maximum(2 * p, tail))
-        bands = template[:, :, src] * np.array([[[1.0 / n]], [[n]]])
+    else:       # slices and an in-place scale: no full-size temporaries
+        t, bands = _band_template(p), np.empty((2, p + 1, m))
+        end = m - t.shape[2] + 2 * p + 1        # the tail's first column
+        bands[..., :2 * p], bands[..., end:] = t[..., :2 * p], t[..., end - m:]
+        bands[..., 2 * p:end] = t[..., 2 * p:2 * p + 1]
+        bands *= np.array([[[1.0 / n]], [[n]]])
     M, K = (BandedSymMatrix(m, p, b) for b in bands)
     A = BandedSymMatrix(m, p, M.bands + K.bands)
     return Discretization1D(space=space, M=M, K=K, A=A)

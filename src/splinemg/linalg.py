@@ -232,11 +232,13 @@ class CholeskyFactor:
 
     @cached_property
     def upper(self) -> np.ndarray:
-        """L^T of a band factor in upper band storage, built at the first
-        full solve: L's diagonals 0 ... b, last first, Fortran-ordered."""
-        b = len(self.factor) - 1
-        return np.asfortranarray(BandedSymMatrix(
-            self.order, b, self.factor).diagonals()[b:][::-1])
+        """L^T of a band factor in upper band storage (a 1D hierarchy builds
+        it in setup): row b - k is L's diagonal k shifted right by k."""
+        (n, m), s = self.factor.shape, self.factor.itemsize     # n = b + 1
+        pad = np.zeros((n, m + n - 1))      # b zeros, then a row of L
+        pad[:, n - 1:] = self.factor
+        return np.asfortranarray(np.ndarray(
+            (n, m), float, pad, (n - 1) * s, ((m + n - 2) * s, s))[::-1])
 
     def solve(self, rhs: np.ndarray, forward: bool = False) -> np.ndarray:
         """Solve (a band by untransposed tbtrs on L, then on L^T, faster than
@@ -365,21 +367,6 @@ def check_mirror(what: str, x, mirrored, bound: float = 1e-9) -> None:
                          f"{defect:.1e} > {bound:.0e}")
 
 
-def _parity_indices(m: int, p: int) -> tuple:
-    """Index arrays of :func:`parity_band` for order m and bandwidth p: the
-    first column c of the cross-parity terms X[a, m-1-b] + X[m-1-a, b] of
-    band entry (a, b) = (b + d, b), both on diagonal |a + b + 1 - m|, the
-    (diagonal, column) pairs of the two terms from column c on and the flat
-    indices of the terms off the band."""
-    h = (m + 1) // 2
-    c = max(0, h - 1 - p)
-    b = np.arange(c, h)
-    a = b + np.arange(p + 1)[:, None]
-    diag = np.abs(a + b + 1 - m)
-    return (c, np.minimum(diag, p), np.minimum(a, m - 1 - b),
-            np.maximum(np.minimum(m - 1 - a, b), 0), np.flatnonzero(diag > p))
-
-
 def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
                 Q: np.ndarray | None = None) -> BandedSymMatrix:
     """G^T L G's even and then odd diagonal block as one band of order m and
@@ -389,18 +376,16 @@ def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
     (L[a, m-1-b] + L[m-1-a, b]).
 
     The even-odd blocks it drops vanish but for L's mirror defect; a
-    ValueError names ``what`` when X's or Q's exceeds :data:`PARITY_BOUND`.
+    ValueError names ``what`` (Q as "Q of the ...") above :data:`PARITY_BOUND`.
     """
     m, p = X.order, X.bandwidth
     h, k = (m + 1) // 2, m // 2
-    c, diag, col, col_mirror, off_band = _parity_indices(m, p)
     # J X J's lower band, entry (j + d, j) = X[m-1-j-d, m-1-j], is X's read
     # backwards, flat entry (d + 1)(m - 1) - j; its first h columns meet
     # every mirrored pair of entries (zero past the matrix, d > m-1-j)
-    bands = np.ascontiguousarray(X.bands)
+    bands, s = np.ascontiguousarray(X.bands), X.bands.itemsize
     left, mirror = bands[:, :h], np.ndarray(
-        (p + 1, h), float, bands, (m - 1) * bands.itemsize,
-        ((m - 1) * bands.itemsize, -bands.itemsize)).copy()
+        (p + 1, h), float, bands, (m - 1) * s, ((m - 1) * s, -s)).copy()
     for d in range(k + 1, p + 1):
         mirror[d, m - d:] = 0.0
     check_mirror(what, left, mirror, PARITY_BOUND)
@@ -408,23 +393,35 @@ def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
     even, odd = band[:, :h], band[:, h:]
     np.multiply(sigma, same, out=even)
     odd[...] = even[:, :k]
-    # the cross-parity terms vanish but within p of the middle (c on)
-    cross = bands[diag, col] + bands[diag, col_mirror]
-    cross.reshape(-1)[off_band] = 0.0
+    # the cross-parity terms vanish but within p of the middle (c on). X[r, q]
+    # is X's diagonal row p + q - r at column q, so both terms of (j + d, j),
+    # X[m-1-j, j+d] and X[m-1-j-d, j], lie in row p + 2j + d + 1 - m: views
+    # of F, the diagonals' columns c on, with zero rows above and below
+    c = max(0, h - 1 - p)
+    w = min(m, h + p) - c
+    F = np.zeros((3 * p + 3, w))
+    F[p + 1:2 * p + 2] = bands[::-1, c:c + w]
+    F[2 * p + 1:3 * p + 2] = np.ndarray(    # diagonal k: bands[k] shifted
+        (p + 1, w), float, bands, c * s, ((m - 1) * s, s))
+    start = (2 * p + 2 + 2 * c - m) * w * s
+    cross = np.add(*(np.ndarray((p + 1, h - c), float, F, start, (
+        t * s, (2 * w + 1) * s)) for t in (w + 1, w)))
     even[:, c:] = sigma * (same[:, c:] + cross)
     odd[:, c:] = (sigma * (same[:, c:] - cross))[:, :k - c]
     if Q is not None:
-        check_mirror(what, Q, Q[::-1, ::-1], PARITY_BOUND)
-        q = np.pad(_fold(Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
-        a, b = np.arange(p + 1)[:, None] + np.arange(p), np.arange(p)
-        even[:, :p] += q[0, a, b]           # Q's even and odd parts
-        odd[:, :p] += q[1, a, b]
+        check_mirror(f"Q of the {what}", Q, Q[::-1, ::-1], PARITY_BOUND)
+        # Q's even and odd parts as bands: entry (d, j) is part[d + j, j]
+        q = np.zeros((2, 2 * p, p))
+        q[:, :p] = _fold(Q).reshape(4, p, p)[::3]
+        q = np.ndarray((2, p + 1, p), float, q, 0,
+                       (2 * p * p * s, p * s, (p + 1) * s))
+        even[:, :p] += q[0]
+        odd[:, :p] += q[1]
     # zero the entries past each block's end, j + d >= h in the even block
-    # and j - h + d >= k in the odd: in its last w = min(p, size) columns
-    d = np.arange(p + 1)[:, None]
-    for end, size in ((h, h), (m, k)):
-        w = min(p, size)
-        band[:, end - w:end][d + np.arange(w) >= w] = 0.0
+    # and j - h + d >= k in the odd: its last n columns, n = min(p, its size)
+    tail = np.arange(p + 1)[:, None] + np.arange(p) >= p
+    for end, n in ((h, min(p, h)), (m, min(p, k))):
+        band[:, end - n:end][tail[:, p - n:]] = 0.0
     return BandedSymMatrix(m, p, band)
 
 

@@ -153,11 +153,10 @@ def _boundary_images(A: BandedSymMatrix, split: IndexSplit) -> np.ndarray:
     rows, so their images come from the factor's trailing t x t block."""
     bnd, p, mi = split.boundary, len(split.boundary) // 2, len(split.interior)
     t = min(p, mi)
-    coupled = np.union1d(np.arange(t), np.arange(mi - t, mi))
-    ig = np.zeros((mi, 2 * p))
+    coupled = np.concatenate([np.arange(t), np.arange(mi - t, mi)])
+    Y, ig = np.zeros((2, mi, 2 * p))     # Y first: aligned as its own array
     ig[coupled] = A.rectangular_block(coupled + p, bnd)
     chol = cholesky(A.principal_submatrix(p, p + mi), "interior system block")
-    Y = np.zeros_like(ig)
     Y[:, :p] = chol.solve(ig[:, :p], forward=True)
     Y[mi - t:, p:] = CholeskyFactor("banded", t, chol.factor[:, mi - t:]) \
         .solve(ig[mi - t:, p:], forward=True)

@@ -194,13 +194,15 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
                     if d == 1 else operator_2d(disc))
         if not levels and d == 1:       # the coarsest level: a direct solver
             lvl.direct = cholesky(lvl.op, "coarse system matrix")
+            lvl.direct.upper            # in setup, not at the first solve
         elif not levels:                # of M (x) B + B (x) M, B = K + M/2
             M = disc.M.toarray()
             lvl.direct = KronSumSolver.build(M, disc.K.toarray() + M / 2.0,
                                              "2D system matrix")
-        elif d == 1:
-            lvl.op.sparse           # in setup, not at the first apply
+        elif d == 1:            # in setup, not at the first apply or solve
+            lvl.op.sparse
             lvl.smoother = build_smoother_1d(disc, tau)
+            lvl.smoother.L_eff_solver.upper
             lvl.P = parity_embedding(levels[-1].space, space)
         else:
             lvl.smoother = build_smoother_2d(lvl.op, tau)

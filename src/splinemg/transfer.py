@@ -55,8 +55,8 @@ def _coarse_spans(coarse: SplineSpace, fine: SplineSpace) -> np.ndarray:
     """Coarse span mu of every fine row, counted in integers (with 3 * 2^l
     intervals a rounded knot can fall below its breakpoint)."""
     ratio = fine.intervals // coarse.intervals
-    return coarse.degree + np.minimum(
-        np.maximum(np.arange(fine.dim) - coarse.degree, 0) // ratio,
+    return coarse.degree + np.minimum(np.maximum(np.arange(
+        fine.dim, dtype=np.int32) - coarse.degree, 0) // ratio,
         coarse.intervals - 1)
 
 
@@ -127,15 +127,17 @@ def _csr_arrays(coarse: SplineSpace, fine: SplineSpace) -> tuple:
     if n_c & (n_c - 1) or n_c < 2 * p + 5:
         vals = _oslo_rows(coarse, fine)
     else:
-        ref = _row_template(p, ratio)
+        ref, vals = _row_template(p, ratio), np.empty((m, p + 1))
         start = p + ratio * (p - 1)          # first row of coarse span 2p - 1
-        i, shift = np.arange(m), m - len(ref)    # shift: a multiple of ratio
-        src = np.where(i < start, i, start + (i - start) % ratio)
-        vals = ref[np.where(i - shift >= start + ratio, i - shift, src)]
+        end = m - len(ref) + start + ratio   # end - start: a multiple of ratio
+        vals[:start], vals[end:] = ref[:start], ref[start + ratio:]
+        vals[start:end].reshape(-1, ratio, p + 1)[...] = ref[start:][:ratio]
 
     nonzero = vals != 0.0
-    cols = (_coarse_spans(coarse, fine) - p)[:, None] + np.arange(p + 1)
-    indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    cols = (_coarse_spans(coarse, fine) - p)[:, None] + np.arange(
+        p + 1, dtype=np.int32)          # SciPy's index type: no recast
+    indptr = np.concatenate([[0], np.cumsum(nonzero @ np.ones(
+        p + 1, np.int32))], dtype=np.int32)     # the rows' nonzero counts
     return vals[nonzero], cols[nonzero], indptr
 
 
@@ -153,8 +155,8 @@ def parity_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
     mf, mc = shape = fine.dim, coarse.dim
     # J P J in CSR is P's entries, rows and columns reversed: P's pattern
     # and data[::-1] when P is persymmetric
-    if not (np.array_equal(indices, (mc - 1 - indices)[::-1]) and
-            np.array_equal(indptr, len(data) - indptr[::-1])):
+    if not ((indices + indices[::-1] == mc - 1).all() and
+            (indptr + indptr[::-1] == len(data)).all()):
         raise ValueError("prolongation not persymmetric: sparsity pattern "
                          "not mirrored")
     check_mirror("prolongation", data, data[::-1], PARITY_BOUND)
@@ -167,11 +169,10 @@ def parity_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
     odd = np.where(j[:split] > col[:split], -data[:split], data[:split])
     odd_cols, odd_ptr = hc + col[:split], indptr[1:kf + 1]
     if mc % 2:              # G_c's middle column 2 e_k has no odd part
-        middle = np.flatnonzero(j == mc // 2)
-        even[middle] *= 2.0
-        middle = middle[middle < split]
-        odd, odd_cols = np.delete(odd, middle), np.delete(odd_cols, middle)
-        odd_ptr = odd_ptr - np.searchsorted(middle, odd_ptr)
+        even[j == mc // 2] *= 2.0
+        keep = np.flatnonzero(j[:split] != mc // 2)
+        odd, odd_cols = odd[keep], odd_cols[keep]
+        odd_ptr = np.searchsorted(keep, odd_ptr).astype(np.int32)
     # a row holding j and m_c - 1 - j keeps both entries in column col
     Pt = scipy.sparse.csr_matrix((np.concatenate([even, odd]),
                                   np.concatenate([col, odd_cols]),

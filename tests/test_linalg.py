@@ -8,8 +8,8 @@ from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
     build_prolongation, build_smoother_1d
 from splinemg import linalg
-from splinemg.linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron, \
-    generalized_eigh
+from splinemg.linalg import BLOCK_ROWS, CholeskyFactor, WindowBandMatrix, \
+    WindowKron, generalized_eigh
 from splinemg.transfer import window_embedding
 
 
@@ -108,6 +108,21 @@ def test_band_solve_matches_pbtrs(case):
                 np.linalg.norm(got, np.inf)
             npt.assert_array_equal(chol.solve(rhs, forward=True),
                                    lapack.dtbtrs(chol.factor, rhs, uplo="L")[0])
+
+
+@pytest.mark.parametrize("case", BAND_FACTORS)
+def test_upper_storage_is_the_shifted_lower_band(case):
+    # L^T's upper band storage, read straight from L's rows, holds what
+    # rows b ... 2b of L's diagonals() hold, last first: that construction,
+    # kept as the oracle, bit for bit; also for an order below the bandwidth
+    rng = np.random.default_rng(5)
+    for chol in BAND_FACTORS[case]() + [
+            CholeskyFactor("banded", m, rng.standard_normal((b + 1, m)))
+            for m, b in [(1, 3), (2, 5), (4, 4), (6, 2)]]:
+        b = len(chol.factor) - 1
+        assert chol.upper.flags.f_contiguous
+        npt.assert_array_equal(chol.upper, BandedSymMatrix(
+            chol.order, b, chol.factor).diagonals()[b:][::-1])
 
 
 def test_principal_submatrix():

@@ -55,6 +55,31 @@ def test_level_operator_is_the_butterflied_band(p, extra):
     assert np.abs(band.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _gathered_operator_band(X):
+    """G^T X G's even and odd band from four full gathers of X.entries, as
+    tests/test_smoother.py's _gathered_band builds the smoother's band, for
+    sigma = 1 and no boundary block: the oracle of the test below."""
+    m, p = X.order, X.bandwidth
+    h, k = (m + 1) // 2, m // 2
+    b = np.arange(h)
+    a = b + np.arange(p + 1)[:, None]
+    same = X.entries(a, b) + X.entries(m - 1 - a, m - 1 - b)
+    cross = X.entries(a, m - 1 - b) + X.entries(m - 1 - a, b)
+    band = np.where(a < np.array([h, k])[:, None, None],
+                    np.stack([same + cross, same - cross]), 0.0)
+    return np.concatenate([band[0], band[1, :, :k]], axis=1)
+
+
+# m = n + p takes both parities over n = p + 1, p + 2 (where the cross-parity
+# terms reach the first column) and n = 64, 65
+@pytest.mark.parametrize("p", range(1, 39))
+def test_level_operator_band_equals_the_gathered_band(p):
+    for n in (p + 1, p + 2, 64, 65):
+        A = assemble_1d(build_space(p, 0, n)).A
+        npt.assert_array_equal(parity_band(A, "1D system matrix").bands,
+                               _gathered_operator_band(A))
+
+
 # coarse spaces of n_c = 1 ... 9 intervals and their halvings, so both
 # m_c = n_c + p and m_f = 2 n_c + p take both parities
 @PROPERTY
@@ -122,8 +147,9 @@ def test_a_dropped_coupling_is_refused_by_name(monkeypatch):
                     "1D system matrix")
     Q = np.eye(6)
     Q[0, 1] = Q[1, 0] = 1e-6
-    with pytest.raises(ValueError, match=r"^1D damped smoother matrix not "
-                       r"persymmetric: mirror defect 1\.0e-06 > 1e-08$"):
+    with pytest.raises(ValueError, match=r"^Q of the 1D damped smoother "
+                       r"matrix not persymmetric: mirror defect 1\.0e-06 > "
+                       r"1e-08$"):
         parity_band(disc.M, "1D damped smoother matrix", 1.0, Q)
 
     csr_arrays = transfer._csr_arrays

@@ -98,6 +98,9 @@ def test_1d_hierarchy_builds_every_sparse_apply_in_setup(monkeypatch):
     h = build_hierarchy(1, 3, 2, 6)
     # the coarsest level is only solved; every other one applies its A
     assert all("sparse" in vars(lvl.op) for lvl in h.levels[1:])
+    # and every factor a cycle solves with holds its L^T
+    assert all("upper" in vars(factor) for factor in [h.levels[0].direct] + [
+        lvl.smoother.L_eff_solver for lvl in h.levels[1:]])
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sparse apply built during the solve")
