@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "definiteness (not-spd@0) or its solve stopped early "
                "(non-finite@k, breakdown@k); 3 wins over 1. A cell reads - "
                "when build_hierarchy rejects its levels (two-grid: level - 1 "
-               "and level). Degrees: mg and cg-mg converge in 1D up to p=38 "
+               "and level). Degrees: mg and cg-mg converge in 1D up to p=39 "
                "at l=9, in 2D up to p=30 and at p=32/33 at l=6.")
     t.add_argument("--dim", type=int, default=1, choices=(1, 2))
     t.add_argument("--degrees", default="1-15",

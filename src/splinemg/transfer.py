@@ -18,8 +18,7 @@ from functools import cache
 import numpy as np
 import scipy.sparse
 
-from .linalg import BLOCK_ROWS, PARITY_BOUND, WindowBandMatrix, \
-    WindowKron, check_mirror
+from .linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron
 from .splines import SplineSpace, build_space
 
 __all__ = [
@@ -148,18 +147,9 @@ def parity_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
     P is persymmetric, so P~ is block diagonal by parity and P's top rows
     give it: row a < ceil(m_f/2) of the even block is P[a] G_c's even part,
     halved in the middle of odd m_f, and row a < floor(m_f/2) of the odd
-    block is P[a] G_c's odd part. ValueError when P's sparsity pattern is
-    not mirrored or its mirror defect exceeds
-    :data:`~splinemg.linalg.PARITY_BOUND`."""
+    block is P[a] G_c's odd part. P's bottom rows do not enter P~."""
     data, indices, indptr = _csr_arrays(coarse, fine)
     mf, mc = shape = fine.dim, coarse.dim
-    # J P J in CSR is P's entries, rows and columns reversed: P's pattern
-    # and data[::-1] when P is persymmetric
-    if not ((indices + indices[::-1] == mc - 1).all() and
-            (indptr + indptr[::-1] == len(data)).all()):
-        raise ValueError("prolongation not persymmetric: sparsity pattern "
-                         "not mirrored")
-    check_mirror("prolongation", data, data[::-1], PARITY_BOUND)
     hf, kf, hc = (mf + 1) // 2, mf // 2, (mc + 1) // 2
     top, split = indptr[hf], indptr[kf]     # rows < kf: the odd block's
     j = indices[:top]

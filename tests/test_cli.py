@@ -458,6 +458,20 @@ def test_setup_breakdown_marks_its_cell_and_the_table_goes_on(capsys):
     assert level == "6" and p30.isdigit() and p37 == "not-spd@0"
 
 
+def test_an_unmirrored_smoother_block_is_a_cell_not_a_configuration_error(
+        tmp_path, capsys):
+    # the boundary block Q of p = 43, l = 10 on coarse level 7 is 1.4e-8
+    # off its mirror; that changes the smoother, not the solution, so the
+    # cell reads its setup's breakdown and both files are written
+    out = tmp_path / "t.csv"
+    code = main(["table", "--dim", "1", "--degrees", "43", "--levels", "10",
+                 "--coarse", "7", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (3, "")
+    assert out.read_text() == "level/degree,43\n10,not-spd@0\n"
+    assert (tmp_path / "t.timing.csv").read_text().startswith(
+        "level/degree,43\n10,")
+
+
 @pytest.mark.parametrize("dim, degrees, levels, coarse", [
     (1, [1, 2, 3, 4, 5, 8], [3, 4, 6], "auto"),
     (2, [1, 2, 3, 4], [2, 3, 4], "auto"),

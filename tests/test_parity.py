@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from splinemg import CycleConfig, assemble_1d, assemble_load, \
     build_hierarchy, build_prolongation, build_space, \
     experiment_initial_guess, min_smoother_level, solve_mg, solve_pcg
-from splinemg import transfer
 from splinemg.linalg import BandedSymMatrix, butterfly, butterfly_T, \
     butterfly_weight, parity_band
 from splinemg.solver import _norm
@@ -136,43 +135,12 @@ def test_1d_solvers_return_the_vector_solution(p, levels_above):
             CycleConfig().tol * np.linalg.norm(f - A.apply(u0))
 
 
-def test_a_dropped_coupling_is_refused_by_name(monkeypatch):
-    # one entry off its mirror by 1e-6 of itself: above PARITY_BOUND
+def test_a_dropped_coupling_is_refused_by_name():
+    # one entry off its mirror by 1e-6 of itself: above the bound 1e-9
     disc = assemble_1d(build_space(3, 3))
     bands = disc.A.bands.copy()
     bands[0, 0] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match=r"^1D system matrix not "
-                       r"persymmetric: mirror defect .* > 1e-08$"):
+                       r"persymmetric: mirror defect .* > 1e-09$"):
         parity_band(BandedSymMatrix(disc.A.order, 3, bands),
                     "1D system matrix")
-    Q = np.eye(6)
-    Q[0, 1] = Q[1, 0] = 1e-6
-    with pytest.raises(ValueError, match=r"^Q of the 1D damped smoother "
-                       r"matrix not persymmetric: mirror defect 1\.0e-06 > "
-                       r"1e-08$"):
-        parity_band(disc.M, "1D damped smoother matrix", 1.0, Q)
-
-    csr_arrays = transfer._csr_arrays
-
-    def skewed(coarse, fine):
-        data, indices, indptr = csr_arrays(coarse, fine)
-        data[0] *= 1.0 + 1e-6
-        return data, indices, indptr
-
-    monkeypatch.setattr(transfer, "_csr_arrays", skewed)
-    with pytest.raises(ValueError, match=r"^prolongation not persymmetric: "
-                       r"mirror defect .* > 1e-08$"):
-        build_hierarchy(1, 3, 2, 3)
-
-
-def test_an_unmirrored_prolongation_pattern_is_refused(monkeypatch):
-    csr_arrays = transfer._csr_arrays
-
-    def first_entry_dropped(coarse, fine):
-        data, indices, indptr = csr_arrays(coarse, fine)
-        return data[1:], indices[1:], np.maximum(indptr - 1, 0)
-
-    monkeypatch.setattr(transfer, "_csr_arrays", first_entry_dropped)
-    with pytest.raises(ValueError, match=r"^prolongation not persymmetric: "
-                       r"sparsity pattern not mirrored$"):
-        parity_embedding(build_space(3, 2), build_space(3, 3))

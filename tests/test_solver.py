@@ -329,7 +329,11 @@ def test_2d_high_degree_converges(solve, d, p, level, coarse):
     # needs the exactly persymmetric M and K of the dyadic template; 2D
     # p=31 needs coarse level 5, as the n=16 mass matrix of its automatic
     # coarse level 4 (cond ~3e17) is not resolved; 2D p=33 CG needs the
-    # flexible beta, as rounding leaves its V-cycle unsymmetric by ~3e-5
+    # flexible beta, as rounding leaves its V-cycle unsymmetric by ~3e-5.
+    # Its 297 iterations of the 500 depend on rounding: small changes to
+    # the 2D pencils gave >500 (eigensolves on the G-scaled pencil halves,
+    # the F-scaled halves built by parity_band, or mirror-exact quadrature
+    # bands), 271 (Q built from its left half) and 289 (both of the last)
     h = build_hierarchy(d, p, min_smoother_level(p) - 1 if coarse is None
                         else coarse, level)
     f = assemble_load(h.finest.space, d)
