@@ -1,8 +1,9 @@
 """Banded/dense symmetric linear algebra kernels.
 
 Cholesky factorizations (LAPACK pbtrf/potrf behind a uniform interface),
-Kronecker-structured applies and Kronecker-sum inverses, and the small
-eigen/singular-value routines used by the verification suite.
+sparse products on SciPy's compiled kernels, Kronecker-structured applies
+and Kronecker-sum inverses, and the small eigen/singular-value routines
+used by the verification suite.
 """
 from __future__ import annotations
 
@@ -12,10 +13,14 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 from scipy.linalg import eigh, lapack
+# private: imported here only, each use tested against SciPy's public API
+from scipy.sparse._sparsetools import csr_matvec, csr_tocsc, dia_matvec
 
 __all__ = [
     "NotSPDError",
     "BandedSymMatrix",
+    "sparse_matvec",
+    "csr_transpose",
     "WindowBandMatrix",
     "WindowKron",
     "CholeskyFactor",
@@ -90,8 +95,9 @@ class BandedSymMatrix:
         return scipy.sparse.dia_array((data, np.arange(-b, b + 1)), self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector or matrix-matrix product (columns of x)."""
-        return self.sparse @ x
+        """Matrix-vector or matrix-matrix product (columns of x), by
+        :func:`sparse_matvec`."""
+        return sparse_matvec(self.sparse, x)
 
     def principal_submatrix(self, start: int, stop: int) -> "BandedSymMatrix":
         """Contiguous principal submatrix, band storage preserved."""
@@ -113,6 +119,41 @@ class BandedSymMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.order, self.order)
+
+
+def sparse_matvec(a, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a float64 SciPy matrix ``a`` of shape (m, n); ValueError
+    naming n unless x has n rows. For a DIA or CSR ``a`` and a vector x
+    (cast to a C-contiguous float64 array, as the kernel reads raw
+    pointers) it calls the compiled kernel that ``@`` runs, with its
+    summation order and bits but without ``@``'s per-call dispatch (about
+    2 us, most of a small level's product); columns of x and any other
+    ``a`` (another format, a dense array) go through ``@``."""
+    m, n = a.shape
+    x = np.asarray(x)
+    if x.shape[:1] != (n,):
+        raise ValueError(f"vector of shape {x.shape}, expected ({n},)")
+    form = getattr(a, "format", None) if x.ndim == 1 else None
+    if form not in ("dia", "csr"):
+        return a @ x
+    x, y = np.ascontiguousarray(x, dtype=float), np.zeros(m)
+    if form == "dia":
+        dia_matvec(m, n, len(a.offsets), a.data.shape[1], a.offsets, a.data,
+                   x, y)
+    else:
+        csr_matvec(m, n, a.indptr, a.indices, a.data, x, y)
+    return y
+
+
+def csr_transpose(a: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """The CSR of a^T for a float64 CSR ``a``, the arrays and dtypes of
+    ``a.T.tocsr()`` bit for bit: SciPy's one C transposition, without the
+    two constructions around it."""
+    (m, n), nnz, index = a.shape, a.nnz, a.indices.dtype
+    indptr, indices, data = np.empty(n + 1, index), np.empty(nnz, index), \
+        np.empty(nnz)
+    csr_tocsc(m, n, a.indptr, a.indices, a.data, indptr, indices, data)
+    return scipy.sparse.csr_matrix((data, indices, indptr), (n, m))
 
 
 #: rows per block of a :class:`WindowBandMatrix`: per 2D V-cycle at l=7,

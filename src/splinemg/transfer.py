@@ -18,7 +18,8 @@ from functools import cache
 import numpy as np
 import scipy.sparse
 
-from .linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron
+from .linalg import BLOCK_ROWS, WindowBandMatrix, WindowKron, \
+    csr_transpose, sparse_matvec
 from .splines import SplineSpace, build_space
 
 __all__ = [
@@ -168,7 +169,7 @@ def parity_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
                                   np.concatenate([col, odd_cols]),
                                   np.concatenate([indptr[:hf + 1],
                                                   top + odd_ptr])), shape)
-    return Embedding(Pt, Pt.T.tocsr())
+    return Embedding(Pt, csr_transpose(Pt))
 
 
 def window_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
@@ -186,17 +187,16 @@ def window_embedding(coarse: SplineSpace, fine: SplineSpace) -> Embedding:
 
 
 def prolong(P, coarse_vec: np.ndarray) -> np.ndarray:
-    if coarse_vec.shape[0] != P.shape[1]:
-        raise ValueError(f"vector of shape {coarse_vec.shape}, "
-                         f"expected ({P.shape[1]},)")
-    return P @ coarse_vec
+    """P @ coarse_vec for a 1D :class:`Embedding` or a prolongation matrix,
+    a held CSR by SciPy's compiled kernel (see
+    :func:`~splinemg.linalg.sparse_matvec`, which names a wrong length)."""
+    return sparse_matvec(P.matrix if isinstance(P, Embedding) else P,
+                         coarse_vec)
 
 
 def restrict(P, fine_vec: np.ndarray) -> np.ndarray:
-    if fine_vec.shape[0] != P.shape[0]:
-        raise ValueError(f"vector of shape {fine_vec.shape}, "
-                         f"expected ({P.shape[0]},)")
-    return P.T @ fine_vec
+    """P^T @ fine_vec, as :func:`prolong` applies P."""
+    return sparse_matvec(P.T, fine_vec)
 
 
 def prolong_2d(P: Embedding, coarse_vec: np.ndarray) -> np.ndarray:

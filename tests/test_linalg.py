@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
+import scipy.sparse
+
 from splinemg import BandedSymMatrix, KronSumSolver, NotSPDError, cholesky, \
     kron_apply, generalized_eig_max, operator_norm, build_space, assemble_1d, \
-    build_prolongation, build_smoother_1d
+    build_prolongation, build_smoother_1d, build_hierarchy, \
+    min_smoother_level, prolong, restrict
 from splinemg import linalg
 from splinemg.linalg import BLOCK_ROWS, CholeskyFactor, WindowBandMatrix, \
-    WindowKron, generalized_eigh
+    WindowKron, csr_transpose, generalized_eigh
 from splinemg.transfer import window_embedding
 
 
@@ -64,12 +67,70 @@ def test_band_apply_matches_the_dense_product(order, data):
     for x in (rng.standard_normal(order), rng.standard_normal((order, 2))):
         got = a.apply(x)
         assert got.shape == x.shape
+        npt.assert_array_equal(got, a.sparse @ x)   # SciPy's own product
         scale = np.linalg.norm(np.abs(dense) @ np.abs(x))
         assert np.linalg.norm(got - dense @ x) <= 1e-14 * scale
         # a non-finite entry reaches the result, through a zero entry too
         x.flat[data.draw(st.integers(0, x.size - 1), label="entry")] = \
             data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        assert not np.isfinite(a.apply(x)).all()
+        got = a.apply(x)
+        assert not np.isfinite(got).all()
+        npt.assert_array_equal(got, a.sparse @ x)
+
+
+# The 1D cycle's band applies and held transfers call SciPy's compiled DIA
+# and CSR kernels through linalg.sparse_matvec, and the held P~^T is built
+# by its CSR transposition: SciPy's public @ and .T.tocsr() on the same
+# objects are the oracles, so a change to those private kernels fails here.
+
+@pytest.mark.parametrize("p", range(1, 39))
+def test_kernel_products_equal_scipy_on_every_1d_level(p):
+    h = build_hierarchy(1, p, min_smoother_level(p) - 1, 10)
+    rng = np.random.default_rng(p)
+    for lvl in h.levels:
+        x = rng.standard_normal(lvl.op.order)
+        npt.assert_array_equal(lvl.op.apply(x), lvl.op.sparse @ x)
+        if lvl.P is not None:
+            c = rng.standard_normal(lvl.P.shape[1])
+            npt.assert_array_equal(restrict(lvl.P, x), lvl.P.T @ x)
+            npt.assert_array_equal(prolong(lvl.P, c), lvl.P.matrix @ c)
+
+
+def test_kernel_inputs_name_a_wrong_length_and_cast_as_scipy_does():
+    # the kernels read raw pointers: a wrong length is refused by name, and
+    # any other dtype or a strided view is cast to a C-contiguous float64
+    # copy, which gives the bits of SciPy's @ on the same input
+    lvl = build_hierarchy(1, 3, 2, 6).finest
+    A, P = lvl.op, lvl.P
+    calls = [(A.apply, A.sparse), (lambda v: restrict(P, v), P.T),
+             (lambda v: prolong(P, v), P.matrix)]
+    rng = np.random.default_rng(4)
+    for call, oracle in calls:
+        n = oracle.shape[1]
+        for size in (0, n - 1, n + 1):
+            with pytest.raises(ValueError, match=rf"^vector of shape "
+                                                 rf"\({size},\), expected \({n},\)$"):
+                call(np.ones(size))
+        base = rng.standard_normal(2 * n)
+        for x in (base[:n].astype(np.float32), rng.integers(-9, 9, n),
+                  base[::2], base[::-2], base[1::2].astype(np.float32)):
+            got = call(x)
+            assert got.dtype == np.float64
+            npt.assert_array_equal(got, oracle @ x)
+
+
+@pytest.mark.parametrize("shape,density,index", [
+    ((1, 1), 1.0, np.int32), ((7, 4), 0.4, np.int32), ((5, 9), 0.0, np.int32),
+    ((30, 17), 0.2, np.int64), ((17, 30), 0.6, np.int32)])
+def test_csr_transpose_holds_the_arrays_of_scipys(shape, density, index):
+    a = scipy.sparse.random(*shape, density, "csr", rng=np.random.default_rng(
+        shape[0]))
+    a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
+    got, ref = csr_transpose(a), a.T.tocsr()
+    assert got.format == "csr" and got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(ref, name).dtype, name
+        npt.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 def _smoother_factors(p, level):

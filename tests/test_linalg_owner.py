@@ -10,6 +10,9 @@ substitution's orientation is made in one place. A module that calls
 ``eigh``, a LAPACK Cholesky or a substitution itself fails here, with the
 file, line and name in the message; a general solve (``np.linalg.solve``)
 is not a substitution and stays allowed.
+
+``linalg`` is also the one module that imports SciPy's private compiled
+sparse kernels, and only the three it checks its inputs for.
 """
 import ast
 from pathlib import Path
@@ -69,3 +72,48 @@ def test_the_rule_sees_every_form_of_a_call():
         (10, "scipy.linalg.solveh_banded"), (11, "lapack.dpbtrs"),
         (12, "scipy.linalg.cho_solve"), (13, "blas.dtbsv"),
         (14, "solve_triangular")]
+
+
+#: SciPy's private compiled kernels that ``linalg.sparse_matvec`` and
+#: ``linalg.csr_transpose`` call on arrays they check first; tests/test_linalg.py
+#: holds each use to SciPy's public ``@`` or ``.T.tocsr()`` bit for bit
+PRIVATE_SCIPY = {"scipy.sparse._sparsetools.csr_matvec",
+                 "scipy.sparse._sparsetools.csr_tocsc",
+                 "scipy.sparse._sparsetools.dia_matvec"}
+
+
+def _private_scipy_uses(tree: ast.Module):
+    """(line, name) of every import or read of a name out of a private
+    SciPy module (a dotted part that starts with an underscore)."""
+    def private(name):
+        return name.split(".")[0] == "scipy" and any(
+            part.startswith("_") for part in name.split("."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and private(node.module or ""):
+            yield from ((node.lineno, f"{node.module}.{alias.name}")
+                        for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if private(alias.name))
+        elif isinstance(node, ast.Attribute) and private(ast.unparse(node)) \
+                and not private(ast.unparse(node.value)):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_only_linalg_imports_scipys_private_kernels():
+    uses = {path.name: {name for _, name in _private_scipy_uses(
+        ast.parse(path.read_text()))} for path in SOURCES}
+    assert uses.pop("linalg.py") == PRIVATE_SCIPY
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_private_rule_sees_every_form_of_an_import():
+    source = ("from scipy.sparse._sparsetools import dia_matvec\n"
+              "import scipy.sparse._sparsetools as st\n"
+              "scipy.sparse._sparsetools.csr_matvec(a)\n"
+              "from scipy.sparse import csr_matrix\nimport scipy.sparse\n"
+              "from ._private import x\n")
+    assert sorted(_private_scipy_uses(ast.parse(source))) == [
+        (1, "scipy.sparse._sparsetools.dia_matvec"),
+        (2, "scipy.sparse._sparsetools"),
+        (3, "scipy.sparse._sparsetools")]

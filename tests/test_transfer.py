@@ -102,6 +102,11 @@ def _assert_parity_embedding(E, P, seed):
     for got, ref in zip((E.matrix.data, E.matrix.indices, E.matrix.indptr),
                         _parity_oracle(P)):
         npt.assert_array_equal(got, ref)
+    ref = E.matrix.T.tocsr()        # SciPy's transpose of P~, bit for bit
+    for got, want in zip((E.T.data, E.T.indices, E.T.indptr),
+                         (ref.data, ref.indices, ref.indptr)):
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
     npt.assert_array_equal(E.T.toarray(), E.matrix.toarray().T)
     rng = np.random.default_rng(seed)
     mf, mc = P.shape
