@@ -127,13 +127,13 @@ def sparse_matvec(a, x: np.ndarray) -> np.ndarray:
     (cast to a C-contiguous float64 array, as the kernel reads raw
     pointers) it calls the compiled kernel that ``@`` runs, with its
     summation order and bits but without ``@``'s per-call dispatch (about
-    2 us, most of a small level's product); columns of x and any other
-    ``a`` (another format, a dense array) go through ``@``."""
+    2 us, most of a small level's product); columns of x and the other
+    formats go through ``@``."""
     m, n = a.shape
     x = np.asarray(x)
     if x.shape[:1] != (n,):
         raise ValueError(f"vector of shape {x.shape}, expected ({n},)")
-    form = getattr(a, "format", None) if x.ndim == 1 else None
+    form = a.format if x.ndim == 1 else None
     if form not in ("dia", "csr"):
         return a @ x
     x, y = np.ascontiguousarray(x, dtype=float), np.zeros(m)
