@@ -189,20 +189,26 @@ def apply_Linv_1d(s: Smoother1D, r: np.ndarray) -> np.ndarray:
     return butterfly(s.L_solver.solve(butterfly_T(np.asarray(r, dtype=float))))
 
 
-def _smooth(step, A, u, r, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``steps`` steps u + d, r - A d (new arrays), d = step(r)."""
-    for _ in range(steps):
+def _smooth(step, A, u, r, steps: int,
+            residual: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """``steps`` steps u + d, r - A d (new arrays), d = step(r), from the
+    zero iterate when u is None (then the first u is d). Without
+    ``residual`` the last step forms no r - A d and None is returned for
+    it."""
+    for k in range(steps):
         d = step(r)
-        u = u + d
-        r = r - A.apply(d)
+        u = d if u is None else u + d
+        r = r - A.apply(d) if residual or k + 1 < steps else None
     return u, r
 
 
-def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray,
-              r: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+def smooth_1d(s: Smoother1D, A: BandedSymMatrix, u: np.ndarray | None,
+              r: np.ndarray, steps: int, residual: bool = True
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run ``steps`` smoothing iterations, carrying the residual along, in
-    a level's coordinates: A = G^T A G, u primal, r dual."""
-    return _smooth(s.step_direction, A, u, r, steps)
+    a level's coordinates: A = G^T A G, u primal (None: zero), r dual.
+    ``residual=False`` skips the last residual and returns None for it."""
+    return _smooth(s.step_direction, A, u, r, steps, residual)
 
 
 def smooth_step_1d(s: Smoother1D, disc: Discretization1D, u: np.ndarray,
@@ -234,9 +240,11 @@ def apply_Linv_2d(s: Smoother2D, r: np.ndarray) -> np.ndarray:
 
 
 def smooth_2d(s: Smoother2D, op: Operator2D, u: np.ndarray, r: np.ndarray,
-              steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``steps`` smoothing iterations, carrying the residual along."""
-    return _smooth(s.step_direction, op, u, r, steps)
+              steps: int, residual: bool = True
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run ``steps`` smoothing iterations, carrying the residual along
+    (the last one only with ``residual``, as in :func:`smooth_1d`)."""
+    return _smooth(s.step_direction, op, u, r, steps, residual)
 
 
 def smooth_step_2d(s: Smoother2D, op: Operator2D, u: np.ndarray,

@@ -212,14 +212,20 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
                        fine_level=fine_level, levels=levels)
 
 
-def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
-             f: np.ndarray) -> np.ndarray:
+def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int,
+             u: np.ndarray | None, f: np.ndarray,
+             r: np.ndarray | None = None) -> np.ndarray:
     """One multigrid cycle at level index ``idx`` (0 = coarsest) for the
     level's operator: A u = f in 2D. In 1D ``u``, ``f`` and the result are
     in the level's coordinates, y = G^-1 u = D^2 G^T u and f~ = G^T f, for
     (G^T A G) y = f~; map vectors with :func:`~splinemg.linalg.butterfly_T`
     and :func:`~splinemg.linalg.butterfly_weight`, and the result back with
-    :func:`~splinemg.linalg.butterfly`."""
+    :func:`~splinemg.linalg.butterfly`.
+
+    ``u=None`` is the zero iterate; ``r``, when given, is the residual
+    f - A u in the same coordinates as ``f``. A 1D cycle then skips the
+    band applies whose result is known or unused: A 0, f - A u given as
+    ``r``, and the residual after the last post-smoothing step."""
     lvl = h.levels[idx]
     if idx == 0:
         return lvl.direct.solve(f)
@@ -227,16 +233,26 @@ def mg_cycle(h: MgHierarchy, cfg: CycleConfig, idx: int, u: np.ndarray,
     smooth, down, up = ((smooth_1d, restrict, prolong) if h.dim == 1
                         else (smooth_2d, restrict_2d, prolong_2d))
     A = lvl.op
-    u, r = smooth(lvl.smoother, A, u, f - A.apply(u), cfg.pre_smooth)
+    if h.dim == 2:
+        # kept only for the bench pin of four Operator2D.apply per level and
+        # cycle, test_tracer_restores_library_and_accounts_for_all_traced_time
+        # in bench/tests/test_bench.py: f - A u also from u = 0 and anew
+        u = np.zeros_like(f) if u is None else u
+        r = None
+    if r is None:
+        r = f if u is None else f - A.apply(u)
+    u, r = smooth(lvl.smoother, A, u, r, cfg.pre_smooth)
     rc = down(lvl.P, r)
-    ec = np.zeros_like(rc)
+    ec = None
     # a W-cycle corrects twice, except above the coarsest level's exact solve
     for _ in range(2 if cfg.cycle == "w" and idx > 1 else 1):
         ec = mg_cycle(h, cfg, idx - 1, ec, rc)
     d = up(lvl.P, ec)
-    u = u + d
+    u = d if u is None else u + d
     if cfg.post_smooth:
-        u, r = smooth(lvl.smoother, A, u, r - A.apply(d), cfg.post_smooth)
+        # 2D forms the last residual too, only for the same bench pin
+        u = smooth(lvl.smoother, A, u, r - A.apply(d), cfg.post_smooth,
+                   residual=h.dim == 2)[0]
     return u
 
 
@@ -301,7 +317,10 @@ def _physical(h: MgHierarchy, u: np.ndarray) -> np.ndarray:
 def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
              u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Iterate cycles until ||f - A u|| <= tol * ||f - A u0||, a residual
-    is not finite, or max_iter; ``stop_reason`` says which.
+    is not finite, or max_iter; ``stop_reason`` says which. Each cycle is
+    handed the residual the history was measured on, so in 1D a V(1,1)
+    solve of k cycles over L smoothed levels runs 1 + k (1 + 2 L) band
+    applies.
 
     Raises ValueError naming ``f`` or ``u0`` when it has the wrong length or
     a non-finite entry.
@@ -309,10 +328,11 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
-    f, u, _, weight, history, stop = _start(h, f, u0)
+    f, u, r, weight, history, stop = _start(h, f, u0)
     while stop is None and len(history) <= cfg.max_iter:
-        u = mg_cycle(h, cfg, top, u, f)
-        history.append(_norm(f - A.apply(u), weight))
+        u = mg_cycle(h, cfg, top, u, f, r)      # r = f - A u, formed here
+        r = f - A.apply(u)
+        history.append(_norm(r, weight))
         stop = _residual_stop(history[-1], cfg.tol * history[0])
     return _physical(h, u), _report(history, stop, start)
 
@@ -331,6 +351,9 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     as f - A u once the updated one meets it), the input checks and the
     bound on the cycles match :func:`solve_mg`; it also stops, with
     ``stop_reason`` "breakdown", at the first r^T z <= 0 or p^T A p <= 0.
+    Each cycle starts from the zero iterate (``u=None``), so in 1D k
+    iterations of V(1,1) over L smoothed levels run 1 + k (1 + 2 L) band
+    applies, plus one per f - A u that confirms the stop.
     """
     cfg.require_symmetric()
     start = time.perf_counter()
@@ -339,7 +362,7 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     f, u, r, weight, history, stop = _start(h, f, u0)
     p, z_old, rho_old = np.zeros_like(u), np.zeros_like(u), 1.0  # p = z + 0
     while stop is None and len(history) <= cfg.max_iter:
-        z = mg_cycle(h, cfg, top, np.zeros_like(r), r)
+        z = mg_cycle(h, cfg, top, None, r)
         rho = float(r @ z)
         stop = _cg_scalar_stop(rho)
         if stop:

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from splinemg import InadmissibleLevels, TAU_DEFAULT, assemble_load, \
     build_hierarchy, build_prolongation, min_smoother_level, mg_cycle, \
-    prolong_2d, restrict_2d, smoother_pencil, solve_mg, solve_pcg, \
-    CycleConfig, solver
+    prolong, prolong_2d, restrict, restrict_2d, smoother_pencil, solve_mg, \
+    solve_pcg, CycleConfig, solver
 from splinemg.cli import ExperimentConfig
-from splinemg.linalg import BLOCK_ROWS, NotSPDError, WindowBandMatrix, \
-    butterfly, butterfly_T, butterfly_weight
+from splinemg.linalg import BLOCK_ROWS, BandedSymMatrix, NotSPDError, \
+    WindowBandMatrix, butterfly, butterfly_T, butterfly_weight
 from splinemg.solver import experiment_initial_guess, _cg_scalar_stop, \
     _norm, _physical, _report, _residual_stop, _start
 
@@ -187,6 +187,146 @@ def test_w_cycle_on_two_levels_equals_v_cycle():
     w = mg_cycle(h, CycleConfig(cycle="w"), 1, u0, f)
     v = mg_cycle(h, CycleConfig(cycle="v"), 1, u0, f)
     npt.assert_allclose(w, v, atol=1e-12)
+
+
+def _textbook_cycle(h, cfg, idx, u, f):
+    """The cycle as textbooks write it, in the levels' coordinates: f - A u
+    on entry, r - A d after every smoothing step and after the coarse
+    correction, and every coarser level started from explicit zeros."""
+    lvl = h.levels[idx]
+    if idx == 0:
+        return lvl.direct.solve(f)
+    down, up = (restrict, prolong) if h.dim == 1 else (restrict_2d, prolong_2d)
+    A, step = lvl.op, lvl.smoother.step_direction
+
+    def smoothed(u, r, steps):
+        for _ in range(steps):
+            d = step(r)
+            u = u + d
+            r = r - A.apply(d)
+        return u, r
+
+    u, r = smoothed(u, f - A.apply(u), cfg.pre_smooth)
+    rc = down(lvl.P, r)
+    ec = np.zeros_like(rc)
+    for _ in range(2 if cfg.cycle == "w" and idx > 1 else 1):
+        ec = _textbook_cycle(h, cfg, idx - 1, ec, rc)
+    d = up(lvl.P, ec)
+    return smoothed(u + d, r - A.apply(d), cfg.post_smooth)[0]
+
+
+ORACLE_CYCLES = {
+    "v11": CycleConfig(cycle="v", pre_smooth=1, post_smooth=1),
+    "v20": CycleConfig(cycle="v", pre_smooth=2, post_smooth=0),
+    "v02": CycleConfig(cycle="v", pre_smooth=0, post_smooth=2),
+    "v33": CycleConfig(cycle="v", pre_smooth=3, post_smooth=3),
+    "w11": CycleConfig(cycle="w", pre_smooth=1, post_smooth=1),
+}
+
+
+@pytest.mark.parametrize("p", range(1, 16), ids=lambda p: f"p{p}")
+@pytest.mark.parametrize("above, levels", [(0, 1), (0, 3), (2, 2)],
+                         ids=["two-grid", "c0-4lv", "c2-3lv"])
+def test_1d_cycle_is_bit_identical_to_the_textbook_cycle(p, above, levels):
+    # the cycle skips the band applies whose result is known (A 0) or
+    # thrown away (the last post-smoothing residual); that moves no bit but
+    # the sign of an exact zero (u = d where the textbook forms 0 + d)
+    coarse = min_smoother_level(p) - 1 + above
+    h = build_hierarchy(1, p, coarse, coarse + levels)
+    top, rng = len(h.levels) - 1, np.random.default_rng(p)
+    n = h.finest.op.shape[0]
+    f, u = rng.standard_normal(n), rng.standard_normal(n)
+    for name, cfg in ORACLE_CYCLES.items():
+        # a W-cycle's second coarse visit starts from its first, not zero
+        assert np.array_equal(mg_cycle(h, cfg, top, u, f),
+                              _textbook_cycle(h, cfg, top, u, f)), name
+        assert np.array_equal(mg_cycle(h, cfg, top, None, f),
+                              _textbook_cycle(h, cfg, top, np.zeros(n), f)), \
+            name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_2d_cycle_is_bit_identical_to_the_textbook_cycle(p):
+    h = build_hierarchy(2, p, min_smoother_level(p) - 1, 4)
+    top, rng = len(h.levels) - 1, np.random.default_rng(p)
+    n = h.finest.op.shape[0]
+    f, u = rng.standard_normal(n), rng.standard_normal(n)
+    for name, cfg in ORACLE_CYCLES.items():
+        for start in (u, np.zeros(n)):
+            assert mg_cycle(h, cfg, top, start, f).tobytes() == \
+                _textbook_cycle(h, cfg, top, start, f).tobytes(), name
+
+
+def _textbook_solve_mg(h, cfg, f, u0):
+    """Cycles from u0 (1D coordinates in, a vector out) until the residual
+    f - A u meets the tolerance, each cycle forming f - A u again."""
+    A, top = h.finest.op, len(h.levels) - 1
+    w = butterfly_weight(len(f))
+    f, u = butterfly_T(f), w * butterfly_T(u0)
+    history = [_norm(f - A.apply(u), w)]
+    while history[-1] > cfg.tol * history[0] and \
+            len(history) <= cfg.max_iter:
+        u = _textbook_cycle(h, cfg, top, u, f)
+        history.append(_norm(f - A.apply(u), w))
+    return butterfly(u), history
+
+
+@pytest.mark.parametrize("p, coarse, fine", [(1, 2, 7), (3, 2, 8),
+                                             (8, 5, 10), (15, 5, 9)])
+def test_1d_solvers_are_bit_identical_to_textbook_loops(p, coarse, fine):
+    h = build_hierarchy(1, p, coarse, fine)
+    f = assemble_load(h.finest.space, 1)
+    for u0 in (experiment_initial_guess(len(f)), np.zeros_like(f)):
+        for name, cfg in ORACLE_CYCLES.items():
+            u, rep = solve_mg(h, cfg, f, u0)
+            u_ref, history = _textbook_solve_mg(h, cfg, f, u0)
+            assert rep.converged, name
+            assert np.array_equal(u, u_ref), name
+            assert rep.residual_history == history, name
+        u, rep = solve_pcg(h, V11, f, u0)
+        u_ref, ref = _pcg_first_iteration_by_hand(h, V11, f, u0,
+                                                  cycle=_textbook_cycle)
+        assert rep.converged and ref.converged
+        assert np.array_equal(u, u_ref)
+        assert rep.residual_history == ref.residual_history
+
+
+def _count_band_applies(monkeypatch):
+    """A list that gets one entry per :meth:`BandedSymMatrix.apply`."""
+    calls, apply = [], BandedSymMatrix.apply
+
+    def counting(self, x):
+        calls.append(self.order)
+        return apply(self, x)
+
+    monkeypatch.setattr(BandedSymMatrix, "apply", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, coarse, fine", [(3, 2, 8), (8, 5, 10)])
+def test_1d_v11_solves_make_two_band_applies_per_level_and_cycle(
+        monkeypatch, p, coarse, fine):
+    # a smoothed level forms the residual after its pre-smoothing step and
+    # after the coarse correction, no other: a coarser level starts from
+    # r = f, the top level from the residual its solver measured, and the
+    # residual after the last post-smoothing step is never formed
+    h = build_hierarchy(1, p, coarse, fine)
+    f = assemble_load(h.finest.space, 1)
+    u0 = experiment_initial_guess(len(f))
+    smoothed = fine - coarse
+    calls = _count_band_applies(monkeypatch)
+    u, rep = solve_mg(h, V11, f, u0)
+    k = rep.iterations
+    assert rep.converged and k > 0
+    # the first residual, then per cycle its 2 L and the history's f - A u
+    assert len(calls) == 1 + k * (1 + 2 * smoothed)
+    calls.clear()
+    u, rep = solve_pcg(h, V11, f, u0)
+    k = rep.iterations
+    assert rep.converged and k > 0
+    # the first residual, per iteration the cycle's 2 L and A p, and the
+    # f - A u that confirms the stop
+    assert len(calls) == 2 + k * (1 + 2 * smoothed)
 
 
 def test_solve_zero_rhs_zero_guess():
@@ -424,19 +564,21 @@ def test_solve_pcg_stops_on_indefinite_preconditioner():
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pcg_first_iteration_by_hand(h, cfg, f, u0=None, flexible=True):
+def _pcg_first_iteration_by_hand(h, cfg, f, u0=None, flexible=True,
+                                 cycle=mg_cycle):
     """The CG loop that ran its first iteration before the loop and its
-    preconditioner after the residual check: an oracle for the iterates,
-    residuals and stop reasons of :func:`solve_pcg`, which runs one cycle
-    less when it stops at max_iter. ``flexible=False`` takes the standard
-    beta = rho / rho_old in place of r^T (z - z_old) / rho_old."""
+    preconditioner, ``cycle`` from explicit zeros, after the residual
+    check: an oracle for the iterates, residuals and stop reasons of
+    :func:`solve_pcg`, which runs one cycle less when it stops at max_iter.
+    ``flexible=False`` takes the standard beta = rho / rho_old in place of
+    r^T (z - z_old) / rho_old."""
     cfg.require_symmetric()
     start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
 
     def precond(res):
-        return mg_cycle(h, cfg, top, np.zeros_like(res), res)
+        return cycle(h, cfg, top, np.zeros_like(res), res)
 
     f, u, r, weight, history, stop = _start(h, f, u0)
     if stop is None:
@@ -518,10 +660,10 @@ def _count_top_cycles(monkeypatch, h):
     """A list that gets one entry per cycle started on the finest level."""
     calls, cycle, top = [], solver.mg_cycle, len(h.levels) - 1
 
-    def counting(h, cfg, idx, u, f):
+    def counting(h, cfg, idx, *args, **kwargs):
         if idx == top:
             calls.append(idx)
-        return cycle(h, cfg, idx, u, f)
+        return cycle(h, cfg, idx, *args, **kwargs)
 
     monkeypatch.setattr(solver, "mg_cycle", counting)
     return calls
