@@ -365,7 +365,7 @@ def butterfly_T(v: np.ndarray) -> np.ndarray:
     m = 2k + 1), then e_a - e_{m-1-a} for a < k: a load or a residual in a
     1D level's coordinates."""
     m = len(v)
-    h, k, out = (m + 1) // 2, m // 2, np.empty(m)
+    h, k, out = (m + 1) // 2, m // 2, np.empty(v.shape)
     np.add(v[:h], v[k:][::-1], out=out[:h])
     np.subtract(v[:k], v[h:][::-1], out=out[h:])
     return out
@@ -375,7 +375,7 @@ def butterfly(y: np.ndarray) -> np.ndarray:
     """G y: the vector whose 1D level coordinates are y = (even part, odd
     part)."""
     m = len(y)
-    h, k, out = (m + 1) // 2, m // 2, np.empty(m)
+    h, k, out = (m + 1) // 2, m // 2, np.empty(y.shape)
     np.add(y[:k], y[h:], out=out[:k])
     np.multiply(2.0, y[k:h], out=out[k:h])      # G's column 2 e_k: the middle
     np.subtract(y[:k], y[h:], out=out[h:][::-1])

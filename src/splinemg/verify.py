@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import assemble_1d, operator_2d
-from .linalg import NotSPDError, generalized_eig_max, generalized_eigh
+from .linalg import NotSPDError, butterfly_T, butterfly_weight, \
+    generalized_eig_max, generalized_eigh, parity_band
 from .smoother import build_boundary, damping, smoother_matrix_1d, \
     smoother_matrix_2d
 from .splines import SpaceSizeError, SplineSpace, build_space, \
@@ -169,23 +170,34 @@ def verify_approximation_constant(p: int, level: int,
     spline space, which can only underestimate it, so the measured value must
     stay below APPROX_BOUND. Raises :class:`SpaceSizeError` when the proxy
     space exceeds the dense limit.
+
+    The pencil is held in the proxy space's mirror butterfly coordinates
+    (x = G y, G^-1 = D^2 G^T; congruence keeps its eigenvalues), where A, M
+    and range(Z) split into even and odd halves: two eigensolves of orders
+    ceil(n/2) and floor(n/2). A ValueError names "proxy system matrix A" or
+    "proxy mass matrix M" if its mirror defect exceeds 1e-9.
     """
     coarse = build_space(p, level)
     fine = dense_space(p, level + proxy_levels)
-    disc = assemble_1d(fine)
-    Af, Mf = disc.A.toarray(), disc.M.toarray()
-
-    Z = build_prolongation(coarse, fine).toarray() @ \
-        build_constraint_basis(coarse)
+    disc, n, h = assemble_1d(fine), fine.dim, (fine.dim + 1) // 2
+    A, M = (parity_band(x, f"proxy {what}") for x, what in
+            ((disc.A, "system matrix A"), (disc.M, "mass matrix M")))
+    Z = butterfly_weight(n)[:, None] * butterfly_T(
+        build_prolongation(coarse, fine).toarray()
+        @ build_constraint_basis(coarse))
     # A-orthogonal projector T = Z X onto the embedded constrained space
-    ZA = Z.T @ Af
-    X = np.linalg.solve(ZA @ Z, ZA)
-    # ||M^(1/2) R A^(-1/2)||^2 with R = I - T is lambda_max(R^T M R, A);
-    # R^T M R = M - G - G^T + X^T (Z^T M Z) X with G = M Z X, all rank k
-    MZ = Mf @ Z
-    G = MZ @ X
-    lam = generalized_eig_max(Mf - G - G.T + X.T @ (Z.T @ MZ) @ X, Af,
-                              "proxy system matrix A")
+    AZ, MZ = A.apply(Z), M.apply(Z)
+    X, C = np.linalg.solve(Z.T @ AZ, AZ.T), Z.T @ MZ
+    # ||M^(1/2) R A^(-1/2)||^2 with R = I - T is lambda_max(R^T M R, A), the
+    # larger of its halves' values; R^T M R = M - N - N^T + X^T (Z^T M Z) X
+    # with N = M Z X, all rank k
+    lam = 0.0
+    for a, b in ((0, h), (h, n)):
+        N, Xs = MZ[a:b] @ X[:, a:b], X[:, a:b]
+        lam = max(lam, generalized_eig_max(
+            M.principal_submatrix(a, b).toarray() - N - N.T
+            + Xs.T @ C @ Xs, A.principal_submatrix(a, b).toarray(),
+            "proxy system matrix A"))
     return float(np.sqrt(max(lam, 0.0)) / coarse.mesh_size)
 
 

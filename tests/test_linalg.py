@@ -410,6 +410,18 @@ def test_kron_sum_solver_rejects_non_spd_sums():
         KronSumSolver.build(np.diag([1.0, -1.0, 1.0]), M, "pair")
 
 
+@pytest.mark.parametrize("m,k", [(1, 1), (6, 3), (7, 4), (13, 2)])
+def test_butterflies_map_a_matrix_column_by_column(m, k):
+    rng = np.random.default_rng(m)
+    Z = rng.standard_normal((m, k))
+    for G in (linalg.butterfly_T, linalg.butterfly):
+        npt.assert_array_equal(G(Z), np.column_stack([G(z) for z in Z.T]))
+    # integers keep every sum exact, so G G^-1 = G D^2 G^T is the identity
+    Z = rng.integers(-2**20, 2**20, (m, k)).astype(float)
+    npt.assert_array_equal(linalg.butterfly(
+        linalg.butterfly_weight(m)[:, None] * linalg.butterfly_T(Z)), Z)
+
+
 def test_generalized_eig_max_trivial():
     rng = np.random.default_rng(10)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,8 +10,8 @@ from splinemg import build_space, assemble_1d, eval_spline, \
     smoother_energy_norm, smoother_pencil, INVERSE_BOUND, APPROX_BOUND
 from splinemg import build_prolongation, cli, NotSPDError, SmootherPencil, \
     SpaceSizeError
-from splinemg.linalg import generalized_eig_max
-from splinemg.verify import dense_space
+from splinemg.linalg import BandedSymMatrix, generalized_eig_max
+from splinemg.verify import PROXY_LEVELS, dense_space
 
 
 def _product_of_steps(p, coarse_level, fine_level):
@@ -165,11 +167,43 @@ def _projector_form(p, level, proxy=4):
     return np.sqrt(max(lam, 0.0)) / coarse.mesh_size
 
 
-@pytest.mark.parametrize("level", [0, 2, 4])
-@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("p", range(1, 16))
 def test_approximation_constant_rank_k_form_matches_projector(p, level):
+    # every proxy order 2^(level+4) + p fits the dense limit, and takes the
+    # parity of p: odd p splits it into halves of unequal order
     ref = _projector_form(p, level)
     assert abs(verify_approximation_constant(p, level) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_approximation_constant_runs_two_half_size_eigensolves(monkeypatch,
+                                                               p):
+    shapes = []
+
+    def spy(A, B, what="B"):
+        shapes.append((A.shape, B.shape))
+        return generalized_eig_max(A, B, what)
+
+    monkeypatch.setattr("splinemg.verify.generalized_eig_max", spy)
+    verify_approximation_constant(p, 4)
+    n = build_space(p, 4 + PROXY_LEVELS).dim
+    assert shapes == [((o, o), (o, o)) for o in ((n + 1) // 2, n // 2)]
+
+
+def test_approximation_constant_refuses_a_proxy_mirror_defect(monkeypatch):
+    # one entry of the proxy A off its mirror by 1e-6 of itself
+    def defective(space):
+        disc = assemble_1d(space)
+        bands = disc.A.bands.copy()
+        bands[0, 0] *= 1.0 + 1e-6
+        return replace(disc, A=BandedSymMatrix(disc.A.order,
+                                               disc.A.bandwidth, bands))
+
+    monkeypatch.setattr("splinemg.verify.assemble_1d", defective)
+    with pytest.raises(ValueError, match=r"^proxy system matrix A not "
+                       r"persymmetric: mirror defect .* > 1e-09$"):
+        verify_approximation_constant(2, 3)
 
 
 def test_size_checks_raise_one_named_error():
@@ -289,7 +323,7 @@ def test_run_verify_builds_one_pencil_per_cell(monkeypatch):
     assert built == [(2, 4), (3, 4), (1, 4)]
 
 
-@pytest.mark.parametrize("d,level,degrees", [(1, 4, range(1, 5)),
+@pytest.mark.parametrize("d,level,degrees", [(1, 4, range(1, 9)),
                                              (2, 3, range(1, 3))])
 def test_run_verify_values_equal_the_public_functions(d, level, degrees):
     report = {(r.name, r.degree): r.value
