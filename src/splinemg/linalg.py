@@ -360,10 +360,10 @@ def _fold(x: np.ndarray) -> np.ndarray:
 
 
 def butterfly_T(v: np.ndarray) -> np.ndarray:
-    """G^T v for the mirror butterfly G of order m = len(v), whose columns
-    are e_a + e_{m-1-a} for a < h = ceil(m/2) (2 e_k in the middle of odd
-    m = 2k + 1), then e_a - e_{m-1-a} for a < k: a load or a residual in a
-    1D level's coordinates."""
+    """G^T v, v a vector or a matrix of m = len(v) rows, for the mirror
+    butterfly G whose columns are e_a + e_{m-1-a} for a < h = ceil(m/2)
+    (2 e_k in the middle of odd m = 2k + 1), then e_a - e_{m-1-a} for
+    a < k: a load or a residual in a 1D level's coordinates."""
     m = len(v)
     h, k, out = (m + 1) // 2, m // 2, np.empty(v.shape)
     np.add(v[:h], v[k:][::-1], out=out[:h])
@@ -372,8 +372,8 @@ def butterfly_T(v: np.ndarray) -> np.ndarray:
 
 
 def butterfly(y: np.ndarray) -> np.ndarray:
-    """G y: the vector whose 1D level coordinates are y = (even part, odd
-    part)."""
+    """G y: the vector (or matrix) whose 1D level coordinates are y =
+    (even part, odd part)."""
     m = len(y)
     h, k, out = (m + 1) // 2, m // 2, np.empty(y.shape)
     np.add(y[:k], y[h:], out=out[:k])
