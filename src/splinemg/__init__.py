@@ -11,10 +11,10 @@ from .transfer import build_prolongation, prolong, restrict, prolong_2d, \
     restrict_2d
 from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     build_smoother_2d, apply_Linv_1d, apply_Linv_2d, smooth_step_1d, \
-    smooth_step_2d, damping
+    smooth_step_2d, damping, TAU_DEFAULT
 from .solver import MgHierarchy, CycleConfig, SolveReport, build_hierarchy, \
     min_smoother_level, mg_cycle, solve_mg, solve_pcg, \
-    experiment_initial_guess, InadmissibleLevels, TAU_DEFAULT
+    experiment_initial_guess, InadmissibleLevels
 from .verify import InverseInequalityResult, INVERSE_BOUND, APPROX_BOUND, \
     PROXY_LEVELS, SmootherPencil, build_constraint_basis, smoother_pencil, \
     verify_inverse_inequality, verify_counterexample, \

@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import BandedSymMatrix, WindowBandMatrix, WindowKron
-from .splines import SplineSpace, as_integer, build_space, eval_basis_array
+from .splines import SplineSpace, as_dimension, build_space, eval_basis_array
 
 __all__ = [
     "Discretization1D",
@@ -209,8 +209,7 @@ def assemble_load(space: SplineSpace, d: int = 1) -> np.ndarray:
     The trigonometric factor equals cos(pi x_j), so the 2D load is the scaled
     tensor product of the 1D cosine moments.
     """
-    if as_integer("dimension", d) not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    d = as_dimension(d)
     g = _cosine_moments(space)
     if d == 1:
         return np.pi**2 * g

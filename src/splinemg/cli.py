@@ -110,17 +110,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="degree range, e.g. 1-15 or 2,3,5")
     t.add_argument("--levels", default="10-12",
                    help="fine-level range, e.g. 10-12")
-    t.add_argument("--coarse", default="auto",
+    t.add_argument("--coarse", default=ExperimentConfig.coarse,
                    help="coarse level (integer) or 'auto'")
-    t.add_argument("--cycle", default="v", choices=("two-grid", "v", "w"))
-    t.add_argument("--pre", type=int, default=1, help="pre-smoothing steps")
-    t.add_argument("--post", type=int, default=1, help="post-smoothing steps")
-    t.add_argument("--tau", type=float, default=None,
+    t.add_argument("--cycle", default=ExperimentConfig.cycle,
+                   choices=("two-grid", "v", "w"))
+    t.add_argument("--pre", type=int, default=ExperimentConfig.pre_smooth,
+                   help="pre-smoothing steps")
+    t.add_argument("--post", type=int, default=ExperimentConfig.post_smooth,
+                   help="post-smoothing steps")
+    t.add_argument("--tau", type=float, default=ExperimentConfig.tau,
                    help=f"damping parameter (default {damping(1)} in 1D, "
                         f"{damping(2)} in 2D)")
-    t.add_argument("--solver", default="mg", choices=("mg", "cg-mg"))
-    t.add_argument("--tol", type=float, default=1e-8)
-    t.add_argument("--max-iter", type=int, default=500,
+    t.add_argument("--solver", default=ExperimentConfig.solver,
+                   choices=("mg", "cg-mg"))
+    t.add_argument("--tol", type=float, default=ExperimentConfig.tol)
+    t.add_argument("--max-iter", type=int,
+                   default=ExperimentConfig.max_iter,
                    help="iteration budget, which also bounds the V-cycles; "
                         "a >N cg-mg cell can hide a breakdown that only an "
                         "iteration after N would meet")
@@ -177,7 +182,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

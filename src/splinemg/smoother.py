@@ -42,7 +42,7 @@ import numpy as np
 from .assembly import Discretization1D, Operator2D
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
     butterfly, butterfly_T, cholesky, parity_band
-from .splines import IndexSplit, as_integer, index_split
+from .splines import IndexSplit, as_dimension, index_split
 
 __all__ = [
     "Boundary",
@@ -74,8 +74,7 @@ def damping(d: int, tau: float | None = None) -> float:
     Raises ValueError unless d is the integer 1 or 2 and tau is positive and
     finite.
     """
-    if as_integer("dimension", d) not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    d = as_dimension(d)
     tau = TAU_DEFAULT[d] if tau is None else tau
     if not 0.0 < tau < np.inf:
         raise ValueError(

@@ -25,8 +25,8 @@ from .assembly import Discretization1D, Operator2D, assemble_1d, \
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
     NotSPDError, butterfly, butterfly_T, butterfly_weight, cholesky, \
     parity_band
-from .smoother import TAU_DEFAULT, Smoother1D, Smoother2D, \
-    build_smoother_1d, build_smoother_2d, damping, smooth_1d, smooth_2d
+from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
+    build_smoother_2d, damping, smooth_1d, smooth_2d
 from .splines import SplineSpace, as_integer, build_space
 from .transfer import Embedding, parity_embedding, prolong, prolong_2d, \
     restrict, restrict_2d, window_embedding
@@ -37,7 +37,6 @@ __all__ = [
     "CycleConfig",
     "SolveReport",
     "InadmissibleLevels",
-    "TAU_DEFAULT",
     "experiment_initial_guess",
     "min_smoother_level",
     "build_hierarchy",
@@ -394,13 +393,13 @@ class ExperimentConfig:
     degrees: list[int]
     levels: list[int]
     coarse: int | str = "auto"          # fixed level or "auto"
-    cycle: str = "v"                    # "v" | "w" | "two-grid"
-    pre_smooth: int = 1
-    post_smooth: int = 1
+    cycle: str = CycleConfig.cycle      # "v" | "w" | "two-grid"
+    pre_smooth: int = CycleConfig.pre_smooth
+    post_smooth: int = CycleConfig.post_smooth
     tau: float | None = None
     solver: str = "mg"                  # "mg" | "cg-mg"
-    tol: float = 1e-8
-    max_iter: int = 500
+    tol: float = CycleConfig.tol
+    max_iter: int = CycleConfig.max_iter
 
     def __post_init__(self):
         self.tau = damping(self.dim, self.tau)

@@ -23,6 +23,7 @@ __all__ = [
     "index_split",
     "SpaceSizeError",
     "as_integer",
+    "as_dimension",
 ]
 
 
@@ -37,6 +38,13 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_dimension(d) -> int:
+    """``d`` as an int; ValueError unless it is the integer 1 or 2."""
+    if as_integer("dimension", d) not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    return int(d)
 
 
 @dataclass(frozen=True)

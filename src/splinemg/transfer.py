@@ -1,7 +1,7 @@
 """Intergrid transfer for dyadically refined spline spaces.
 
 The prolongation is the canonical embedding of the coarse space into a fine
-space with 2^k times its intervals (k = 1 in the hierarchy, k = proxy_levels
+space with 2^k times its intervals (k = 1 in the hierarchy, k = PROXY_LEVELS
 in verify): the matrix of knot insertion, built with the Oslo algorithm
 (discrete B-splines) over all rows at once, or copied from one cached
 template per degree and ratio on a large enough dyadic pair. Restriction is
@@ -42,13 +42,6 @@ class Embedding:
 
     matrix: scipy.sparse.csr_matrix | WindowKron
     T: scipy.sparse.csr_matrix | WindowKron
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
 
 
 def _coarse_spans(coarse: SplineSpace, fine: SplineSpace) -> np.ndarray:
@@ -201,7 +194,7 @@ def restrict(P, fine_vec: np.ndarray) -> np.ndarray:
 
 def prolong_2d(P: Embedding, coarse_vec: np.ndarray) -> np.ndarray:
     """Apply P (x) P, held by a :func:`window_embedding`."""
-    return P @ coarse_vec
+    return P.matrix @ coarse_vec
 
 
 def restrict_2d(P: Embedding, fine_vec: np.ndarray) -> np.ndarray:

@@ -123,6 +123,13 @@ def dense_space(p: int, level: int, d: int = 1, n0: int = 1) -> SplineSpace:
     return space
 
 
+def _inverse_constant(space: SplineSpace, K: np.ndarray, M: np.ndarray,
+                      what: str) -> float:
+    """h * sqrt(lambda_max(K, M)), ``what`` naming M if it is not SPD."""
+    return float(space.mesh_size * np.sqrt(max(
+        generalized_eig_max(K, M, what), 0.0)))
+
+
 def verify_inverse_inequality(p: int, level: int,
                               n0: int = 1) -> InverseInequalityResult:
     """Measure the gradient-vs-value bound on the constrained subspace.
@@ -133,20 +140,15 @@ def verify_inverse_inequality(p: int, level: int,
     interior block.
     """
     space = dense_space(p, level, n0=n0)
-    s = index_split(space)
+    i = index_split(space).interior
     disc = assemble_1d(space)
     Kd, Md = disc.K.toarray(), disc.M.toarray()
     N = build_constraint_basis(space)
-    lam = generalized_eig_max(N.T @ Kd @ N, N.T @ Md @ N,
-                              "constrained mass matrix")
-    constrained = space.mesh_size * np.sqrt(max(lam, 0.0))
-
-    KI = Kd[np.ix_(s.interior, s.interior)]
-    MI = Md[np.ix_(s.interior, s.interior)]
-    lam_i = generalized_eig_max(KI, MI, "interior mass block")
-    interior = space.mesh_size * np.sqrt(max(lam_i, 0.0))
-    return InverseInequalityResult(constrained=float(constrained),
-                                   interior=float(interior))
+    return InverseInequalityResult(
+        constrained=_inverse_constant(space, N.T @ Kd @ N, N.T @ Md @ N,
+                                      "constrained mass matrix"),
+        interior=_inverse_constant(space, Kd[np.ix_(i, i)], Md[np.ix_(i, i)],
+                                   "interior mass block"))
 
 
 def verify_counterexample(p: int, level: int) -> float:
@@ -157,19 +159,17 @@ def verify_counterexample(p: int, level: int) -> float:
     """
     space = dense_space(p, level)
     disc = assemble_1d(space)
-    lam = generalized_eig_max(disc.K.toarray(), disc.M.toarray(),
-                              "mass matrix M")
-    return float(space.mesh_size * np.sqrt(max(lam, 0.0)))
+    return _inverse_constant(space, disc.K.toarray(), disc.M.toarray(),
+                             "mass matrix M")
 
 
-def verify_approximation_constant(p: int, level: int,
-                                  proxy_levels: int = PROXY_LEVELS) -> float:
+def verify_approximation_constant(p: int, level: int) -> float:
     """L2 approximation constant of the constrained space at one level.
 
-    The supremum over H^1 is approximated from a ``proxy_levels``-times finer
-    spline space, which can only underestimate it, so the measured value must
-    stay below APPROX_BOUND. Raises :class:`SpaceSizeError` when the proxy
-    space exceeds the dense limit.
+    The supremum over H^1 is approximated from the spline space refined
+    ``PROXY_LEVELS`` more times, which can only underestimate it, so the
+    measured value must stay below APPROX_BOUND. Raises
+    :class:`SpaceSizeError` when the proxy space exceeds the dense limit.
 
     The pencil is held in the proxy space's mirror butterfly coordinates
     (x = G y, G^-1 = D^2 G^T; congruence keeps its eigenvalues), where A, M
@@ -178,7 +178,7 @@ def verify_approximation_constant(p: int, level: int,
     "proxy mass matrix M" if its mirror defect exceeds 1e-9.
     """
     coarse = build_space(p, level)
-    fine = dense_space(p, level + proxy_levels)
+    fine = dense_space(p, level + PROXY_LEVELS)
     disc, n, h = assemble_1d(fine), fine.dim, (fine.dim + 1) // 2
     A = parity_band(disc.A, "proxy system matrix A")
     M = parity_band(disc.M, "proxy mass matrix M")

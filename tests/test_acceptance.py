@@ -133,7 +133,7 @@ def test_criterion_5_counterexample_growth():
 def test_criterion_6_approximation_constant():
     worst = 0.0
     for p in range(1, 5):
-        worst = max(worst, verify_approximation_constant(p, 3, proxy_levels=4))
+        worst = max(worst, verify_approximation_constant(p, 3))
     _report("6 (approximation constant <= 2*sqrt(2) + 0.01)",
             worst <= APPROX_BOUND + 0.01, f"max measured = {worst:.6f}")
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinemg import InadmissibleLevels, build_hierarchy, min_smoother_level
+from splinemg import CycleConfig, InadmissibleLevels, build_hierarchy, \
+    min_smoother_level
 from splinemg.cli import ExperimentConfig, TableResult, run_table, \
-    run_verify, write_table, format_verify_report, main, _parse_range
+    run_verify, write_table, format_verify_report, main, _build_parser, \
+    _parse_range
 from splinemg.linalg import NotSPDError
 from splinemg.splines import SpaceSizeError
 from splinemg.verify import ConstraintRankError, SmootherPencil, \
@@ -66,6 +69,25 @@ def test_config_validation():
     with pytest.raises(ValueError, match="level must be an integer, got 6.0"):
         ExperimentConfig(dim=1, degrees=[2], levels=[5, 6.0])
     assert min_smoother_level(np.int64(4)) == 3
+
+
+def test_table_defaults_are_the_experiment_configs_and_the_cycle_configs():
+    # one set of solve defaults: CycleConfig states them, ExperimentConfig
+    # and the table parser read them
+    args = _build_parser().parse_args(["table"])
+    cycle = CycleConfig()
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                if f.default is not dataclasses.MISSING}
+    assert defaults == {"coarse": "auto", "cycle": cycle.cycle,
+                        "pre_smooth": cycle.pre_smooth,
+                        "post_smooth": cycle.post_smooth, "tau": None,
+                        "solver": "mg", "tol": cycle.tol,
+                        "max_iter": cycle.max_iter}
+    for option, name in (("coarse", "coarse"), ("cycle", "cycle"),
+                         ("pre", "pre_smooth"), ("post", "post_smooth"),
+                         ("tau", "tau"), ("solver", "solver"), ("tol", "tol"),
+                         ("max_iter", "max_iter")):
+        assert getattr(args, option) == defaults[name], option
 
 
 def test_run_table_grid_shape_and_values():

@@ -91,7 +91,7 @@ def test_kernel_products_equal_scipy_on_every_1d_level(p):
         x = rng.standard_normal(lvl.op.order)
         npt.assert_array_equal(lvl.op.apply(x), lvl.op.sparse @ x)
         if lvl.P is not None:
-            c = rng.standard_normal(lvl.P.shape[1])
+            c = rng.standard_normal(lvl.P.matrix.shape[1])
             npt.assert_array_equal(restrict(lvl.P, x), lvl.P.T @ x)
             npt.assert_array_equal(prolong(lvl.P, c), lvl.P.matrix @ c)
 

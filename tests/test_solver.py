@@ -87,7 +87,7 @@ def test_hierarchy_galerkin_consistency():
         assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max()
         # and for the vectors, through the butterflies: P = G_f P~ G_c^-1
         w = butterfly_weight(lo.space.dim)
-        P = np.column_stack([butterfly(hi.P @ (w * butterfly_T(e)))
+        P = np.column_stack([butterfly(hi.P.matrix @ (w * butterfly_T(e)))
                              for e in np.eye(lo.space.dim)])
         proj = P.T @ hi.disc.A.toarray() @ P
         ref = lo.disc.A.toarray()
@@ -797,7 +797,7 @@ def test_block_band_2d_level_matches_kron_oracles(p, level):
         check_square(fine.P.matrix, P)
         check_square(fine.P.T, P.T)
         PP = np.kron(P, P)
-        assert fine.P.shape == PP.shape
+        assert fine.P.matrix.shape == PP.shape
         c = rng.standard_normal(PP.shape[1])
         r = rng.standard_normal(PP.shape[0])
         assert rel_err(prolong_2d(fine.P, c), PP @ c) <= 1e-13
@@ -828,7 +828,7 @@ def test_2d_apply_and_transfers_leave_earlier_results_alone():
     rng = np.random.default_rng(8)
     for p, level in ((3, 4), (4, 7), (8, 7), (15, 7)):
         lvl = build_hierarchy(2, p, min_smoother_level(p) - 1, level).finest
-        coarse_size, fine_size = lvl.P.shape[1], lvl.op.order
+        coarse_size, fine_size = lvl.P.matrix.shape[1], lvl.op.order
         for call, size in ((lvl.op.apply, fine_size),
                            (lambda x: prolong_2d(lvl.P, x), coarse_size),
                            (lambda x: restrict_2d(lvl.P, x), fine_size)):
@@ -853,7 +853,7 @@ def test_2d_apply_and_transfers_allocate_only_their_result():
     lvl = build_hierarchy(2, 8, min_smoother_level(8) - 1, 7).finest
     rng = np.random.default_rng(5)
     fine = rng.standard_normal(lvl.op.order)
-    coarse = rng.standard_normal(lvl.P.shape[1])
+    coarse = rng.standard_normal(lvl.P.matrix.shape[1])
     for product, x, result in ((lvl.op.product, fine, fine.nbytes),
                                (lvl.P.matrix, coarse, fine.nbytes),
                                (lvl.P.T, fine, coarse.nbytes)):

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from splinemg import build_space, eval_basis, eval_basis_derivatives, \
     eval_spline, index_split
-from splinemg.splines import eval_basis_array, find_span
+from splinemg.assembly import assemble_load
+from splinemg.smoother import damping
+from splinemg.splines import as_dimension, eval_basis_array, find_span
 
 
 def test_build_space_p1():
@@ -324,3 +326,20 @@ def test_interior_functions_vanish_at_boundary_with_derivatives():
             for local, j in enumerate(active):
                 if j in s.interior:
                     assert abs(ders[k, local]) <= 1e-9 * (np.abs(ders[k]).max() + 1)
+
+
+def test_dimension_rule_has_one_owner_and_one_message():
+    assert as_dimension(np.int64(2)) == 2
+    assert type(as_dimension(np.int64(2))) is int
+    with pytest.raises(ValueError) as owner:
+        as_dimension(3)
+    assert str(owner.value) == "dimension must be 1 or 2, got 3"
+    for call in (lambda: damping(3), lambda: damping(3, 0.5),
+                 lambda: assemble_load(build_space(1, 1), 3)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == str(owner.value)
+    for d in (True, 2.0):
+        with pytest.raises(ValueError,
+                           match=rf"^dimension must be an integer, got {d!r}$"):
+            as_dimension(d)

@@ -9,6 +9,7 @@ fails here with the name in the message, not only inside a bench run.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import splinemg.cli
@@ -16,6 +17,7 @@ import splinemg.verify
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "src" / "splinemg").glob("*.py"))
 #: reached only from ``TRACED`` and the tests; deleting one of them must stay
 #: a deletion of its definition, its ``__all__`` entry and its re-export
@@ -91,3 +93,13 @@ def test_the_cli_binds_the_verify_runner_itself():
         "bench/harness.py calls sm.cli.run_verify and the tracer wraps it "
         "as ('cli', 'run_verify'): cli must import verify.run_verify "
         "itself, not a wrapper")
+
+
+def test_readme_names_exactly_the_names_only_the_tracer_reaches():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"the names only the tracer and the tests reach "
+                       r"\(([^)]*)\)", text)
+    assert listed, "README.md lost its list of the traced-only names"
+    names = {name.rsplit(".", 1)[-1]
+             for name in re.findall(r"`([\w.]+)`", listed[1])}
+    assert names == UNUSED_IN_LIBRARY

@@ -98,7 +98,7 @@ def _assert_parity_embedding(E, P, seed):
     G_c^-T P~^T G_f^T f = P^T f (G^-1 = D^2 G^T), each entry within
     16 eps of its bound |P| (|v| + J|v|), the rounding of the folds in
     P's terms and their mirrors."""
-    assert E.shape == P.shape and E.T.format == "csr"
+    assert E.matrix.shape == P.shape and E.T.format == "csr"
     for got, ref in zip((E.matrix.data, E.matrix.indices, E.matrix.indptr),
                         _parity_oracle(P)):
         npt.assert_array_equal(got, ref)
@@ -246,7 +246,7 @@ def test_2d_transfer_matches_dense_kron():
     P = build_prolongation(co, fi)
     E = window_embedding(co, fi)
     dense = np.kron(P.toarray(), P.toarray())
-    assert E.shape == dense.shape
+    assert E.matrix.shape == dense.shape
     c = rng.standard_normal(co.dim ** 2)
     npt.assert_allclose(prolong_2d(E, c), dense @ c, atol=1e-12)
     f = rng.standard_normal(fi.dim ** 2)

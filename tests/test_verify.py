@@ -121,7 +121,7 @@ def test_counterexample_rejects_oversize():
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_approximation_constant_bound(p):
-    value = verify_approximation_constant(p, 3, proxy_levels=4)
+    value = verify_approximation_constant(p, 3)
     assert value <= APPROX_BOUND + 0.01
 
 
