@@ -30,6 +30,7 @@ __all__ = [
     "butterfly",
     "butterfly_T",
     "butterfly_weight",
+    "fold",
     "check_mirror",
     "parity_band",
     "generalized_eigh",
@@ -60,11 +61,12 @@ class BandedSymMatrix:
 
     @classmethod
     def from_dense(cls, a: np.ndarray, bandwidth: int) -> "BandedSymMatrix":
-        m = a.shape[0]
-        out = cls(m, bandwidth, np.zeros((bandwidth + 1, m)))
-        for k in range(bandwidth + 1):
-            out.bands[k, :m - k] = np.diagonal(a, -k)
-        return out
+        """Lower band of ``a``: one strided read of a zero-padded copy."""
+        m, s = len(a), np.dtype(float).itemsize
+        pad = np.zeros((m + bandwidth, m))  # (j + k, j): flat k m + j (m + 1)
+        pad[:m] = a
+        return cls(m, bandwidth, np.ndarray((bandwidth + 1, m), float, pad, 0,
+                                            (m * s, (m + 1) * s)).copy())
 
     def toarray(self) -> np.ndarray:
         k, j = np.nonzero(np.arange(self.bandwidth + 1)[:, None]
@@ -351,7 +353,7 @@ def _quadrants(x: np.ndarray) -> tuple:
             x[::-1, ::-1][:h, :h])
 
 
-def _fold(x: np.ndarray) -> np.ndarray:
+def fold(x: np.ndarray) -> np.ndarray:
     """Part (a, b) = (even/odd, even/odd) of a square x, (2, 2, h, h): the
     butterflied quadrants, F_a^T x F_b but for the scaling of F's columns."""
     h = (len(x) + 1) // 2
@@ -402,18 +404,14 @@ def check_mirror(what: str, x, mirrored) -> None:
                          f"{defect:.1e} > 1e-09")
 
 
-def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
-                Q: np.ndarray | None = None) -> BandedSymMatrix:
-    """G^T L G's even and then odd diagonal block as one band of order m and
-    bandwidth p, for L = sigma X + C, X a persymmetric band of bandwidth p
-    and C the 2p x 2p block Q on the first and last p indices (none when
-    Q is None): entry (a, b) of a block is L[a, b] + L[m-1-a, m-1-b] +-
-    (L[a, m-1-b] + L[m-1-a, b]).
-
-    The even-odd blocks it drops vanish but for L's mirror defect: the band
-    is that of (L + J L J) / 2, SPD when L is, so Q's defect can change a
-    rate but not a solution. X, a level operator's band, is checked by
-    :func:`check_mirror` naming ``what``."""
+def parity_band(X: BandedSymMatrix, what: str,
+                sigma: float = 1.0) -> BandedSymMatrix:
+    """G^T (sigma X) G's even and then odd diagonal block as one band of
+    order m and bandwidth p, X a persymmetric band of bandwidth p: entry
+    (a, b) of a block is sigma (X[a, b] + X[m-1-a, m-1-b] +- (X[a, m-1-b]
+    + X[m-1-a, b])). The even-odd blocks it drops vanish but for X's mirror
+    defect: the band is that of sigma (X + J X J) / 2, SPD when X is.
+    :func:`check_mirror` checks X, a level's band, naming it ``what``."""
     m, p = X.order, X.bandwidth
     h, k = (m + 1) // 2, m // 2
     # J X J's lower band, entry (j + d, j) = X[m-1-j-d, m-1-j], is X's read
@@ -444,14 +442,6 @@ def parity_band(X: BandedSymMatrix, what: str, sigma: float = 1.0,
         t * s, (2 * w + 1) * s)) for t in (w + 1, w)))
     even[:, c:] = sigma * (same[:, c:] + cross)
     odd[:, c:] = (sigma * (same[:, c:] - cross))[:, :k - c]
-    if Q is not None:
-        # Q's even and odd parts as bands: entry (d, j) is part[d + j, j]
-        q = np.zeros((2, 2 * p, p))
-        q[:, :p] = _fold(Q).reshape(4, p, p)[::3]
-        q = np.ndarray((2, p + 1, p), float, q, 0,
-                       (2 * p * p * s, p * s, (p + 1) * s))
-        even[:, :p] += q[0]
-        odd[:, :p] += q[1]
     # zero the entries past each block's end, j + d >= h in the even block
     # and j - h + d >= k in the odd: its last n columns, n = min(p, its size)
     tail = np.arange(p + 1)[:, None] + np.arange(p) >= p
@@ -495,7 +485,7 @@ class KronSumSolver:
         # a side twice (it lies in both quadrants), so 1/2 there
         d = np.full(h, np.sqrt(0.5))
         d[k:] = 0.5
-        folded = [_fold(x) for x in (B, M)]
+        folded = [fold(x) for x in (B, M)]
         lam_e, V_e = generalized_eigh(*(x[0, 0] * d[:, None] * d for x in
                                         folded), f"{what} (mass factor)")
         lam_o, V_o = generalized_eigh(*(x[1, 1, :k, :k] / 2.0 for x in
@@ -523,7 +513,7 @@ class KronSumSolver:
             raise ValueError(
                 f"vector of shape {rhs.shape}, expected ({m * m},)")
         y = np.matmul(np.matmul(W.transpose(0, 2, 1)[:, None],
-                                _fold(rhs.reshape(m, m))), W) * self.scale
+                                fold(rhs.reshape(m, m))), W) * self.scale
         z = np.matmul(np.matmul(W_back[:, None], y), W_back.transpose(0, 2, 1))
         out = np.empty((m, m))
         parts = _BUTTERFLY @ z.reshape(4, -1)

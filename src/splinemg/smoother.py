@@ -9,14 +9,15 @@ boundary's columns, one on its trailing p x p block for the right's. L is
 persymmetric (B_i(x) = B_{m-1-i}(1 - x)), so with the mirror butterfly G
 (columns e_a +- e_{m-1-a}, and 2 e_k for odd m = 2k + 1) G^T L G is an
 even and an odd block of bandwidth p (Cantoni & Butler 1976): one banded
-Cholesky factor of order m per matrix. Leaving out the cross-parity terms
-averages L with its mirror, which keeps the blocks SPD from p = 34, where
-Q's mirror defect is 1e-12 to 1e-9. A 1D level is held in G's
-coordinates (see :mod:`~splinemg.solver`), so a smoothing step takes the
-residual as G^T r and is the two O(m p) substitutions alone;
-:func:`apply_Linv_1d` and :func:`smooth_step_1d` reach vectors through
-the butterflies. A level builds the damped factor, the one a smoothing
-step reads; the undamped one on first use.
+Cholesky factor of order m per matrix, C being Q's even and odd parts
+(:func:`~splinemg.linalg.fold`) on each block's first p indices. Leaving
+out the cross-parity terms averages L with its mirror, which keeps the
+blocks SPD from p = 34, where Q's mirror defect is 1e-12 to 1e-9. A 1D
+level is held in G's coordinates (see :mod:`~splinemg.solver`), so a
+smoothing step takes the residual as G^T r and is the two O(m p)
+substitutions alone; :func:`apply_Linv_1d` and :func:`smooth_step_1d`
+reach vectors through the butterflies. A level builds the damped factor
+a step reads, with its L^T; the undamped one on first use.
 
 The 2D smoother matrix is the rank-corrected tensor square
 LL = h^2 (L (x) L - C (x) C). Expanded, it is the Kronecker sum
@@ -41,7 +42,7 @@ import numpy as np
 
 from .assembly import Discretization1D, Operator2D
 from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
-    butterfly, butterfly_T, cholesky, parity_band
+    butterfly, butterfly_T, cholesky, fold, parity_band
 from .splines import IndexSplit, as_dimension, index_split
 
 __all__ = [
@@ -117,6 +118,7 @@ class Smoother1D(Boundary):
     def __post_init__(self):
         self.L_eff_solver = self._factor(self.mesh_size ** -2 / self.tau,
                                          "1D damped smoother matrix")
+        self.L_eff_solver.upper         # in setup, not at the first step
 
     @cached_property
     def L_solver(self) -> CholeskyFactor:
@@ -125,7 +127,11 @@ class Smoother1D(Boundary):
 
     def _factor(self, sigma: float, what: str) -> CholeskyFactor:
         """Band factor of G^T (sigma M + C) G's even and odd blocks."""
-        return cholesky(parity_band(self.M, what, sigma, self.Q), what)
+        band, p = parity_band(self.M, what, sigma), self.M.bandwidth
+        h = (self.space_dim + 1) // 2           # the odd block's first index
+        for j, part in zip((0, h), fold(self.Q)[[0, 1], [0, 1]]):
+            band.bands[:, j:j + p] += BandedSymMatrix.from_dense(part, p).bands
+        return cholesky(band, what)
 
     def step_direction(self, residual: np.ndarray) -> np.ndarray:
         """Damped update of one smoothing step in level coordinates: y of

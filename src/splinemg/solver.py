@@ -27,7 +27,7 @@ from .linalg import BandedSymMatrix, CholeskyFactor, KronSumSolver, \
     parity_band
 from .smoother import Smoother1D, Smoother2D, build_smoother_1d, \
     build_smoother_2d, damping, smooth_1d, smooth_2d
-from .splines import SplineSpace, as_integer, build_space
+from .splines import SplineSpace, as_integer, as_ranges, build_space
 from .transfer import Embedding, parity_embedding, prolong, prolong_2d, \
     restrict, restrict_2d, window_embedding
 
@@ -140,7 +140,6 @@ class SolveReport:
     #: "converged", "max_iter", "non-finite" (a residual or a CG scalar is
     #: NaN or infinite) or "breakdown" (CG met r^T z <= 0 or p^T A p <= 0)
     stop_reason: str
-    wall_time: float
 
     @property
     def converged(self) -> bool:
@@ -198,10 +197,9 @@ def build_hierarchy(d: int, p: int, coarse_level: int, fine_level: int,
             M = disc.M.toarray()
             lvl.direct = KronSumSolver.build(M, disc.K.toarray() + M / 2.0,
                                              "2D system matrix")
-        elif d == 1:            # in setup, not at the first apply or solve
+        elif d == 1:            # in setup, not at the first apply
             lvl.op.sparse
             lvl.smoother = build_smoother_1d(disc, tau)
-            lvl.smoother.L_eff_solver.upper
             lvl.P = parity_embedding(levels[-1].space, space)
         else:
             lvl.smoother = build_smoother_2d(lvl.op, tau)
@@ -275,10 +273,8 @@ def _cg_scalar_stop(value: float) -> str | None:
     return "breakdown" if math.isfinite(value) else "non-finite"
 
 
-def _report(history: list[float], stop: str | None,
-            start: float) -> SolveReport:   # an iteration per later residual
-    return SolveReport(len(history) - 1, history, stop or "max_iter",
-                       time.perf_counter() - start)
+def _report(history: list[float], stop: str | None) -> SolveReport:
+    return SolveReport(len(history) - 1, history, stop or "max_iter")
 
 
 def _start(h: MgHierarchy, f, u0) -> tuple:
@@ -286,10 +282,12 @@ def _start(h: MgHierarchy, f, u0) -> tuple:
     level's coordinates (1D: G^T f and D^2 G^T u0), the weight of its
     residual norm (1D: D^2, 2D: None), the first residual, a history
     holding its norm, and the first stop reason. ValueError naming ``f`` or
-    ``u0`` unless it has the level's order and finite entries."""
+    ``u0`` unless it is a finite int or float array of the level's order."""
     A, weight = h.finest.op, None
     n, checked = A.shape[0], []
     for name, v in (("f", f), ("u0", np.zeros(n) if u0 is None else u0)):
+        if (dtype := np.asarray(v).dtype).kind not in "iuf":
+            raise ValueError(f"{name} has dtype {dtype}, not int or float")
         v = np.array(v, dtype=float)
         if v.shape != (n,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
@@ -321,10 +319,9 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     solve of k cycles over L smoothed levels runs 1 + k (1 + 2 L) band
     applies.
 
-    Raises ValueError naming ``f`` or ``u0`` when it has the wrong length or
-    a non-finite entry.
+    Raises ValueError naming ``f`` or ``u0`` when it is not real, or has
+    the wrong length or a non-finite entry.
     """
-    start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
     f, u, r, weight, history, stop = _start(h, f, u0)
@@ -333,7 +330,7 @@ def solve_mg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
         r = f - A.apply(u)
         history.append(_norm(r, weight))
         stop = _residual_stop(history[-1], cfg.tol * history[0])
-    return _physical(h, u), _report(history, stop, start)
+    return _physical(h, u), _report(history, stop)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -355,7 +352,6 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
     applies, plus one per f - A u that confirms the stop.
     """
     cfg.require_symmetric()
-    start = time.perf_counter()
     top = len(h.levels) - 1
     A = h.finest.op
     f, u, r, weight, history, stop = _start(h, f, u0)
@@ -382,7 +378,7 @@ def solve_pcg(h: MgHierarchy, cfg: CycleConfig, f: np.ndarray,
             history[-1] = _norm(r, weight)
         stop = _residual_stop(history[-1], cfg.tol * history[0])
         rho_old, z_old = rho, z
-    return _physical(h, u), _report(history, stop, start)
+    return _physical(h, u), _report(history, stop)
 
 
 @dataclass
@@ -403,12 +399,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.tau = damping(self.dim, self.tau)
-        if not self.degrees or not self.levels:
-            raise ValueError("degree and level ranges must be non-empty")
-        self.degrees = [as_integer("degree", p) for p in self.degrees]
-        self.levels = [as_integer("level", lv) for lv in self.levels]
-        # build_space owns p >= 1 and level >= 0 (probed on one interval)
-        build_space(min(self.degrees), min(0, *self.levels))
+        self.degrees, self.levels = as_ranges(self.degrees, self.levels)
         if self.solver not in ("mg", "cg-mg"):
             raise ValueError(f"unknown solver {self.solver!r}")
         cfg = self.cycle_config()

@@ -15,6 +15,8 @@ __all__ = [
     "SplineSpace",
     "IndexSplit",
     "build_space",
+    "space_dim",
+    "as_ranges",
     "find_span",
     "eval_basis_array",
     "eval_basis",
@@ -80,25 +82,38 @@ class IndexSplit:
     interior: np.ndarray
 
 
-def build_space(p: int, level: int, n0: int = 1) -> SplineSpace:
-    """Build the spline space of degree ``p`` on n0 * 2**level intervals.
-
-    Raises ValueError for a non-integer argument, p < 1, n0 < 1 or level < 0.
-    """
+def space_dim(p: int, level: int, n0: int = 1) -> int:
+    """Dimension n0 * 2**level + p of :func:`build_space`'s space, unbuilt;
+    ValueError for a non-integer argument, p < 1, n0 < 1 or level < 0."""
     p, level, n0 = (as_integer(name, v) for name, v in
                     (("degree", p), ("level", level), ("n0", n0)))
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    if n0 < 1:
-        raise ValueError(f"coarse interval count must be >= 1, got {n0}")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    n = n0 * 2**level
+    for what, v, low in (("degree", p, 1), ("coarse interval count", n0, 1),
+                         ("level", level, 0)):
+        if v < low:
+            raise ValueError(f"{what} must be >= {low}, got {v}")
+    return n0 * 2**level + p
+
+
+def as_ranges(degrees, levels) -> tuple[list[int], list[int]]:
+    """Degree and level ranges as int lists, checked non-empty and in range."""
+    if not degrees or not levels:
+        raise ValueError("degree and level ranges must be non-empty")
+    degrees = [as_integer("degree", p) for p in degrees]
+    levels = [as_integer("level", lv) for lv in levels]
+    space_dim(min(degrees), min(0, *levels))
+    return degrees, levels
+
+
+def build_space(p: int, level: int, n0: int = 1) -> SplineSpace:
+    """Degree-``p`` space on n0 * 2**level intervals; see :func:`space_dim`."""
+    m = space_dim(p, level, n0)
+    p, level = int(p), int(level)
+    n = m - p
     h = 1.0 / n
     interior = np.arange(1, n) * h
     knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
     return SplineSpace(degree=p, level=level, intervals=n, mesh_size=h,
-                       dim=n + p, knots=knots)
+                       dim=m, knots=knots)
 
 
 def find_span(space: SplineSpace, x: float | np.ndarray) -> int | np.ndarray:

@@ -20,8 +20,8 @@ from .linalg import NotSPDError, butterfly_T, butterfly_weight, \
     generalized_eig_max, generalized_eigh, parity_band
 from .smoother import build_boundary, damping, smoother_matrix_1d, \
     smoother_matrix_2d
-from .splines import SpaceSizeError, SplineSpace, build_space, \
-    eval_basis_derivatives, index_split
+from .splines import SpaceSizeError, SplineSpace, as_ranges, build_space, \
+    eval_basis_derivatives, index_split, space_dim
 from .transfer import build_prolongation
 
 __all__ = [
@@ -113,14 +113,12 @@ def dense_limit(d: int = 1) -> int:
 
 
 def dense_space(p: int, level: int, d: int = 1, n0: int = 1) -> SplineSpace:
-    """``build_space(p, level, n0)`` for a dense ``d``-dim check; raises
-    :class:`SpaceSizeError` when its dimension exceeds ``dense_limit(d)``."""
-    space = build_space(p, level, n0)
-    if space.dim > dense_limit(d):
+    """``build_space(p, level, n0)`` for a dense ``d``-dim check, refused by
+    :class:`SpaceSizeError` before it is built if m > ``dense_limit(d)``."""
+    if (m := space_dim(p, level, n0)) > dense_limit(d):
         raise SpaceSizeError(
-            f"dimension {space.dim} exceeds dense verification limit "
-            f"{dense_limit(d)}")
-    return space
+            f"dimension {m} exceeds dense verification limit {dense_limit(d)}")
+    return build_space(p, level, n0)
 
 
 def _inverse_constant(space: SplineSpace, K: np.ndarray, M: np.ndarray,
@@ -295,8 +293,7 @@ def run_verify(degrees: list[int], levels: list[int], d: int = 1,
     one whose matrix loses definiteness (:class:`NotSPDError`) reads FAIL
     with the error's message. Other errors propagate."""
     tau = damping(d, tau)
-    if not degrees or not levels:
-        raise ValueError("degree and level ranges must be non-empty")
+    degrees, levels = as_ranges(degrees, levels)
     results: list[CheckResult] = []
 
     def check(name, p, level, measure, bound=None, kind="upper", note=""):

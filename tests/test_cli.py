@@ -182,6 +182,15 @@ def test_run_verify_skips_oversize():
             smoother_pencil(p, level, d=d)
 
 
+def test_table_and_verify_refuse_an_empty_range_with_one_message():
+    for degrees, levels in (([], [3]), ([1], []), ((), ())):
+        for run in (lambda: ExperimentConfig(1, degrees, levels),
+                    lambda: run_verify(degrees, levels)):
+            with pytest.raises(ValueError, match="^degree and level ranges "
+                               "must be non-empty$"):
+                run()
+
+
 def test_run_verify_skips_what_the_library_refuses_by_size():
     notes = {(r.name, r.degree, r.level): r.note
              for r in run_verify([2, 4], [2, 5], d=1) if r.status == "SKIP"}

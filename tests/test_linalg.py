@@ -34,6 +34,20 @@ def test_banded_storage_round_trip():
     npt.assert_allclose(again.bands, a.bands)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 40), data=st.data())
+def test_from_dense_is_the_diagonal_loop_bit_for_bit(m, data):
+    b = data.draw(st.integers(0, m))     # m: a smoother's p x p Q parts
+    a = np.random.default_rng(m * 41 + b).standard_normal((m, m))
+    loop = np.zeros((b + 1, m))
+    for k in range(b + 1):
+        loop[k, :m - k] = np.diagonal(a, -k)
+    band = BandedSymMatrix.from_dense(a, b)
+    assert (band.order, band.bandwidth) == (m, b)
+    npt.assert_array_equal(band.bands, loop)
+    assert band.bands.flags.c_contiguous
+
+
 def test_banded_apply_matches_dense():
     rng = np.random.default_rng(1)
     a = _random_spd_banded(rng, 12, 2)

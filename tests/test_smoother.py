@@ -11,8 +11,8 @@ from splinemg import build_space, assemble_1d, operator_2d, index_split, \
 from splinemg import smoother
 from splinemg.smoother import TAU_DEFAULT, damping, smooth_1d, smooth_2d, \
     smoother_matrix_1d, smoother_matrix_2d, build_boundary, _boundary_images
-from splinemg.linalg import _fold, butterfly, butterfly_T, \
-    butterfly_weight, cholesky, parity_band
+from splinemg.linalg import CholeskyFactor, butterfly, butterfly_T, \
+    butterfly_weight, cholesky, fold, parity_band
 
 
 def _setup(p, n, tau=0.14):
@@ -281,7 +281,7 @@ def _gathered_band(sm, sigma):
     same = M.entries(a, b) + M.entries(m - 1 - a, m - 1 - b)
     cross = M.entries(a, m - 1 - b) + M.entries(m - 1 - a, b)
     band = sigma * np.stack([same + cross, same - cross])
-    q = np.pad(_fold(sm.Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
+    q = np.pad(fold(sm.Q)[[0, 1], [0, 1]], [(0, 0), (0, p), (0, 0)])
     band[:, :, :p] += q[:, a[:, :p], b[:p]]
     band = np.where(a < np.array([h, k])[:, None, None], band, 0.0)
     return np.concatenate([band[0], band[1, :, :k]], axis=1)
@@ -298,6 +298,8 @@ def test_band_slices_equal_the_gathered_band(monkeypatch, p):
         if not what.startswith("1D"):
             return cholesky(matrix, what)
         bands[what] = matrix
+        # a stand-in factor, the band itself, whose L^T the smoother builds
+        return CholeskyFactor("banded", matrix.order, matrix.bands)
 
     monkeypatch.setattr(smoother, "cholesky", recording)
     for n in (p + 1, p + 2, 64, 65):
@@ -514,3 +516,10 @@ def test_spectral_equivalence_bounded_in_p_2d():
         lam = scipy.linalg.eigh(AA, LL, eigvals_only=True)[-1]
         values.append(lam)
     assert max(values) <= 2.0 * values[0]
+
+
+def test_1d_smoother_builds_its_damped_factors_upper_band():
+    # a smoothing step's back substitution reads L^T: built with the
+    # smoother, by the smoother, not by its hierarchy or the first step
+    _, sm = _setup(3, 16)
+    assert "upper" in vars(sm.L_eff_solver)

@@ -223,6 +223,22 @@ def test_size_checks_raise_one_named_error():
             smoother_pencil(4, level)
 
 
+def test_a_space_beyond_the_dense_limit_is_refused_before_it_is_built(
+        monkeypatch):
+    # 2^40 + 3 basis functions: building the space first would allocate
+    # about 24 TiB of knots and temporaries
+    built = []
+    monkeypatch.setattr("splinemg.verify.build_space",
+                        lambda *args: built.append(args))
+    with pytest.raises(SpaceSizeError, match=f"^dimension {2**40 + 3} "
+                       "exceeds dense verification limit 300$"):
+        dense_space(3, 40)
+    [result] = cli.run_verify([1], [40])
+    assert (result.name, result.status, result.note) == (
+        "verification-suite", "SKIP", "size beyond dense limit")
+    assert built == []
+
+
 @pytest.mark.parametrize("d,level,degrees", [(1, 5, range(1, 9)),
                                              (2, 3, range(1, 4))])
 def test_measure_CA_matches_square_root_oracle(d, level, degrees):
